@@ -79,7 +79,7 @@ func main() {
 	// The store shares the bus's sharding so concurrent farm connections
 	// ingest without a global lock; a StatsSink rides along for the
 	// periodic log line.
-	store := evstore.NewSharded(core.ExperimentStart, *days, geoip.Default(), 0)
+	store := evstore.New(core.ExperimentStart, *days, geoip.Default())
 	stats := &bus.StatsSink{}
 
 	// With -store, attach the journal before serving: replay rebuilds

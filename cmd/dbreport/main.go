@@ -139,7 +139,7 @@ func reportStore(w io.Writer, storeFlag *cliflags.Store) error {
 	}
 	defer l.Close()
 
-	store := evstore.NewSharded(core.ExperimentStart, core.ExperimentDays, geoip.Default(), 0)
+	store := evstore.New(core.ExperimentStart, core.ExperimentDays, geoip.Default())
 	farms := map[string]relay.FarmMark{}
 	replayed, err := store.AttachWAL(l, func(tag []byte) {
 		if farm, epoch, seq, ok := relay.DecodeSourceTag(tag); ok {

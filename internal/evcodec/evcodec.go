@@ -11,6 +11,15 @@
 // before allocation, the CRC is verified before decompression, and the
 // decompressor is capped at the declared size so a zip bomb cannot
 // inflate past its declaration.
+//
+// Both directions are allocation-free per batch once warm, because
+// batches are small (a brute-force session yields two or three events)
+// and per-batch set-up would otherwise dwarf the per-event work.
+// Compress keeps one writer pool per flate level, and writes stored
+// blocks itself, byte-for-byte as flate.NewWriter(w, flate.NoCompression)
+// would. ReadBatch reuses pooled decompressors and inflate buffers. The
+// only per-batch allocations left are the decoded events and their
+// strings, which the caller keeps.
 package evcodec
 
 import (
@@ -47,10 +56,15 @@ const (
 
 // LevelStored selects flate stored (uncompressed) blocks: the payload
 // is still a valid flate stream any decoder accepts, but encoding is a
-// plain copy. The WAL defaults to it — segment appends sit on the
-// ingest hot path and local disk is cheaper than the CPU to shrink it —
-// while the relay keeps real compression for the wire.
+// plain copy, done without a flate.Writer. The WAL defaults to it —
+// segment appends sit on the ingest hot path and local disk is cheaper
+// than the CPU to shrink it — while the relay keeps real compression
+// for the wire.
 const LevelStored = -3
+
+// maxStoredBlock is the largest stored block flate can express (its
+// LEN field is 16 bits), and the size compress/flate cuts them at.
+const maxStoredBlock = 1<<16 - 1
 
 // Codec errors.
 var (
@@ -116,15 +130,13 @@ func (p Payload) AppendHead(buf []byte, seq uint64) []byte {
 	return binary.LittleEndian.AppendUint32(buf, p.CRC)
 }
 
-// flateWriters recycles flate compressors: flate.NewWriter allocates
-// ~1MB of window and hash-table state, which would otherwise dominate
-// every batch append on both the relay and WAL hot paths.
-var flateWriters sync.Pool
-
-type pooledFlate struct {
-	level int
-	fw    *flate.Writer
-}
+// flateWriters recycles flate compressors, one pool per level (indexed
+// by level - flate.HuffmanOnly): flate.NewWriter allocates up to ~1MB
+// of window and hash-table state, and a writer is only reusable at the
+// level it was built for. A farm compresses relay frames and journal
+// records at different levels, so one shared pool would hand back the
+// wrong level and allocate a fresh writer on nearly every batch.
+var flateWriters [flate.BestCompression - flate.HuffmanOnly + 1]sync.Pool
 
 // rawBufs recycles the pre-compression encode buffer; it never escapes
 // Compress, so pooling it removes a ~32KB alloc+clear per batch.
@@ -135,11 +147,8 @@ var rawBufs = sync.Pool{New: func() any { b := make([]byte, 0, 32<<10); return &
 // hot paths and trade ratio for throughput by default — and LevelStored
 // selects stored blocks.
 func Compress(events []core.Event, level int) (Payload, error) {
-	switch level {
-	case 0:
+	if level == 0 {
 		level = flate.BestSpeed
-	case LevelStored:
-		level = flate.NoCompression
 	}
 	// Encode into a local slice: appending through a pointer field would
 	// pay a GC write barrier on every field write, which profiles as half
@@ -151,28 +160,13 @@ func Compress(events []core.Event, level int) (Payload, error) {
 	}
 	defer func() { *rawp = raw[:0]; rawBufs.Put(rawp) }()
 	comp := compBufs.Get().(*bytes.Buffer)
-	fail := func(err error) (Payload, error) {
+	if level == LevelStored {
+		writeStored(comp, raw)
+	} else if err := deflate(comp, raw, level); err != nil {
 		comp.Reset()
 		compBufs.Put(comp)
 		return Payload{}, err
 	}
-	var fw *flate.Writer
-	if v, _ := flateWriters.Get().(*pooledFlate); v != nil && v.level == level {
-		fw = v.fw
-		fw.Reset(comp)
-	} else {
-		var err error
-		if fw, err = flate.NewWriter(comp, level); err != nil {
-			return fail(fmt.Errorf("evcodec: flate level %d: %w", level, err))
-		}
-	}
-	if _, err := fw.Write(raw); err != nil {
-		return fail(fmt.Errorf("evcodec: compress batch: %w", err))
-	}
-	if err := fw.Close(); err != nil {
-		return fail(fmt.Errorf("evcodec: compress batch: %w", err))
-	}
-	flateWriters.Put(&pooledFlate{level: level, fw: fw})
 	return Payload{
 		Comp:   comp.Bytes(),
 		RawLen: len(raw),
@@ -180,6 +174,49 @@ func Compress(events []core.Event, level int) (Payload, error) {
 		CRC:    crc32.ChecksumIEEE(comp.Bytes()),
 		buf:    comp,
 	}, nil
+}
+
+// writeStored writes raw to w as flate stored blocks, byte-for-byte the
+// stream flate.NewWriter(w, flate.NoCompression) emits: non-final
+// blocks of at most maxStoredBlock bytes, then an empty final block.
+// Every stored block starts on a byte boundary, so its header is one
+// BFINAL/BTYPE byte followed by LEN and its complement NLEN, both
+// 16-bit little-endian.
+func writeStored(w *bytes.Buffer, raw []byte) {
+	w.Grow(len(raw) + 5*(len(raw)/maxStoredBlock+2))
+	for len(raw) > 0 {
+		n := min(len(raw), maxStoredBlock)
+		w.Write([]byte{0, byte(n), byte(n >> 8), ^byte(n), ^byte(n >> 8)})
+		w.Write(raw[:n])
+		raw = raw[n:]
+	}
+	w.Write([]byte{1, 0, 0, 0xff, 0xff})
+}
+
+// deflate compresses raw to w at a compress/flate level, with a writer
+// from that level's pool.
+func deflate(w *bytes.Buffer, raw []byte, level int) error {
+	if level < flate.HuffmanOnly || level > flate.BestCompression {
+		return fmt.Errorf("evcodec: invalid flate level %d", level)
+	}
+	pool := &flateWriters[level-flate.HuffmanOnly]
+	fw, _ := pool.Get().(*flate.Writer)
+	if fw == nil {
+		var err error
+		if fw, err = flate.NewWriter(w, level); err != nil {
+			return fmt.Errorf("evcodec: flate level %d: %w", level, err)
+		}
+	} else {
+		fw.Reset(w)
+	}
+	if _, err := fw.Write(raw); err != nil {
+		return fmt.Errorf("evcodec: compress batch: %w", err)
+	}
+	if err := fw.Close(); err != nil {
+		return fmt.Errorf("evcodec: compress batch: %w", err)
+	}
+	pool.Put(fw)
+	return nil
 }
 
 // AppendPayload frames a compressed payload as one batch body onto w:
@@ -202,6 +239,46 @@ func AppendBatch(w *wire.Writer, seq uint64, events []core.Event, level int) (ra
 	AppendPayload(w, seq, p)
 	p.Release()
 	return p.RawLen, nil
+}
+
+// maxPooledInflate caps the inflate buffer an inflater keeps when it
+// goes back to the pool, so one large batch cannot pin its memory.
+const maxPooledInflate = 1 << 20
+
+// inflater is a reusable decompressor with its source reader, size cap
+// and output buffer. The output never escapes ReadBatch: getString
+// copies every string out of it.
+type inflater struct {
+	src bytes.Reader
+	fr  io.ReadCloser // implements flate.Resetter
+	lim io.LimitedReader
+	out bytes.Buffer
+}
+
+// inflaters recycles inflaters between batches: flate.NewReader
+// allocates ~45KB of history and code tables per call.
+var inflaters = sync.Pool{New: func() any { return new(inflater) }}
+
+// reset points the decompressor at a new compressed payload.
+func (inf *inflater) reset(comp []byte) error {
+	inf.src.Reset(comp)
+	if inf.fr == nil {
+		inf.fr = flate.NewReader(&inf.src)
+		return nil
+	}
+	return inf.fr.(flate.Resetter).Reset(&inf.src, nil)
+}
+
+// release drops the inflater's references to the batch and returns it
+// to the pool, without its buffer if that grew past maxPooledInflate.
+func (inf *inflater) release() {
+	inf.src.Reset(nil)
+	if inf.out.Cap() > maxPooledInflate {
+		inf.out = bytes.Buffer{}
+	} else {
+		inf.out.Reset()
+	}
+	inflaters.Put(inf)
 }
 
 // ReadBatch is the symmetric inverse of AppendBatch: it consumes one
@@ -237,19 +314,25 @@ func ReadBatch(r *wire.Reader, lim Limits) (seq uint64, events []core.Event, raw
 	if crc32.ChecksumIEEE(comp) != sum {
 		return 0, nil, 0, ErrChecksum
 	}
-	// LimitReader caps the decompressor at declaredRaw+1: a payload that
+	inf := inflaters.Get().(*inflater)
+	defer inf.release()
+	if err := inf.reset(comp); err != nil {
+		return 0, nil, 0, fmt.Errorf("%w: decompress: %v", ErrCorrupt, err)
+	}
+	// The limit caps the decompressor at declaredRaw+1: a payload that
 	// inflates past its declaration is rejected without allocating more
-	// than one extra byte past the bound.
-	fr := flate.NewReader(bytes.NewReader(comp))
-	buf := bytes.NewBuffer(make([]byte, 0, declaredRaw))
-	n, err := io.Copy(buf, io.LimitReader(fr, int64(declaredRaw)+1))
+	// than one extra byte past the bound. The headroom past that byte
+	// lets ReadFrom see EOF without growing the buffer.
+	inf.lim = io.LimitedReader{R: inf.fr, N: int64(declaredRaw) + 1}
+	inf.out.Grow(int(declaredRaw) + 1 + bytes.MinRead)
+	n, err := inf.out.ReadFrom(&inf.lim)
 	if err != nil {
 		return 0, nil, 0, fmt.Errorf("%w: decompress: %v", ErrCorrupt, err)
 	}
 	if n != int64(declaredRaw) {
 		return 0, nil, 0, fmt.Errorf("%w: payload inflates to %d bytes, declared %d", ErrCorrupt, n, declaredRaw)
 	}
-	er := wire.NewReader(buf.Bytes())
+	er := wire.NewReader(inf.out.Bytes())
 	events = make([]core.Event, 0, count)
 	for i := uint32(0); i < count; i++ {
 		e, err := decodeEvent(er)
