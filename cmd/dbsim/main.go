@@ -13,9 +13,9 @@
 // -bus-lowwater, -bus-source-budget, -bus-source-window) exercises the
 // per-source shedding a live farm would use under a hostile flood.
 //
-// With -forward "addrs=a:7100|b:7100,token=SECRET[,farm=NAME]" (legacy
-// host:port,token[,farm] still accepted) the captured events also stream
-// to a dbcollect collector tier over the relay protocol. The forwarder runs
+// With -forward "addrs=a:7100|b:7100,token=SECRET[,farm=NAME]" the
+// captured events also stream to a dbcollect collector tier over the
+// relay protocol. The forwarder runs
 // in blocking (lossless) mode here: a finite capture should arrive
 // complete, so dbsim waits for spool space rather than shedding. Adding
 // -store DIR backs that spool with a write-ahead log under DIR/spool,

@@ -9,14 +9,14 @@
 // (-bus-policy block|drop|adaptive) and transport counters are logged
 // periodically (-statsevery).
 //
-// With -forward "addrs=a:7100|b:7100,token=SECRET" (legacy
-// host:port,token[,farm] still accepted) the farm also streams every
-// event to a dbcollect collector tier over the relay protocol: batched,
-// compressed, acknowledged, spooled across collector outages, and shed
-// with per-source accounting when the spool fills — a collector outage
-// costs bounded memory, never a stalled honeypot session. With several
-// collector addresses the farm picks one by rendezvous hash of its farm
-// name and fails over down the ranking when it dies.
+// With -forward "addrs=a:7100|b:7100,token=SECRET" the farm also
+// streams every event to a dbcollect collector tier over the relay
+// protocol: batched, compressed, acknowledged, spooled across collector
+// outages, and shed with per-source accounting when the spool fills — a
+// collector outage costs bounded memory, never a stalled honeypot
+// session. With several collector addresses the farm picks one by
+// rendezvous hash of its farm name and fails over down the ranking when
+// it dies.
 //
 // With -store DIR the farm becomes durable: every event is journaled to
 // a write-ahead log under DIR/journal before the process acknowledges

@@ -12,6 +12,11 @@ import (
 // is past its high-water mark (and has not yet drained back to the
 // low-water mark) and the event's source has used up its budget for the
 // current window. Admitted events still obey Block semantics upstream.
+//
+// The budget window advances on event time (core.Event.Time), not wall
+// time: the simulator runs a 20-day capture in seconds of wall clock,
+// and a live farm's events carry wall time anyway, so event time is the
+// one clock that is correct in both worlds.
 func (sh *shard) admitAdaptive(o *Options, e core.Event) bool {
 	if !sh.shedding {
 		if sh.n < o.HighWater {
@@ -23,67 +28,21 @@ func (sh *shard) admitAdaptive(o *Options, e core.Event) bool {
 		return true
 	}
 	if sh.src == nil {
-		sh.src = newSourceTable(o.SourceBudget, o.SourceWindow, o.MaxSources)
+		sh.src = core.NewLRU[netip.Addr, sourceState](o.MaxSources)
 	}
-	return sh.src.admit(e.Src.Addr(), e.Time)
-}
-
-// sourceState is one tracked source inside a shard's sourceTable. Entries
-// form an intrusive doubly-linked LRU list: head is the most recently
-// seen source, tail the eviction candidate.
-type sourceState struct {
-	addr        netip.Addr
-	windowStart time.Time // start of the source's current budget window
-	admitted    int       // events admitted in the current window
-	shed        uint64    // events shed from this source so far
-	prev, next  *sourceState
-}
-
-// sourceTable is the per-shard adaptive-shedding state: a bounded,
-// LRU-evicted map from source address to its window budget and shed
-// count. It is guarded by the owning shard's mutex; nothing here locks.
-//
-// The budget window advances on event time (core.Event.Time), not wall
-// time: the simulator runs a 20-day capture in seconds of wall clock,
-// and a live farm's events carry wall time anyway, so event time is the
-// one clock that is correct in both worlds.
-type sourceTable struct {
-	budget int
-	window time.Duration
-	max    int
-
-	m          map[netip.Addr]*sourceState
-	head, tail *sourceState
-
-	// shedEvicted accumulates shed counts from evicted entries so the
-	// shard's totals stay exact even when attribution is lost.
-	shedEvicted uint64
-}
-
-func newSourceTable(budget int, window time.Duration, max int) *sourceTable {
-	return &sourceTable{
-		budget: budget,
-		window: window,
-		max:    max,
-		m:      make(map[netip.Addr]*sourceState),
-	}
-}
-
-// admit decides whether an event from addr at time t stays within the
-// source's first-N-per-window budget. Over-budget events are counted as
-// shed against the source and rejected.
-func (st *sourceTable) admit(addr netip.Addr, t time.Time) bool {
-	s := st.m[addr]
+	addr := e.Src.Addr()
+	s := sh.src.Get(addr)
 	if s == nil {
-		s = st.insert(addr, t)
-	} else {
-		st.touch(s)
-		if t.Sub(s.windowStart) >= st.window {
-			s.windowStart = t
-			s.admitted = 0
+		var evicted *sourceState
+		s, evicted = sh.src.Add(addr, sourceState{windowStart: e.Time})
+		if evicted != nil {
+			sh.shedEvicted += evicted.shed
 		}
+	} else if e.Time.Sub(s.windowStart) >= o.SourceWindow {
+		s.windowStart = e.Time
+		s.admitted = 0
 	}
-	if s.admitted < st.budget {
+	if s.admitted < o.SourceBudget {
 		s.admitted++
 		return true
 	}
@@ -91,59 +50,10 @@ func (st *sourceTable) admit(addr netip.Addr, t time.Time) bool {
 	return false
 }
 
-// insert adds a fresh source at the head, evicting the tail if the table
-// is full.
-func (st *sourceTable) insert(addr netip.Addr, t time.Time) *sourceState {
-	if len(st.m) >= st.max {
-		ev := st.tail
-		st.unlink(ev)
-		delete(st.m, ev.addr)
-		st.shedEvicted += ev.shed
-	}
-	s := &sourceState{addr: addr, windowStart: t}
-	st.m[addr] = s
-	st.pushFront(s)
-	return s
-}
-
-// touch moves s to the head of the LRU list.
-func (st *sourceTable) touch(s *sourceState) {
-	if st.head == s {
-		return
-	}
-	st.unlink(s)
-	st.pushFront(s)
-}
-
-func (st *sourceTable) pushFront(s *sourceState) {
-	s.prev = nil
-	s.next = st.head
-	if st.head != nil {
-		st.head.prev = s
-	}
-	st.head = s
-	if st.tail == nil {
-		st.tail = s
-	}
-}
-
-func (st *sourceTable) unlink(s *sourceState) {
-	if s.prev != nil {
-		s.prev.next = s.next
-	} else {
-		st.head = s.next
-	}
-	if s.next != nil {
-		s.next.prev = s.prev
-	} else {
-		st.tail = s.prev
-	}
-	s.prev, s.next = nil, nil
-}
-
-// SourceShed is one entry of the heaviest-shedders list: a source
-// address and how many of its events the adaptive policy shed.
-type SourceShed struct {
-	Addr netip.Addr
-	Shed uint64
+// sourceState is one source's entry in a shard's adaptive-shedding
+// table: its first-N-per-window budget and its shed count.
+type sourceState struct {
+	windowStart time.Time // start of the source's current budget window
+	admitted    int       // events admitted in the current window
+	shed        uint64    // events shed from this source so far
 }

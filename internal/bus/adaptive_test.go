@@ -117,11 +117,11 @@ func TestAdaptiveWindowRoll(t *testing.T) {
 	}, gate)
 
 	parkWorker(t, b, gate)
-	b.Record(aevt(flooder, 1)) // depth 0: pre-shedding
-	b.Record(aevt(flooder, 2)) // depth 1: pre-shedding
-	b.Record(aevt(flooder, 3)) // depth 2 == HighWater: window opens at t=3, budget 1/2
-	b.Record(aevt(flooder, 4)) // budget 2/2
-	b.Record(aevt(flooder, 5)) // over budget: shed
+	b.Record(aevt(flooder, 1))  // depth 0: pre-shedding
+	b.Record(aevt(flooder, 2))  // depth 1: pre-shedding
+	b.Record(aevt(flooder, 3))  // depth 2 == HighWater: window opens at t=3, budget 1/2
+	b.Record(aevt(flooder, 4))  // budget 2/2
+	b.Record(aevt(flooder, 5))  // over budget: shed
 	b.Record(aevt(flooder, 70)) // 67s past window start: budget renews, 1/2
 	b.Record(aevt(flooder, 71)) // budget 2/2
 	b.Record(aevt(flooder, 72)) // over budget: shed
@@ -146,7 +146,7 @@ func TestAdaptiveLRUEviction(t *testing.T) {
 		Policy:    bus.Adaptive,
 		HighWater: 1, LowWater: 0,
 		SourceBudget: 1, SourceWindow: time.Hour,
-		MaxSources: 2, TopShedders: 16,
+		MaxSources: 2,
 	}, gate)
 
 	parkWorker(t, b, gate)

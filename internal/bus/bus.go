@@ -36,8 +36,8 @@ package bus
 
 import (
 	"fmt"
+	"net/netip"
 	"runtime"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -125,9 +125,6 @@ type Options struct {
 	// recently seen source is evicted when it fills. 0 means
 	// DefaultMaxSources.
 	MaxSources int
-	// TopShedders is the length of the Stats.Shedders list. 0 means
-	// DefaultTopShedders.
-	TopShedders int
 }
 
 // Defaults for Options.
@@ -137,7 +134,6 @@ const (
 	DefaultSourceBudget = 256
 	DefaultSourceWindow = time.Minute
 	DefaultMaxSources   = 4096
-	DefaultTopShedders  = 8
 )
 
 func (o Options) withDefaults() Options {
@@ -174,9 +170,6 @@ func (o Options) withDefaults() Options {
 	if o.MaxSources <= 0 {
 		o.MaxSources = DefaultMaxSources
 	}
-	if o.TopShedders <= 0 {
-		o.TopShedders = DefaultTopShedders
-	}
 	return o
 }
 
@@ -197,8 +190,11 @@ type shard struct {
 	dropped  uint64
 
 	// Adaptive-policy state; src is nil until the shard first sheds.
-	shedding bool
-	src      *sourceTable
+	// shedEvicted keeps the shed counts of evicted src entries, so the
+	// totals stay exact when attribution is lost.
+	shedding    bool
+	src         *core.LRU[netip.Addr, sourceState]
+	shedEvicted uint64
 }
 
 func (sh *shard) init(size int) {
@@ -494,9 +490,9 @@ type Stats struct {
 	// Sinks lists per-sink counters in registration order.
 	Sinks []SinkStats
 	// Shedders are the heaviest per-source shed counts under the
-	// Adaptive policy, descending, at most Options.TopShedders entries.
+	// Adaptive policy, descending, at most core.TopShedders entries.
 	// Shards partition sources disjointly, so entries never merge.
-	Shedders []SourceShed
+	Shedders []core.SourceShed
 	// ShedUnattributed counts adaptive sheds whose per-source entry was
 	// LRU-evicted; Dropped still includes them.
 	ShedUnattributed uint64
@@ -518,25 +514,17 @@ func (b *Bus) Stats() Stats {
 		st.Enqueued += sh.enqueued
 		st.Dropped += sh.dropped
 		st.Pending += uint64(sh.n)
+		st.ShedUnattributed += sh.shedEvicted
 		if sh.src != nil {
-			st.ShedUnattributed += sh.src.shedEvicted
-			for _, s := range sh.src.m {
+			for addr, s := range sh.src.All() {
 				if s.shed > 0 {
-					st.Shedders = append(st.Shedders, SourceShed{Addr: s.addr, Shed: s.shed})
+					st.Shedders = append(st.Shedders, core.SourceShed{Addr: addr, Shed: s.shed})
 				}
 			}
 		}
 		sh.mu.Unlock()
 	}
-	sort.Slice(st.Shedders, func(i, j int) bool {
-		if st.Shedders[i].Shed != st.Shedders[j].Shed {
-			return st.Shedders[i].Shed > st.Shedders[j].Shed
-		}
-		return st.Shedders[i].Addr.Less(st.Shedders[j].Addr)
-	})
-	if len(st.Shedders) > b.opts.TopShedders {
-		st.Shedders = st.Shedders[:b.opts.TopShedders]
-	}
+	st.Shedders = core.Heaviest(st.Shedders)
 	for _, e := range b.sinks {
 		st.Sinks = append(st.Sinks, SinkStats{
 			Name:         e.name,
@@ -568,22 +556,7 @@ func (s Stats) String() string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "bus[%d shards, %s]: enq=%d dlv=%d drop=%d pend=%d batch~%.1f",
 		s.Shards, s.Policy, s.Enqueued, s.Delivered, s.Dropped, s.Pending, s.MeanBatch())
-	if len(s.Shedders) > 0 || s.ShedUnattributed > 0 {
-		sb.WriteString(" shed[")
-		for i, sd := range s.Shedders {
-			if i > 0 {
-				sb.WriteByte(' ')
-			}
-			fmt.Fprintf(&sb, "%s=%d", sd.Addr, sd.Shed)
-		}
-		if s.ShedUnattributed > 0 {
-			if len(s.Shedders) > 0 {
-				sb.WriteByte(' ')
-			}
-			fmt.Fprintf(&sb, "evicted=%d", s.ShedUnattributed)
-		}
-		sb.WriteByte(']')
-	}
+	core.WriteShed(&sb, s.Shedders, s.ShedUnattributed)
 	for _, sk := range s.Sinks {
 		fmt.Fprintf(&sb, " | %s: %d ev/%d batches avg=%s max=%s",
 			sk.Name, sk.Events, sk.Batches,

@@ -67,12 +67,10 @@ type Forward struct {
 	token string
 }
 
-// RegisterForward registers the -forward flags on fs. The structured
-// form names a whole collector tier; the legacy positional
-// "host:port,token[,farm]" form is still accepted.
+// RegisterForward registers the -forward flags on fs.
 func RegisterForward(fs *flag.FlagSet) *Forward {
 	return &Forward{
-		Spec: fs.String("forward", "", `forward events to a dbcollect collector tier: "addrs=a:9000|b:9000,token=SECRET[,farm=NAME][,block=BOOL]" (legacy host:port,token[,farm] accepted)`),
+		Spec: fs.String("forward", "", `forward events to a dbcollect collector tier: "addrs=a:9000|b:9000,token=SECRET[,farm=NAME][,block=BOOL]"`),
 		File: fs.String("forward-file", "", "read the -forward spec from this file; SIGHUP re-reads it and re-ranks the live forwarder onto the new addrs without a restart"),
 	}
 }
@@ -100,34 +98,12 @@ func (f *Forward) spec() (string, error) {
 }
 
 // ParseForward resolves a -forward spec into relay.ForwardOptions,
-// using base for everything the spec does not carry (spool sizes, Logf,
-// timeouts, ...). Two grammars share the flag:
-//
-//   - Structured: comma-separated key=value pairs — addrs=a:9000|b:9000
-//     (|-separated collector endpoints), token=..., farm=..., and
-//     block=true|false overriding base.Block. addrs and token are
-//     required.
-//   - Legacy positional: host:port,token[,farm] — a single collector,
-//     exactly the pre-tier flag. Detected by the first comma-separated
-//     segment containing no '=' (a host:port never does).
+// using base for everything the spec does not carry (spool size, Logf,
+// timeouts, ...). The spec is comma-separated key=value pairs —
+// addrs=a:9000|b:9000 (|-separated collector endpoints), token=...,
+// farm=..., and block=true|false overriding base.Block. addrs and token
+// are required.
 func ParseForward(spec string, base relay.ForwardOptions) (relay.ForwardOptions, error) {
-	first, _, _ := strings.Cut(spec, ",")
-	if !strings.Contains(first, "=") {
-		// Legacy positional form.
-		addr, rest, ok := strings.Cut(spec, ",")
-		if !ok {
-			return base, fmt.Errorf("-forward: want addrs=...,token=... or host:port,token[,farm], got %q", spec)
-		}
-		token, farm, _ := strings.Cut(rest, ",")
-		if addr == "" || token == "" {
-			return base, fmt.Errorf("-forward: want addrs=...,token=... or host:port,token[,farm], got %q", spec)
-		}
-		base.Addrs, base.Token = []string{addr}, token
-		if farm != "" {
-			base.Farm = farm
-		}
-		return base, nil
-	}
 	for _, kv := range strings.Split(spec, ",") {
 		key, val, ok := strings.Cut(kv, "=")
 		if !ok || val == "" {

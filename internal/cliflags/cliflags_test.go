@@ -43,31 +43,6 @@ func TestParseForwardStructured(t *testing.T) {
 	}
 }
 
-// TestParseForwardEquivalence pins the redesign contract: every legacy
-// positional spec parses to exactly the options its structured
-// spelling produces.
-func TestParseForwardEquivalence(t *testing.T) {
-	pairs := []struct{ legacy, structured string }{
-		{"collector:9000,hunter2", "addrs=collector:9000,token=hunter2"},
-		{"collector:9000,hunter2,farm-eu-1", "addrs=collector:9000,token=hunter2,farm=farm-eu-1"},
-		{"10.0.0.7:9000,s3cret,edge", "addrs=10.0.0.7:9000,token=s3cret,farm=edge"},
-	}
-	for _, p := range pairs {
-		base := relay.ForwardOptions{Farm: "preset", Block: true}
-		old, err := ParseForward(p.legacy, base)
-		if err != nil {
-			t.Fatalf("legacy %q: %v", p.legacy, err)
-		}
-		niu, err := ParseForward(p.structured, base)
-		if err != nil {
-			t.Fatalf("structured %q: %v", p.structured, err)
-		}
-		if !reflect.DeepEqual(old, niu) {
-			t.Errorf("legacy %q != structured %q:\n  legacy:     %+v\n  structured: %+v", p.legacy, p.structured, old, niu)
-		}
-	}
-}
-
 func TestParseForwardBasePreserved(t *testing.T) {
 	base := relay.ForwardOptions{Farm: "preset", Block: true, FrameEvents: 99}
 	got, err := ParseForward("addrs=a:9000,token=s", base)
@@ -89,14 +64,16 @@ func TestParseForwardBasePreserved(t *testing.T) {
 
 func TestParseForwardErrors(t *testing.T) {
 	specs := []string{
-		"",                           // empty
-		"collector:9000",             // legacy without token
-		",tok",                       // legacy without addr
-		"addrs=a:9000",               // missing token
-		"token=s",                    // missing addrs
-		"addrs=,token=s",             // empty value
-		"addrs=a:9000,token=s,x=1",   // unknown key
-		"addrs=a:9000,token=s,block", // segment without value
+		"",                                 // empty
+		"collector:9000",                   // bare address
+		"collector:9000,tok",               // positional host:port,token
+		"collector:9000,tok,farm",          // positional host:port,token,farm
+		",tok",                             // segment without a key
+		"addrs=a:9000",                     // missing token
+		"token=s",                          // missing addrs
+		"addrs=,token=s",                   // empty value
+		"addrs=a:9000,token=s,x=1",         // unknown key
+		"addrs=a:9000,token=s,block",       // segment without value
 		"addrs=a:9000,token=s,block=maybe", // bad bool
 	}
 	for _, spec := range specs {
@@ -173,7 +150,7 @@ func TestForwardHelpMentionsBothGrammars(t *testing.T) {
 	fs.SetOutput(&b)
 	fs.PrintDefaults()
 	help := b.String()
-	for _, want := range []string{"addrs=", "token=", "legacy"} {
+	for _, want := range []string{"addrs=", "token="} {
 		if !strings.Contains(help, want) {
 			t.Errorf("-forward help %q missing %q", help, want)
 		}

@@ -51,10 +51,10 @@ func TestQueryEquivalence(t *testing.T) {
 		q    Query
 	}{
 		{"all", Query{}},
-		{"dbms", Query{DBMS: core.MSSQL}},                          // old Creds/TotalLogins(dbms)
-		{"low-tier", Query{Tier: LowTier}},                         // old CredsTier("", true)
-		{"mh-tier", Query{Tier: MediumHighTier}},                   // old CredsTier("", false)
-		{"dbms+low", Query{DBMS: core.MSSQL, Tier: LowTier}},       // old CredsTier(dbms, true)
+		{"dbms", Query{DBMS: core.MSSQL}},                    // old Creds/TotalLogins(dbms)
+		{"low-tier", Query{Tier: LowTier}},                   // old CredsTier("", true)
+		{"mh-tier", Query{Tier: MediumHighTier}},             // old CredsTier("", false)
+		{"dbms+low", Query{DBMS: core.MSSQL, Tier: LowTier}}, // old CredsTier(dbms, true)
 		{"dbms+mh", Query{DBMS: core.Postgres, Tier: MediumHighTier}},
 		{"absent-dbms", Query{DBMS: core.Redis}},
 	}
@@ -146,9 +146,9 @@ func TestQueryShardInvariance(t *testing.T) {
 // the selected hours.
 func TestQueryDayRange(t *testing.T) {
 	s := New(start, 20, nil)
-	s.Record(ev("192.0.2.1", lowInfo(core.MSSQL), core.EventConnect, 0))      // day 0
-	s.Record(ev("192.0.2.2", lowInfo(core.MSSQL), core.EventConnect, 5*24))   // day 5
-	s.Record(ev("192.0.2.3", lowInfo(core.MSSQL), core.EventConnect, 19*24))  // day 19
+	s.Record(ev("192.0.2.1", lowInfo(core.MSSQL), core.EventConnect, 0))     // day 0
+	s.Record(ev("192.0.2.2", lowInfo(core.MSSQL), core.EventConnect, 5*24))  // day 5
+	s.Record(ev("192.0.2.3", lowInfo(core.MSSQL), core.EventConnect, 19*24)) // day 19
 
 	if got := s.UniqueIPs(Query{Days: DayRange{From: 0, To: 1}}); got != 1 {
 		t.Fatalf("day 0 IPs = %d", got)

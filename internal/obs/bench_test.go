@@ -37,8 +37,8 @@ func benchBusIngest(b *testing.B, scrape bool) {
 	events := make([]core.Event, sources)
 	for i := range events {
 		events[i] = core.Event{
-			Time: traceStart.Add(time.Duration(i) * time.Second),
-			Src:  netip.AddrPortFrom(netip.AddrFrom4([4]byte{198, 51, byte(i >> 8), byte(i)}), 40000),
+			Time:     traceStart.Add(time.Duration(i) * time.Second),
+			Src:      netip.AddrPortFrom(netip.AddrFrom4([4]byte{198, 51, byte(i >> 8), byte(i)}), 40000),
 			Honeypot: hp, Kind: core.EventLogin,
 			User: "root", Pass: fmt.Sprintf("pw%d", i%16),
 		}

@@ -53,9 +53,9 @@ type FanIn struct {
 	opts    FanInOptions
 	clients []*Client
 
-	queries    atomic.Uint64 // fanned-in queries served
+	queries     atomic.Uint64 // fanned-in queries served
 	peerFetches atomic.Uint64
-	peerErrors atomic.Uint64
+	peerErrors  atomic.Uint64
 }
 
 // NewFanIn builds the fan-in handler.

@@ -209,8 +209,8 @@ type PeerStatus struct {
 
 // TierInfo describes the collector tier behind a merged QueryResponse.
 type TierInfo struct {
-	Collectors int          `json:"collectors"` // local + peers asked
-	Responded  int          `json:"responded"`  // how many answered
+	Collectors int `json:"collectors"` // local + peers asked
+	Responded  int `json:"responded"`  // how many answered
 	// Approx is set when the merged unique/total counts are an upper
 	// bound rather than exact: some collector's record page was cut by
 	// the limit, so cross-collector overlap beyond the fetched pages

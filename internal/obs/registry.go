@@ -22,8 +22,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
-	"time"
 
 	"decoydb/internal/core"
 )
@@ -31,8 +29,7 @@ import (
 // Source is one registered stats provider: it names itself for the
 // /statusz JSON object, contributes metric samples at scrape time, and
 // returns a JSON-marshalable snapshot for /statusz. Adapters over the
-// existing Stats types (bus, relay, wal, evstore) implement it, as do
-// the live instruments (Counter, Gauge, Histogram).
+// existing Stats types (bus, relay, wal, evstore) implement it.
 type Source interface {
 	// Name keys this source in /statusz and names instrument metrics.
 	Name() string
@@ -274,124 +271,4 @@ func formatFloat(v float64) string {
 		return strconv.FormatInt(int64(v), 10)
 	}
 	return strconv.FormatFloat(v, 'g', -1, 64)
-}
-
-// Counter is a live monotonically-increasing instrument for code that
-// wants push-style counting (as opposed to the scrape-time adapters).
-// It implements Source; register it directly.
-type Counter struct {
-	name string
-	help string
-	v    atomic.Uint64
-}
-
-// NewCounter returns a counter exposed under the given metric name
-// (conventionally ending in _total).
-func NewCounter(name, help string) *Counter {
-	return &Counter{name: name, help: help}
-}
-
-// Inc adds one.
-func (c *Counter) Inc() { c.v.Add(1) }
-
-// Add adds n.
-func (c *Counter) Add(n uint64) { c.v.Add(n) }
-
-// Value returns the current count.
-func (c *Counter) Value() uint64 { return c.v.Load() }
-
-// Name implements Source.
-func (c *Counter) Name() string { return c.name }
-
-// Collect implements Source.
-func (c *Counter) Collect(e *Emitter) { e.Counter(c.name, c.help, float64(c.v.Load())) }
-
-// Status implements Source.
-func (c *Counter) Status() any { return c.v.Load() }
-
-// Gauge is a live instrument holding one settable value. It implements
-// Source; register it directly.
-type Gauge struct {
-	name string
-	help string
-	mu   sync.Mutex
-	v    float64
-}
-
-// NewGauge returns a gauge exposed under the given metric name.
-func NewGauge(name, help string) *Gauge {
-	return &Gauge{name: name, help: help}
-}
-
-// Set replaces the value.
-func (g *Gauge) Set(v float64) {
-	g.mu.Lock()
-	g.v = v
-	g.mu.Unlock()
-}
-
-// Add increments the value by d (negative to decrement).
-func (g *Gauge) Add(d float64) {
-	g.mu.Lock()
-	g.v += d
-	g.mu.Unlock()
-}
-
-// Value returns the current value.
-func (g *Gauge) Value() float64 {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.v
-}
-
-// Name implements Source.
-func (g *Gauge) Name() string { return g.name }
-
-// Collect implements Source.
-func (g *Gauge) Collect(e *Emitter) { e.Gauge(g.name, g.help, g.Value()) }
-
-// Status implements Source.
-func (g *Gauge) Status() any { return g.Value() }
-
-// Histogram is a live duration instrument: a mutex-guarded
-// core.DurationHist. It implements Source; register it directly.
-type Histogram struct {
-	name string
-	help string
-	mu   sync.Mutex
-	h    core.DurationHist
-}
-
-// NewHistogram returns a duration histogram exposed under the given
-// metric name (exposed in seconds).
-func NewHistogram(name, help string) *Histogram {
-	return &Histogram{name: name, help: help}
-}
-
-// Observe records one duration.
-func (h *Histogram) Observe(d time.Duration) {
-	h.mu.Lock()
-	h.h.Observe(d)
-	h.mu.Unlock()
-}
-
-// Snapshot returns a copy of the accumulated histogram.
-func (h *Histogram) Snapshot() core.DurationHist {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.h
-}
-
-// Name implements Source.
-func (h *Histogram) Name() string { return h.name }
-
-// Collect implements Source.
-func (h *Histogram) Collect(e *Emitter) {
-	e.Durations(h.name, h.help, h.Snapshot())
-}
-
-// Status implements Source.
-func (h *Histogram) Status() any {
-	s := h.Snapshot()
-	return map[string]any{"count": s.Count, "mean": s.Mean().String(), "max": s.Max.String()}
 }

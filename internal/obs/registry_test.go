@@ -1,8 +1,10 @@
 package obs
 
 import (
+	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -104,8 +106,8 @@ func TestDurationsExposition(t *testing.T) {
 // of shadowing each other.
 func TestRegisterDuplicateNames(t *testing.T) {
 	r := NewRegistry()
-	r.Register(NewGauge("g", "first"))
-	r.Register(NewGauge("g", "second"))
+	r.Register(fakeSource{name: "g"})
+	r.Register(fakeSource{name: "g"})
 	st := r.Status()
 	if _, ok := st["g"]; !ok {
 		t.Error("first registration lost its name")
@@ -124,16 +126,18 @@ func keys(m map[string]any) []string {
 }
 
 // TestConcurrentScrapeAndUpdate hammers the registry from updaters,
-// scrapers and registrars at once — the -race guarantee for the whole
-// instrument surface.
+// scrapers and registrars at once — the -race guarantee for the
+// registry and for sources read at scrape time while their owners
+// update them.
 func TestConcurrentScrapeAndUpdate(t *testing.T) {
 	r := NewRegistry()
-	c := NewCounter("c_total", "counter")
-	g := NewGauge("g", "gauge")
-	h := NewHistogram("h_seconds", "histogram")
-	r.Register(c)
-	r.Register(g)
-	r.Register(h)
+	var n atomic.Uint64
+	r.Register(fakeSource{name: "c", collect: func(e *Emitter) {
+		e.Counter("c_total", "counter", float64(n.Load()))
+	}})
+	extra := fakeSource{name: "extra", collect: func(e *Emitter) {
+		e.Gauge("extra", "registered mid-scrape", 1)
+	}}
 
 	const iters = 500
 	var wg sync.WaitGroup
@@ -142,9 +146,7 @@ func TestConcurrentScrapeAndUpdate(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
-				c.Inc()
-				g.Add(1)
-				h.Observe(time.Duration(i) * time.Microsecond)
+				n.Add(1)
 			}
 		}()
 		go func() {
@@ -158,22 +160,23 @@ func TestConcurrentScrapeAndUpdate(t *testing.T) {
 				r.Status()
 			}
 		}()
-		go func(w int) {
+		go func() {
 			defer wg.Done()
 			for i := 0; i < iters/50; i++ {
-				r.Register(NewGauge("extra", "registered mid-scrape"))
+				r.Register(extra)
 			}
-		}(w)
+		}()
 	}
 	wg.Wait()
 
-	if c.Value() != 4*iters {
-		t.Errorf("counter = %d, want %d", c.Value(), 4*iters)
+	var sb strings.Builder
+	if err := r.WriteMetrics(&sb); err != nil {
+		t.Fatal(err)
 	}
-	if g.Value() != 4*iters {
-		t.Errorf("gauge = %v, want %d", g.Value(), 4*iters)
+	if want := fmt.Sprintf("c_total %d\n", 4*iters); !strings.Contains(sb.String(), want) {
+		t.Errorf("final scrape lacks %q", want)
 	}
-	if got := h.Snapshot().Count; got != 4*iters {
-		t.Errorf("histogram count = %d, want %d", got, 4*iters)
+	if got, want := len(r.Status()), 1+4*(iters/50); got != want {
+		t.Errorf("%d sources registered, want %d", got, want)
 	}
 }

@@ -95,8 +95,8 @@ type spanState struct {
 
 // TraceOptions bounds the ring. The zero value gets defaults.
 type TraceOptions struct {
-	// MaxActive bounds in-flight spans; beyond it the oldest active span
-	// is force-completed with an eviction mark. Default 4096.
+	// MaxActive bounds in-flight spans; beyond it the least recently
+	// active span is force-completed with an eviction mark. Default 4096.
 	MaxActive int
 	// Ring is the number of completed spans retained. Default 1024.
 	Ring int
@@ -138,9 +138,8 @@ type TraceRing struct {
 	opts TraceOptions
 
 	mu     sync.Mutex
-	active map[spanKey]*spanState
-	order  []spanKey // arrival order, lazily compacted, for eviction
-	done   []Span    // circular, next points at the oldest slot
+	active *core.LRU[spanKey, spanState]
+	done   []Span // circular, next points at the oldest slot
 	next   int
 	filled int
 
@@ -154,7 +153,7 @@ func NewTraceRing(opts TraceOptions) *TraceRing {
 	o := opts.withDefaults()
 	return &TraceRing{
 		opts:   o,
-		active: make(map[spanKey]*spanState),
+		active: core.NewLRU[spanKey, spanState](o.MaxActive),
 		done:   make([]Span, o.Ring),
 	}
 }
@@ -178,25 +177,27 @@ func (t *TraceRing) RecordBatch(events []core.Event) error {
 
 func (t *TraceRing) record(e core.Event) {
 	key := spanKey{src: e.Src, hp: e.Honeypot.ID()}
-	s := t.active[key]
+	s := t.active.Get(key)
 	if s == nil {
 		// A lone Close (span already evicted, or the process restarted
 		// mid-session) carries nothing worth a new span.
 		if e.Kind == core.EventClose {
 			return
 		}
-		if len(t.active) >= t.opts.MaxActive {
-			t.evictOldest()
-		}
-		s = &spanState{
+		// At MaxActive the least recently active span goes, so a long
+		// session that keeps sending outlives an idle span that lost
+		// its Close.
+		var evicted *spanState
+		s, evicted = t.active.Add(key, spanState{
 			key:   key,
 			info:  e.Honeypot,
 			start: e.Time,
 			trans: []Transition{{Phase: PhaseBanner, At: e.Time}},
+		})
+		if evicted != nil {
+			t.evicted++
+			t.complete(evicted, evicted.last)
 		}
-		t.active[key] = s
-		t.order = append(t.order, key)
-		t.compactOrder()
 	}
 	s.last = e.Time
 	s.events++
@@ -218,7 +219,8 @@ func (t *TraceRing) record(e core.Event) {
 		}
 		s.advance(PhaseQuery, e.Time)
 	case core.EventClose:
-		t.finalize(s, e.Time)
+		t.active.Delete(key)
+		t.complete(s, e.Time)
 	}
 }
 
@@ -233,37 +235,9 @@ func (s *spanState) advance(phase string, at time.Time) {
 	}
 }
 
-// evictOldest force-completes the longest-lived active span.
-func (t *TraceRing) evictOldest() {
-	for len(t.order) > 0 {
-		key := t.order[0]
-		t.order = t.order[1:]
-		if s := t.active[key]; s != nil {
-			t.evicted++
-			t.finalize(s, s.last)
-			return
-		}
-	}
-}
-
-// compactOrder drops closed spans' stale keys once they dominate the
-// arrival list, keeping it O(MaxActive).
-func (t *TraceRing) compactOrder() {
-	if len(t.order) < 4*t.opts.MaxActive {
-		return
-	}
-	live := t.order[:0]
-	for _, key := range t.order {
-		if _, ok := t.active[key]; ok {
-			live = append(live, key)
-		}
-	}
-	t.order = live
-}
-
-// finalize moves a span into the completed ring.
-func (t *TraceRing) finalize(s *spanState, end time.Time) {
-	delete(t.active, s.key)
+// complete moves a span that has left the active table into the
+// completed ring.
+func (t *TraceRing) complete(s *spanState, end time.Time) {
 	sp := s.snapshot()
 	sp.End = end
 	v := classify.Activity(s.info.DBMS, &s.act)
@@ -302,9 +276,9 @@ func (s *spanState) snapshot() Span {
 // carries the source's live streaming verdict.
 func (t *TraceRing) Active(limit int) []Span {
 	t.mu.Lock()
-	out := make([]Span, 0, len(t.active))
-	addrs := make([]netip.Addr, 0, len(t.active))
-	for _, s := range t.active {
+	out := make([]Span, 0, t.active.Len())
+	addrs := make([]netip.Addr, 0, t.active.Len())
+	for _, s := range t.active.All() {
 		out = append(out, s.snapshot())
 		addrs = append(addrs, s.key.src.Addr())
 	}
@@ -353,7 +327,7 @@ func (t *TraceRing) Stats() TraceStats {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	st := TraceStats{
-		Active:    len(t.active),
+		Active:    t.active.Len(),
 		Completed: t.completed,
 		Evicted:   t.evicted,
 		Verdicts:  make(map[string]uint64, len(t.verdicts)),

@@ -114,6 +114,38 @@ func TestTraceEviction(t *testing.T) {
 	}
 }
 
+// TestTraceEvictsLeastRecentlyActive: at MaxActive the span that went
+// quiet is closed, not the one that arrived first — a long session that
+// keeps sending outlives an idle span that lost its Close.
+func TestTraceEvictsLeastRecentlyActive(t *testing.T) {
+	hp := core.Info{DBMS: core.Redis, Level: core.Low}
+	tr := NewTraceRing(TraceOptions{MaxActive: 2})
+	tr.Record(traceEvent("192.0.2.1:100", hp, core.EventConnect, 0))
+	tr.Record(traceEvent("192.0.2.2:100", hp, core.EventConnect, time.Second))
+	busy := traceEvent("192.0.2.1:100", hp, core.EventCommand, 2*time.Second)
+	busy.Command = "INFO"
+	tr.Record(busy)
+	tr.Record(traceEvent("192.0.2.3:100", hp, core.EventConnect, 3*time.Second))
+
+	recent := tr.Recent(0)
+	if len(recent) != 1 || recent[0].Src != "192.0.2.2:100" {
+		t.Fatalf("evicted %+v, want the idle span 192.0.2.2", recent)
+	}
+	if !recent[0].End.Equal(traceStart.Add(time.Second)) {
+		t.Errorf("evicted span ends %v, want its last event", recent[0].End)
+	}
+	active := map[string]bool{}
+	for _, sp := range tr.Active(0) {
+		active[sp.Src] = true
+	}
+	if len(active) != 2 || !active["192.0.2.1:100"] || !active["192.0.2.3:100"] {
+		t.Fatalf("active spans %v, want the busy 192.0.2.1 and the new 192.0.2.3", active)
+	}
+	if st := tr.Stats(); st.Evicted != 1 || st.Completed != 1 {
+		t.Errorf("evicted %d completed %d, want 1/1", st.Evicted, st.Completed)
+	}
+}
+
 // TestTraceRingWrap: the completed ring keeps only the newest Ring spans.
 func TestTraceRingWrap(t *testing.T) {
 	hp := core.Info{DBMS: core.Redis, Level: core.Low}

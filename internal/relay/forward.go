@@ -7,7 +7,6 @@ import (
 	"math/rand"
 	"net"
 	"net/netip"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -60,10 +59,9 @@ type ForwardOptions struct {
 	// events as Shed) and surfaces via Err. 0 means
 	// DefaultMaxFrameRetries.
 	MaxFrameRetries int
-	// SpoolFrames caps encoded frames buffered while unacked. 0 means
-	// DefaultSpoolFrames.
-	SpoolFrames int
-	// SpoolBytes caps the wire bytes those frames occupy. 0 means
+	// SpoolBytes caps the memory held by encoded frames buffered while
+	// unacked: their wire bytes plus spoolFrameOverhead per frame, so
+	// the one bound holds even when frames carry a single event. 0 means
 	// DefaultSpoolBytes.
 	SpoolBytes int64
 
@@ -123,14 +121,6 @@ type ForwardOptions struct {
 	// DefaultFailbackInterval; it only matters with multiple Addrs.
 	FailbackInterval time.Duration
 
-	// MaxShedSources bounds the per-source shed-accounting table; sheds
-	// beyond it count as unattributed (totals stay exact). 0 means
-	// DefaultMaxShedSources.
-	MaxShedSources int
-	// TopShedders is the length of Stats.Shedders. 0 means
-	// DefaultTopShedders.
-	TopShedders int
-
 	// Logf, when non-nil, receives operational diagnostics (reconnects,
 	// write failures, failovers).
 	Logf func(format string, args ...any)
@@ -139,7 +129,6 @@ type ForwardOptions struct {
 // Defaults for ForwardOptions.
 const (
 	DefaultFrameEvents      = 512
-	DefaultSpoolFrames      = 1024
 	DefaultSpoolBytes       = 64 << 20
 	DefaultDialTimeout      = 5 * time.Second
 	DefaultWriteTimeout     = 10 * time.Second
@@ -147,10 +136,19 @@ const (
 	DefaultMinBackoff       = 100 * time.Millisecond
 	DefaultMaxBackoff       = 5 * time.Second
 	DefaultFailbackInterval = 15 * time.Second
-	DefaultMaxShedSources   = 4096
-	DefaultTopShedders      = 8
 	DefaultMaxFrameRetries  = 8
 )
+
+// DefaultMaxShedSources bounds the per-source shed-attribution table.
+// Like the bus's adaptive tables it is an LRU: it keeps the sources
+// shedding now, and the counts of evicted sources move to
+// Stats.ShedUnattributed, so totals stay exact.
+const DefaultMaxShedSources = 4096
+
+// spoolFrameOverhead is the memory a spooled frame costs beyond its
+// wire bytes (the spoolFrame record and its slot in the spool),
+// charged against Options.SpoolBytes.
+const spoolFrameOverhead = 128
 
 func (o ForwardOptions) withDefaults() ForwardOptions {
 	if o.Farm == "" {
@@ -170,9 +168,6 @@ func (o ForwardOptions) withDefaults() ForwardOptions {
 	}
 	if o.MaxFrameRetries <= 0 {
 		o.MaxFrameRetries = DefaultMaxFrameRetries
-	}
-	if o.SpoolFrames <= 0 {
-		o.SpoolFrames = DefaultSpoolFrames
 	}
 	if o.SpoolBytes <= 0 {
 		o.SpoolBytes = DefaultSpoolBytes
@@ -197,12 +192,6 @@ func (o ForwardOptions) withDefaults() ForwardOptions {
 	}
 	if o.FailbackInterval <= 0 {
 		o.FailbackInterval = DefaultFailbackInterval
-	}
-	if o.MaxShedSources <= 0 {
-		o.MaxShedSources = DefaultMaxShedSources
-	}
-	if o.TopShedders <= 0 {
-		o.TopShedders = DefaultTopShedders
 	}
 	return o
 }
@@ -286,8 +275,8 @@ type endpoint struct {
 // except that frames already written to one collector stay pinned to it
 // (see spoolFrame.owner).
 //
-// When the spool hits its frame/byte bound (collector down, or slower
-// than the farm), new events are shed with per-source accounting — the
+// When the spool hits its byte bound (collector down, or slower than
+// the farm), new events are shed with per-source accounting — the
 // same degrade-don't-stall contract as the bus's Adaptive policy — so
 // Stats always satisfies: events enqueued = acked + in flight (spool +
 // pending) and events offered = enqueued + shed.
@@ -334,7 +323,7 @@ type ForwardSink struct {
 	writeErrors uint64
 	shed        uint64
 	shedUnattr  uint64
-	shedSrc     map[netip.Addr]uint64
+	shedSrc     *core.LRU[netip.Addr, uint64]
 	droppedFr   uint64            // frames dropped at the retry cap
 	lastCompact uint64            // highest seq successfully compacted
 	reloads     uint64            // SetEndpoints calls that changed the set
@@ -362,7 +351,7 @@ func NewForwardSink(opts ForwardOptions) (*ForwardSink, error) {
 	f := &ForwardSink{
 		opts:    opts.withDefaults(),
 		stopCh:  make(chan struct{}),
-		shedSrc: make(map[netip.Addr]uint64),
+		shedSrc: core.NewLRU[netip.Addr, uint64](DefaultMaxShedSources),
 		epoch:   newEpoch(),
 	}
 	for _, a := range RankEndpoints(f.opts.Farm, addrs) {
@@ -441,15 +430,6 @@ func cleanAddrs(in []string) []string {
 		}
 	}
 	return out
-}
-
-// ForwardTo builds a sink that forwards to a single collector.
-//
-// Deprecated: set ForwardOptions.Addrs and call NewForwardSink. Kept
-// for one release for callers of the pre-tier single-address API.
-func ForwardTo(addr string, opts ForwardOptions) (*ForwardSink, error) {
-	opts.Addrs = []string{addr}
-	return NewForwardSink(opts)
 }
 
 // loadSpoolWAL adopts the durable spool: the forwarder's sequence space
@@ -560,20 +540,25 @@ func (f *ForwardSink) RecordBatch(events []core.Event) error {
 }
 
 func (f *ForwardSink) overLimitLocked() bool {
-	return len(f.spool) >= f.opts.SpoolFrames || f.spoolB >= f.opts.SpoolBytes
+	return f.spoolB+int64(len(f.spool))*spoolFrameOverhead >= f.opts.SpoolBytes
 }
 
-// shedLocked counts one shed event against its source; once the
-// attribution table is full, against the unattributed overflow bucket,
-// so shed totals stay exact.
+// shedLocked counts one shed event against its source. When the
+// attribution table is full, the least recently shedding source is
+// evicted and its count moves to the unattributed bucket, so shed
+// totals stay exact.
 func (f *ForwardSink) shedLocked(e core.Event) {
 	f.shed++
 	a := e.Src.Addr()
-	if _, ok := f.shedSrc[a]; ok || len(f.shedSrc) < f.opts.MaxShedSources {
-		f.shedSrc[a]++
-	} else {
-		f.shedUnattr++
+	n := f.shedSrc.Get(a)
+	if n == nil {
+		var evicted *uint64
+		n, evicted = f.shedSrc.Add(a, 0)
+		if evicted != nil {
+			f.shedUnattr += *evicted
+		}
 	}
+	*n++
 }
 
 // cutFrameLocked encodes pending events into spool frames, validating
@@ -1307,13 +1292,6 @@ func (f *ForwardSink) Err() error {
 	return f.firstErr
 }
 
-// SourceShed is one entry of the heaviest-shedders list, mirroring the
-// bus's per-source shed surface.
-type SourceShed struct {
-	Addr netip.Addr
-	Shed uint64
-}
-
 // EndpointStats is the per-collector slice of Stats, in rendezvous rank
 // order for this farm (Rank 0 is the collector the farm prefers).
 type EndpointStats struct {
@@ -1377,11 +1355,11 @@ type Stats struct {
 
 	Shed uint64 // events dropped: spool full, oversized, or retry cap
 	// Shedders are the heaviest shed sources, descending; at most
-	// Options.TopShedders entries.
-	Shedders []SourceShed
-	// ShedUnattributed counts sheds beyond the bounded attribution table
-	// (including events inside frames dropped at the retry cap, whose
-	// source addresses are no longer available).
+	// core.TopShedders entries.
+	Shedders []core.SourceShed
+	// ShedUnattributed counts sheds of sources evicted from the bounded
+	// attribution table (including events inside frames dropped at the
+	// retry cap, whose source addresses are no longer available).
 	ShedUnattributed uint64
 	// DroppedFrames counts spooled frames dropped at
 	// Options.MaxFrameRetries (their events are included in Shed).
@@ -1424,22 +1402,7 @@ func (s Stats) String() string {
 	if s.DroppedFrames > 0 {
 		fmt.Fprintf(&sb, " dropped=%dfr", s.DroppedFrames)
 	}
-	if s.Shed > 0 {
-		sb.WriteString(" shed[")
-		for i, sd := range s.Shedders {
-			if i > 0 {
-				sb.WriteByte(' ')
-			}
-			fmt.Fprintf(&sb, "%s=%d", sd.Addr, sd.Shed)
-		}
-		if s.ShedUnattributed > 0 {
-			if len(s.Shedders) > 0 {
-				sb.WriteByte(' ')
-			}
-			fmt.Fprintf(&sb, "evicted=%d", s.ShedUnattributed)
-		}
-		sb.WriteByte(']')
-	}
+	core.WriteShed(&sb, s.Shedders, s.ShedUnattributed)
 	return sb.String()
 }
 
@@ -1496,19 +1459,9 @@ func (f *ForwardSink) Stats() Stats {
 			Backoff:      ep.backoff,
 		})
 	}
-	for a, n := range f.shedSrc {
-		if n > 0 {
-			st.Shedders = append(st.Shedders, SourceShed{Addr: a, Shed: n})
-		}
+	for a, n := range f.shedSrc.All() {
+		st.Shedders = append(st.Shedders, core.SourceShed{Addr: a, Shed: *n})
 	}
-	sort.Slice(st.Shedders, func(i, j int) bool {
-		if st.Shedders[i].Shed != st.Shedders[j].Shed {
-			return st.Shedders[i].Shed > st.Shedders[j].Shed
-		}
-		return st.Shedders[i].Addr.Less(st.Shedders[j].Addr)
-	})
-	if len(st.Shedders) > f.opts.TopShedders {
-		st.Shedders = st.Shedders[:f.opts.TopShedders]
-	}
+	st.Shedders = core.Heaviest(st.Shedders)
 	return st
 }

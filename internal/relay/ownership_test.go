@@ -461,7 +461,7 @@ func BenchmarkForwardReload(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		fwd, err := NewForwardSink(ForwardOptions{
 			Addrs: []string{deadA, deadB}, Token: "bench", Farm: "reload-bench",
-			SpoolWAL: w, SpoolFrames: frames + 64,
+			SpoolWAL:   w,
 			MinBackoff: time.Second, MaxBackoff: time.Second,
 		})
 		if err != nil {

@@ -280,11 +280,16 @@ func TestCollectorRejectsBadToken(t *testing.T) {
 }
 
 func TestForwardShedsWhenDown(t *testing.T) {
-	// No collector at all: a tiny spool must fill, then shed with
-	// per-source attribution, without ever blocking RecordBatch.
+	// No collector at all: a spool with room for two frames must fill,
+	// then shed with per-source attribution, without ever blocking
+	// RecordBatch.
+	body, _, err := EncodeBatch(1, testEvents(8), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	fwd, err := NewForwardSink(ForwardOptions{
 		Addrs: []string{"127.0.0.1:1"}, Token: "t", Farm: "dark",
-		FrameEvents: 8, SpoolFrames: 2,
+		FrameEvents: 8, SpoolBytes: 2 * (int64(len(body)) + 4 + spoolFrameOverhead),
 		MinBackoff: time.Millisecond, MaxBackoff: 5 * time.Millisecond,
 	})
 	if err != nil {
@@ -306,8 +311,8 @@ func TestForwardShedsWhenDown(t *testing.T) {
 	}
 
 	st := fwd.Stats()
-	if st.Shed == 0 {
-		t.Fatalf("no shedding with spool of 2 frames: %+v", st)
+	if st.Shed == 0 || st.SpoolFrames != 2 {
+		t.Fatalf("spool of 2 frames: %d spooled, %d shed: %+v", st.SpoolFrames, st.Shed, st)
 	}
 	offered := uint64(40 * 8)
 	if st.Enqueued+st.Shed != offered {
@@ -320,12 +325,90 @@ func TestForwardShedsWhenDown(t *testing.T) {
 	for _, s := range st.Shedders {
 		attributed += s.Shed
 	}
-	if attributed+st.ShedUnattributed != st.Shed && len(st.Shedders) == DefaultTopShedders {
+	if attributed+st.ShedUnattributed != st.Shed && len(st.Shedders) == core.TopShedders {
 		// Top-K may truncate; only the untruncated case must balance.
 		t.Logf("shedders truncated to top %d", len(st.Shedders))
-	} else if len(st.Shedders) < DefaultTopShedders && attributed+st.ShedUnattributed != st.Shed {
+	} else if len(st.Shedders) < core.TopShedders && attributed+st.ShedUnattributed != st.Shed {
 		t.Fatalf("shed attribution: %d attributed + %d unattributed != %d shed",
 			attributed, st.ShedUnattributed, st.Shed)
+	}
+}
+
+// TestForwardSpoolsOneEventFrames: frames as small as one event are
+// bounded by the byte budget alone, so many of them fit a budget that
+// holds them and none is shed.
+func TestForwardSpoolsOneEventFrames(t *testing.T) {
+	fwd, err := NewForwardSink(ForwardOptions{
+		Addrs: []string{"127.0.0.1:1"}, Token: "t", Farm: "dark",
+		FrameEvents: 1, SpoolBytes: 1 << 20,
+		MinBackoff: time.Second, MaxBackoff: time.Second,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fwd.Close()
+
+	const n = 2000
+	for _, e := range testEvents(n) {
+		fwd.RecordBatch([]core.Event{e})
+	}
+	st := fwd.Stats()
+	if st.Shed != 0 || st.SpoolFrames != n || st.SpoolEvents != n {
+		t.Fatalf("spooled %d frames / %d events, shed %d; want all %d spooled", st.SpoolFrames, st.SpoolEvents, st.Shed, n)
+	}
+	if mem := st.SpoolBytes + n*spoolFrameOverhead; mem >= 1<<20 {
+		t.Fatalf("%d frames charge %d bytes, past the 1 MiB budget the test assumes", n, mem)
+	}
+}
+
+// TestForwardShedAttributionKeepsCurrentShedders: the shed-attribution
+// table is an LRU. A source that stops shedding is evicted with its
+// count moved to ShedUnattributed, a source shedding now is attributed
+// even after DefaultMaxShedSources others, and Shed stays exact.
+func TestForwardShedAttributionKeepsCurrentShedders(t *testing.T) {
+	fwd, err := NewForwardSink(ForwardOptions{
+		Addrs: []string{"127.0.0.1:1"}, Token: "t", Farm: "dark",
+		FrameEvents: 1, SpoolBytes: 1,
+		MinBackoff: time.Second, MaxBackoff: time.Second,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fwd.Close()
+
+	at := func(a netip.Addr) core.Event {
+		e := testEvent(0)
+		e.Src = netip.AddrPortFrom(a, 40000)
+		return e
+	}
+	filler := at(netip.MustParseAddr("198.51.100.1")) // fills the one-frame spool
+	quiet := netip.MustParseAddr("198.51.100.2")
+	heavy := netip.MustParseAddr("198.51.100.3")
+	events := []core.Event{filler, at(quiet), at(quiet), at(quiet)}
+	for i := 0; i < DefaultMaxShedSources; i++ {
+		events = append(events, at(netip.AddrFrom4([4]byte{10, byte(i >> 16), byte(i >> 8), byte(i)})))
+	}
+	for i := 0; i < 5; i++ {
+		events = append(events, at(heavy))
+	}
+	fwd.RecordBatch(events)
+
+	st := fwd.Stats()
+	if st.Enqueued != 1 || st.Shed != uint64(len(events)-1) {
+		t.Fatalf("enqueued %d shed %d, want 1 and %d", st.Enqueued, st.Shed, len(events)-1)
+	}
+	// quiet's 3 went when the table filled; heavy then evicted the
+	// first of the one-event sources.
+	if st.ShedUnattributed != 3+1 {
+		t.Fatalf("unattributed = %d, want quiet's 3 + one evicted source's 1", st.ShedUnattributed)
+	}
+	if len(st.Shedders) == 0 || st.Shedders[0] != (core.SourceShed{Addr: heavy, Shed: 5}) {
+		t.Fatalf("shedders = %v, want %s=5 first", st.Shedders, heavy)
+	}
+	for _, sd := range st.Shedders {
+		if sd.Addr == quiet {
+			t.Fatalf("evicted source %s still attributed", quiet)
+		}
 	}
 }
 

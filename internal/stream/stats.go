@@ -39,7 +39,7 @@ func (a *Analyzer) Stats() Stats {
 	return Stats{
 		Events:      a.events,
 		Batches:     a.batches,
-		Sources:     len(a.sources),
+		Sources:     a.sources.Len(),
 		Evicted:     a.evicted,
 		Assigns:     a.assignsN,
 		Clusters:    len(a.asn.centroids),
@@ -103,8 +103,8 @@ func (a *Analyzer) Clusters() []ClusterInfo {
 func (a *Analyzer) Verdict(addr netip.Addr) (classify.Behavior, bool) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	s, ok := a.sources[addr]
-	if !ok {
+	s := a.sources.Peek(addr)
+	if s == nil {
 		return classify.Scanning, false
 	}
 	return s.behavior, true
@@ -115,8 +115,8 @@ func (a *Analyzer) Verdict(addr netip.Addr) (classify.Behavior, bool) {
 func (a *Analyzer) Cluster(addr netip.Addr) (int, bool) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	s, ok := a.sources[addr]
-	if !ok || s.cluster < 0 {
+	s := a.sources.Peek(addr)
+	if s == nil || s.cluster < 0 {
 		return -1, false
 	}
 	return s.cluster, true

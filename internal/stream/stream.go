@@ -80,7 +80,7 @@ func (o Options) withDefaults() Options {
 
 // source is the per-source online state. Sources are keyed by address
 // (not address:port — one attacker, one vector, as in the offline
-// pipeline) and threaded through an intrusive LRU list.
+// pipeline).
 type source struct {
 	addr     netip.Addr
 	behavior classify.Behavior
@@ -96,8 +96,6 @@ type source struct {
 	cluster int // assigned cluster id, -1 before the first assignment
 	dirty   bool
 	touched bool
-
-	prev, next *source
 }
 
 // Analyzer is the streaming sink. It implements core.Sink,
@@ -105,10 +103,8 @@ type source struct {
 type Analyzer struct {
 	opts Options
 
-	mu      sync.Mutex
-	sources map[netip.Addr]*source
-	// LRU list: head.next is most recent, tail.prev least recent.
-	head, tail *source
+	mu         sync.Mutex
+	sources    *core.LRU[netip.Addr, source]
 	batch      []*source // sources touched by the in-flight batch
 	scratch    []term    // reused per-assignment term snapshot
 	asn        *assigner
@@ -135,14 +131,10 @@ func New(opts Options) *Analyzer {
 	opts = opts.withDefaults()
 	a := &Analyzer{
 		opts:    opts,
-		sources: make(map[netip.Addr]*source),
-		head:    &source{},
-		tail:    &source{},
+		sources: core.NewLRU[netip.Addr, source](opts.MaxSources),
 		asn:     newAssigner(opts),
 		alerts:  newAlertRing(opts.AlertRing),
 	}
-	a.head.next = a.tail
-	a.tail.prev = a.head
 	a.sinceRefit = opts.RefitEvery
 	return a
 }
@@ -181,16 +173,13 @@ func (a *Analyzer) ingest(e core.Event) {
 	a.events++
 	a.lastTime = e.Time
 	addr := e.Src.Addr()
-	s := a.sources[addr]
+	s := a.sources.Get(addr)
 	if s == nil {
-		s = &source{addr: addr, cluster: -1}
-		a.sources[addr] = s
-		a.insertFront(s)
-		if len(a.sources) > a.opts.MaxSources {
-			a.evict()
+		var evicted *source
+		s, evicted = a.sources.Add(addr, source{addr: addr, cluster: -1})
+		if evicted != nil {
+			a.release(evicted)
 		}
-	} else {
-		a.moveFront(s)
 	}
 	if !s.touched {
 		s.touched = true
@@ -303,37 +292,19 @@ func (a *Analyzer) applyRemap(remap map[int]int) {
 	if len(remap) == 0 {
 		return
 	}
-	for _, s := range a.sources {
+	for _, s := range a.sources.All() {
 		if to, ok := remap[s.cluster]; ok {
 			s.cluster = to
 		}
 	}
 }
 
-// insertFront links s in as most-recent. Caller holds mu.
-func (a *Analyzer) insertFront(s *source) {
-	s.prev = a.head
-	s.next = a.head.next
-	a.head.next.prev = s
-	a.head.next = s
-}
-
-// moveFront promotes s to most-recent. Caller holds mu.
-func (a *Analyzer) moveFront(s *source) {
-	s.prev.next = s.next
-	s.next.prev = s.prev
-	a.insertFront(s)
-}
-
-// evict drops the least recently active source. Caller holds mu.
-func (a *Analyzer) evict() {
-	s := a.tail.prev
-	if s == a.head {
-		return
-	}
-	s.prev.next = a.tail
-	a.tail.prev = s.prev
-	delete(a.sources, s.addr)
+// release settles the books for a source the LRU evicted: it gives up
+// its cluster membership, and it leaves the settle pass of a batch that
+// touched it, so no centroid gains a member that no live source holds.
+// Caller holds mu.
+func (a *Analyzer) release(s *source) {
+	s.dirty = false
 	if s.cluster >= 0 {
 		if c := a.asn.byID(s.cluster); c != nil && c.members > 0 {
 			c.members--

@@ -121,6 +121,29 @@ func TestLRUBound(t *testing.T) {
 	}
 }
 
+// TestEvictionInsideBatchReleasesMembership: a batch with more distinct
+// sources than MaxSources evicts sources it already touched. They must
+// not be assigned when the batch settles, or a centroid counts members
+// that no live source holds.
+func TestEvictionInsideBatchReleasesMembership(t *testing.T) {
+	a := New(Options{MaxSources: 4})
+	var batch []core.Event
+	for i := 1; i <= 6; i++ {
+		batch = append(batch, ev(i, core.EventCommand, core.Redis, "INFO", time.Duration(i)*time.Second))
+	}
+	if err := a.RecordBatch(batch); err != nil {
+		t.Fatal(err)
+	}
+	members := 0
+	for _, c := range a.Clusters() {
+		members += c.Members
+	}
+	if st := a.Stats(); members != st.Sources || st.Sources != 4 || st.Evicted != 2 {
+		t.Fatalf("cluster members = %d, sources = %d, evicted = %d; want 4 members of 4 live sources, 2 evicted",
+			members, st.Sources, st.Evicted)
+	}
+}
+
 func TestNewClusterAndShiftAlerts(t *testing.T) {
 	a := New(Options{})
 	// First source: pure scout vector seeds cluster 0.
