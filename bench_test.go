@@ -539,6 +539,88 @@ func BenchmarkStoreIngestWAL(b *testing.B) {
 	})
 }
 
+// BenchmarkStoreSnapshot measures what a fresh /query costs the store:
+// each op commits one small batch to existing sources, so the next
+// snapshot's shared records and hour sets are cloned on write, then takes
+// a snapshot and reads what /query reads from it (the top ten
+// credentials, the login total and a 20-record page). The store is the
+// size of the end-to-end benchmark collector's preload, with one shard
+// as there: ~7k sources, first seen in no particular address order, with
+// hourly connects over 20 days, and ~108k distinct low-tier credentials
+// of which the first hundred are tried most, as in the paper's Table 12.
+func BenchmarkStoreSnapshot(b *testing.B) {
+	const (
+		sources = 7_040
+		creds   = 107_917
+	)
+	store := evstore.NewSharded(core.ExperimentStart, core.ExperimentDays, nil, 1)
+	hp := core.Info{DBMS: core.MSSQL, Level: core.Low, Config: core.ConfigDefault, Group: core.GroupMulti}
+	src := func(i int) netip.AddrPort {
+		a := uint32(i+1) * 2654435761 // a bijection that scatters the addresses
+		return netip.AddrPortFrom(netip.AddrFrom4([4]byte{byte(a >> 24), byte(a >> 16), byte(a >> 8), byte(a)}), 1024)
+	}
+	at := func(day, hour int) time.Time {
+		return core.ExperimentStart.Add(time.Duration(day*24+hour) * time.Hour)
+	}
+	batch := make([]core.Event, 0, 4096)
+	commit := func() {
+		if err := store.RecordBatch(batch); err != nil {
+			b.Fatal(err)
+		}
+		batch = batch[:0]
+	}
+	for i := 0; i < sources; i++ {
+		// Each source is active on a third of the days, four hours a day.
+		for day := i % 3; day < core.ExperimentDays; day += 3 {
+			for h := 0; h < 4; h++ {
+				batch = append(batch, core.Event{Time: at(day, (i+6*h)%24), Src: src(i), Honeypot: hp, Kind: core.EventConnect})
+			}
+		}
+		if len(batch) > 3500 {
+			commit()
+		}
+	}
+	for c := 0; c < creds; c++ {
+		e := core.Event{Time: at(c%core.ExperimentDays, c%24), Src: src(c % sources), Honeypot: hp, Kind: core.EventLogin}
+		e.User, e.Pass = fmt.Sprintf("user%d", c%5000), fmt.Sprintf("pass%d", c)
+		for tries := 1 + max(0, 100-c); tries > 0; tries-- {
+			batch = append(batch, e)
+		}
+		if len(batch) >= cap(batch)-128 {
+			commit()
+		}
+	}
+	commit()
+	// The first snapshot numbers every credential the store holds; later
+	// ones number only the credentials added since. Pay it untimed, as a
+	// collector pays it once per process.
+	store.Snapshot()
+
+	q := evstore.Query{}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j := 0; j < 8; j++ {
+			s := src((i*8 + j) % sources)
+			login := core.Event{Time: at(19, 23), Src: s, Honeypot: hp, Kind: core.EventLogin, User: "sa", Pass: "123"}
+			batch = append(batch, core.Event{Time: at(19, 23), Src: s, Honeypot: hp, Kind: core.EventConnect}, login)
+		}
+		commit()
+		snap := store.Snapshot()
+		if top := snap.Creds(q, 10); len(top) != 10 {
+			b.Fatalf("top creds = %d rows", len(top))
+		}
+		if snap.Logins(q) < creds {
+			b.Fatal("logins lost")
+		}
+		if page := snap.Select(q)[:20]; page[19].TotalLogins() == 0 {
+			b.Fatal("page record without logins")
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "snapshots/s")
+}
+
 // --- Protocol microbenchmark: the hottest parse in the system ---
 
 // BenchmarkTDSLoginParse measures LOGIN7 parsing, of which the paper-scale

@@ -292,19 +292,19 @@ func dump(w *os.File, cst relay.CollectorStats, store *evstore.Store, topCreds i
 		Title:  "Capture",
 		Header: []string{"metric", "value"},
 	}
-	totals.AddRow("events ingested", store.Events())
-	totals.AddRow("unique sources", store.UniqueIPs(evstore.Query{}))
-	totals.AddRow("total logins", store.Logins(evstore.Query{}))
+	snap := store.Snapshot()
+	totals.AddRow("events ingested", snap.Events())
+	totals.AddRow("unique sources", snap.UniqueIPs(evstore.Query{}))
+	totals.AddRow("total logins", snap.Logins(evstore.Query{}))
 
 	creds := &report.Table{
 		Title:  "Top credentials",
 		Header: []string{"dbms", "user", "pass", "count"},
 	}
-	for i, c := range store.Creds(evstore.Query{}) {
-		if i >= topCreds {
-			break
+	if topCreds > 0 { // Creds reads n <= 0 as "all"
+		for _, c := range snap.Creds(evstore.Query{}, topCreds) {
+			creds.AddRow(c.DBMS, c.User, c.Pass, c.Count)
 		}
-		creds.AddRow(c.DBMS, c.User, c.Pass, c.Count)
 	}
 
 	for _, t := range []*report.Table{farms, totals, creds} {

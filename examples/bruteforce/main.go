@@ -76,7 +76,7 @@ func main() {
 	}
 
 	fmt.Println("\nharvested credentials (by frequency):")
-	for _, cc := range store.Creds(evstore.Query{DBMS: core.MSSQL}) {
+	for _, cc := range store.Creds(evstore.Query{DBMS: core.MSSQL}, 0) {
 		fmt.Printf("  %-8s %-10s x%d\n", cc.User, cc.Pass, cc.Count)
 	}
 

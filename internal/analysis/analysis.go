@@ -408,7 +408,7 @@ func BruteForce(snap *evstore.Snapshot) BruteStats {
 	var st BruteStats
 	users := map[string]bool{}
 	passes := map[string]bool{}
-	for _, c := range snap.Creds(evstore.Query{Tier: evstore.LowTier}) {
+	for _, c := range snap.Creds(evstore.Query{Tier: evstore.LowTier}, 0) {
 		st.UniqueCombos++
 		st.TotalLogins += c.Count
 		users[c.User] = true

@@ -19,13 +19,22 @@
 // makes the shards disjoint address sets, so unique-count merges are
 // plain sums. All reads go through the Query options struct (see
 // query.go) or through an immutable point-in-time Snapshot (snapshot.go).
+//
+// Snapshots are copy-on-write. Each shard carries a generation that
+// Snapshot bumps; the snapshot takes the shard's records and hourly sets
+// by reference, and the shard clones a record or hour set from an older
+// generation the first time it writes it. Credentials live in
+// append-only per-shard rows whose keys a snapshot shares, so a snapshot
+// copies only pointers and the pointer-free credential tallies.
 package evstore
 
 import (
 	"fmt"
+	"hash/maphash"
+	"maps"
 	"net/netip"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -84,6 +93,8 @@ type IPRecord struct {
 	FirstSeen     time.Time
 	LastSeen      time.Time
 	Per           map[PerKey]*Activity
+
+	gen uint64 // the shard generation this copy was made in; see storeShard.writable
 }
 
 // TotalLogins sums login attempts across honeypots.
@@ -111,48 +122,138 @@ func (r *IPRecord) ActiveDaysMask(q Query) uint64 {
 	return m
 }
 
-// clone deep-copies the record: the Per map and every Activity including
-// its Actions slice. Snapshots hand clones to the analysis layer so later
-// ingest cannot race with reads.
+// clone copies the record for writing: the Per map and every Activity.
+// Each Actions slice is capped at its length, so the clone's next append
+// reallocates instead of writing into the array the original still reads.
 func (r *IPRecord) clone() *IPRecord {
 	c := *r
 	c.Per = make(map[PerKey]*Activity, len(r.Per))
 	for k, a := range r.Per {
 		ac := *a
-		ac.Actions = append([]Action(nil), a.Actions...)
+		ac.Actions = a.Actions[:len(a.Actions):len(a.Actions)]
 		c.Per[k] = &ac
 	}
 	return &c
 }
 
-// Cred is an aggregated credential observation. Low separates the
-// low-interaction tier from medium/high: the paper's credential tables
-// (5, 6, 12) cover the low tier only, while the PostgreSQL configuration
-// comparison uses medium-tier logins.
+// Cred is an aggregated credential: one (dbms, user, pass) combination.
+// The store tallies each one per tier, since the paper's credential
+// tables (5, 6, 12) cover the low tier only while the PostgreSQL
+// configuration comparison uses medium-tier logins.
 type Cred struct {
 	DBMS string
 	User string
 	Pass string
-	Low  bool
+}
+
+// credChunkRows is the number of credential rows in one chunk. Rows live
+// in fixed-size chunks rather than in growing slices: a 100k-row column
+// grown by append reallocates and copies itself on the ingest path, while
+// a chunk is allocated once and never moves.
+const credChunkRows = 1024
+
+// credChunk holds credChunkRows credential rows: each row's key and its
+// login tally on the low tier and on the medium/high tiers.
+type credChunk struct {
+	keys [credChunkRows]Cred
+	low  [credChunkRows]int64
+	mh   [credChunkRows]int64
+}
+
+// credRows is a shard's credential table. Rows are append-only and a
+// row's key never changes once written, so a snapshot shares the chunks'
+// keys and copies only their tallies.
+//
+// The index maps a seeded hash of each key to its row rather than the key
+// itself: a pointer-free map the garbage collector does not scan, each
+// key stored once (in its chunk), and growth that never rehashes strings.
+// That keeps first-seen credentials, most of a collector's start-up
+// preload, cheaper than a map keyed by Cred. A key whose hash an earlier
+// key already holds is indexed in clash instead.
+type credRows struct {
+	seed   maphash.Seed
+	row    map[uint64]int32
+	clash  map[Cred]int32
+	chunks []*credChunk
+	n      int // rows in use
+}
+
+// add counts one login of c on the low tier or on the medium/high tiers.
+func (t *credRows) add(c Cred, low bool) {
+	h := maphash.Comparable(t.seed, c)
+	r, hashed := t.row[h]
+	found := hashed && t.chunks[r/credChunkRows].keys[r%credChunkRows] == c
+	if hashed && !found {
+		r, found = t.clash[c]
+	}
+	if !found {
+		r = int32(t.n)
+		t.n++
+		if r%credChunkRows == 0 {
+			t.chunks = append(t.chunks, new(credChunk))
+		}
+		t.chunks[r/credChunkRows].keys[r%credChunkRows] = c
+		if hashed {
+			t.clash[c] = r
+		} else {
+			t.row[h] = r
+		}
+	}
+	ch := t.chunks[r/credChunkRows]
+	if low {
+		ch.low[r%credChunkRows]++
+	} else {
+		ch.mh[r%credChunkRows]++
+	}
+}
+
+// hourSets holds one series' unique sources per hour of the window.
+type hourSets []map[netip.Addr]struct{}
+
+// hourSeries is one of a shard's low-tier hourly series. gens[h] is the
+// shard generation sets[h] was made in; see Store.markHour.
+type hourSeries struct {
+	sets hourSets
+	gens []uint64
 }
 
 // storeShard is one independently locked partition of the store. The
 // hourly series map is keyed by DBMS name ("" = all DBMS); the series
 // track the low tier only (Figure 2, Figures 6–9).
+//
+// gen counts the snapshots taken of the shard. A record or hour set made
+// in an older generation may be shared with a snapshot, so the shard
+// replaces it with a copy before its first write (writable, markHour).
 type storeShard struct {
 	mu     sync.Mutex
-	ips    map[netip.Addr]*IPRecord
-	creds  map[Cred]int64
-	hourly map[string][]map[netip.Addr]struct{} // dbms -> hour -> unique IPs
+	gen    uint64
+	index  map[netip.Addr]int // address -> position in recs
+	recs   []*IPRecord        // in order of first sight
+	creds  credRows
+	hourly map[string]*hourSeries
 	events int64
 }
 
 func newShard() *storeShard {
 	return &storeShard{
-		ips:    make(map[netip.Addr]*IPRecord),
-		creds:  make(map[Cred]int64),
-		hourly: make(map[string][]map[netip.Addr]struct{}),
+		index:  make(map[netip.Addr]int),
+		creds:  credRows{seed: maphash.MakeSeed(), row: make(map[uint64]int32), clash: make(map[Cred]int32)},
+		hourly: make(map[string]*hourSeries),
 	}
+}
+
+// writable returns record i ready for writing. A record from an older
+// generation may be shared with a snapshot, so it is cloned first and
+// the clone takes its place. Every write to a stored record goes through
+// here. The caller holds sh.mu.
+func (sh *storeShard) writable(i int) *IPRecord {
+	rec := sh.recs[i]
+	if rec.gen != sh.gen {
+		rec = rec.clone()
+		rec.gen = sh.gen
+		sh.recs[i] = rec
+	}
+	return rec
 }
 
 // Store accumulates events, partitioned by source IP into independently
@@ -164,6 +265,11 @@ type Store struct {
 	geo    *geoip.DB
 	shards []*storeShard
 	wal    *wal.Log // optional journal; see wal.go
+
+	snapMu  sync.Mutex // serialises Snapshot; guards the fields below
+	ids     credIDs
+	tallies [2][]int64 // reused copy of one shard's tallies (low, mh)
+	stats   SnapshotStats
 }
 
 // MaxDays is the longest supported experiment window: the per-activity
@@ -195,6 +301,7 @@ func NewSharded(start time.Time, days int, geo *geoip.DB, shards int) *Store {
 	for i := range s.shards {
 		s.shards[i] = newShard()
 	}
+	s.ids = credIDs{id: make(map[Cred]int32), rows: make([][]int32, shards)}
 	return s
 }
 
@@ -277,24 +384,13 @@ func (s *Store) record(sh *storeShard, e core.Event) {
 	sh.events++
 
 	addr := e.Src.Addr()
-	rec, ok := sh.ips[addr]
+	i, ok := sh.index[addr]
 	if !ok {
-		rec = &IPRecord{Addr: addr, FirstSeen: e.Time, LastSeen: e.Time, Per: make(map[PerKey]*Activity)}
-		if s.geo != nil {
-			if g, ok := s.geo.Lookup(addr); ok {
-				rec.Country = g.Country
-				rec.ASN = g.ASN
-				rec.ASName = g.ASName
-				rec.ASType = g.ASType
-				rec.Institutional = asdb.Institutional(g.ASN)
-			} else {
-				rec.ASType = asdb.Unknown
-			}
-		} else {
-			rec.ASType = asdb.Unknown
-		}
-		sh.ips[addr] = rec
+		i = len(sh.recs)
+		sh.index[addr] = i
+		sh.recs = append(sh.recs, s.newRecord(addr, e.Time, sh.gen))
 	}
+	rec := sh.writable(i)
 	if e.Time.Before(rec.FirstSeen) {
 		rec.FirstSeen = e.Time
 	}
@@ -325,7 +421,7 @@ func (s *Store) record(sh *storeShard, e core.Event) {
 		if e.OK {
 			act.LoginOK++
 		}
-		sh.creds[Cred{DBMS: e.Honeypot.DBMS, User: e.User, Pass: e.Pass, Low: e.Honeypot.Level == core.Low}]++
+		sh.creds.add(Cred{DBMS: e.Honeypot.DBMS, User: e.User, Pass: e.Pass}, e.Honeypot.Level == core.Low)
 	case core.EventCommand:
 		act.CommandsRun++
 		if len(act.Actions) < MaxActionsPerActivity {
@@ -336,21 +432,47 @@ func (s *Store) record(sh *storeShard, e core.Event) {
 	}
 }
 
+// newRecord makes the record of a source seen for the first time,
+// enriched from the geo database when the store has one.
+func (s *Store) newRecord(addr netip.Addr, t time.Time, gen uint64) *IPRecord {
+	rec := &IPRecord{Addr: addr, FirstSeen: t, LastSeen: t, Per: make(map[PerKey]*Activity), ASType: asdb.Unknown, gen: gen}
+	if s.geo != nil {
+		if g, ok := s.geo.Lookup(addr); ok {
+			rec.Country = g.Country
+			rec.ASN = g.ASN
+			rec.ASName = g.ASName
+			rec.ASType = g.ASType
+			rec.Institutional = asdb.Institutional(g.ASN)
+		}
+	}
+	return rec
+}
+
 // markHour adds addr to the hourly unique set of series dbms ("" = all).
-// The caller holds sh.mu.
+// A set from an older generation may be shared with a snapshot, so it is
+// cloned before its first new address. The caller holds sh.mu.
 func (s *Store) markHour(sh *storeShard, dbms string, hour int, addr netip.Addr) {
 	if hour < 0 || hour >= s.days*24 {
 		return
 	}
-	hs := sh.hourly[dbms]
-	if hs == nil {
-		hs = make([]map[netip.Addr]struct{}, s.days*24)
-		sh.hourly[dbms] = hs
+	se := sh.hourly[dbms]
+	if se == nil {
+		se = &hourSeries{sets: make(hourSets, s.days*24), gens: make([]uint64, s.days*24)}
+		sh.hourly[dbms] = se
 	}
-	if hs[hour] == nil {
-		hs[hour] = make(map[netip.Addr]struct{})
+	set := se.sets[hour]
+	switch {
+	case set == nil:
+		set = make(map[netip.Addr]struct{})
+		se.sets[hour], se.gens[hour] = set, sh.gen
+	case se.gens[hour] != sh.gen:
+		if _, ok := set[addr]; ok {
+			return // already counted: no write, so no clone
+		}
+		set = maps.Clone(set)
+		se.sets[hour], se.gens[hour] = set, sh.gen
 	}
-	hs[hour][addr] = struct{}{}
+	set[addr] = struct{}{}
 }
 
 // MarkInstitutional overrides the institutional flag for the given
@@ -365,8 +487,8 @@ func (s *Store) MarkInstitutional(addrs []netip.Addr) int {
 	for _, a := range addrs {
 		sh := s.shardFor(a)
 		sh.mu.Lock()
-		if rec, ok := sh.ips[a]; ok {
-			rec.Institutional = true
+		if i, ok := sh.index[a]; ok {
+			sh.writable(i).Institutional = true
 			applied++
 		}
 		sh.mu.Unlock()
@@ -375,25 +497,33 @@ func (s *Store) MarkInstitutional(addrs []netip.Addr) int {
 }
 
 // IPs returns all IP records sorted by address. The records are the live
-// aggregates: callers that read while ingest continues should use
-// Snapshot instead.
+// aggregates, and only until the next Snapshot: the first write after it
+// replaces a record with a copy, and the pointer keeps the old version.
+// Callers that read while ingest continues should use Snapshot instead.
 func (s *Store) IPs() []*IPRecord {
 	var out []*IPRecord
 	for _, sh := range s.shards {
 		sh.mu.Lock()
-		for _, r := range sh.ips {
-			out = append(out, r)
-		}
+		out = append(out, sh.recs...)
 		sh.mu.Unlock()
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Addr.Less(out[j].Addr) })
+	sortByAddr(out)
 	return out
 }
 
-// IP returns the record for addr, or nil.
+// IP returns the record for addr, or nil. Like IPs, it returns the live
+// record, which the first write after the next Snapshot replaces.
 func (s *Store) IP(addr netip.Addr) *IPRecord {
 	sh := s.shardFor(addr)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	return sh.ips[addr]
+	if i, ok := sh.index[addr]; ok {
+		return sh.recs[i]
+	}
+	return nil
+}
+
+// sortByAddr sorts records by address.
+func sortByAddr(recs []*IPRecord) {
+	slices.SortFunc(recs, func(a, b *IPRecord) int { return a.Addr.Compare(b.Addr) })
 }

@@ -1,6 +1,7 @@
 package evstore
 
 import (
+	"hash/maphash"
 	"net/netip"
 	"testing"
 	"testing/quick"
@@ -61,7 +62,7 @@ func TestLoginAggregation(t *testing.T) {
 	e.User, e.Pass = "sa", "password"
 	s.Record(e)
 
-	creds := s.Creds(Query{DBMS: core.MSSQL})
+	creds := s.Creds(Query{DBMS: core.MSSQL}, 0)
 	if len(creds) != 2 {
 		t.Fatalf("creds = %v", creds)
 	}
@@ -175,7 +176,7 @@ func TestAggregationCommutesQuick(t *testing.T) {
 				s.Record(e)
 			}
 			out := map[Cred]int64{}
-			for _, c := range s.Creds(Query{}) {
+			for _, c := range s.Creds(Query{}, 0) {
 				out[c.Cred] = c.Count
 			}
 			return out
@@ -242,6 +243,30 @@ func TestAccessors(t *testing.T) {
 	}
 }
 
+// TestCredRowsHashClash: two credentials whose index hashes collide keep
+// separate rows and tallies. A 64-bit collision is too rare to meet by
+// chance, so the test plants one: b's hash is pointed at a's row.
+func TestCredRowsHashClash(t *testing.T) {
+	rows := &newShard().creds
+	a := Cred{DBMS: core.MSSQL, User: "sa", Pass: "a"}
+	b := Cred{DBMS: core.MSSQL, User: "sa", Pass: "b"}
+	rows.add(a, true)
+	rows.row[maphash.Comparable(rows.seed, b)] = rows.row[maphash.Comparable(rows.seed, a)]
+	rows.add(b, true)
+	rows.add(b, false)
+	rows.add(a, true)
+	if rows.n != 2 || len(rows.clash) != 1 {
+		t.Fatalf("rows = %d, clashes = %d, want 2 and 1", rows.n, len(rows.clash))
+	}
+	ch := rows.chunks[0]
+	if ch.keys[0] != a || ch.low[0] != 2 || ch.mh[0] != 0 {
+		t.Fatalf("row 0 = %+v low=%d mh=%d, want a low=2", ch.keys[0], ch.low[0], ch.mh[0])
+	}
+	if ch.keys[1] != b || ch.low[1] != 1 || ch.mh[1] != 1 {
+		t.Fatalf("row 1 = %+v low=%d mh=%d, want b low=1 mh=1", ch.keys[1], ch.low[1], ch.mh[1])
+	}
+}
+
 func TestCredTiers(t *testing.T) {
 	s := New(start, 20, nil)
 	low := lowInfo(core.Postgres)
@@ -264,12 +289,12 @@ func TestCredTiers(t *testing.T) {
 	if got := s.Logins(Query{DBMS: core.Postgres}); got != 3 {
 		t.Fatalf("all logins = %d", got)
 	}
-	lowCreds := s.Creds(Query{DBMS: core.Postgres, Tier: LowTier})
+	lowCreds := s.Creds(Query{DBMS: core.Postgres, Tier: LowTier}, 0)
 	if len(lowCreds) != 1 || lowCreds[0].Count != 1 {
 		t.Fatalf("low creds = %v", lowCreds)
 	}
 	// AllTiers merges the tiers: postgres/pw appears once with count 2.
-	all := s.Creds(Query{DBMS: core.Postgres})
+	all := s.Creds(Query{DBMS: core.Postgres}, 0)
 	if len(all) != 2 || all[0].User != "postgres" || all[0].Count != 2 {
 		t.Fatalf("merged creds = %v", all)
 	}

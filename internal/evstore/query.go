@@ -1,8 +1,8 @@
 package evstore
 
 import (
+	"cmp"
 	"net/netip"
-	"sort"
 
 	"decoydb/internal/core"
 )
@@ -28,14 +28,16 @@ func (t Tier) matchLevel(l core.Level) bool {
 	return true
 }
 
-func (t Tier) matchLow(low bool) bool {
+// tally picks a credential's login count on the tier from its low-tier
+// and medium/high-tier counts.
+func (t Tier) tally(low, mh int64) int64 {
 	switch t {
 	case LowTier:
 		return low
 	case MediumHighTier:
-		return !low
+		return mh
 	}
-	return true
+	return low + mh
 }
 
 // DayRange selects experiment days [From, To). The zero value selects
@@ -142,76 +144,34 @@ type CredCount struct {
 	Count int64
 }
 
-// mergeCreds folds tier-filtered credential counts from src into dst,
-// collapsing the Low dimension: the result is keyed by (dbms, user, pass).
-func mergeCreds(dst, src map[Cred]int64, q Query) {
-	for c, n := range src {
-		if q.DBMS != "" && c.DBMS != q.DBMS {
-			continue
-		}
-		if !q.Tier.matchLow(c.Low) {
-			continue
-		}
-		dst[Cred{DBMS: c.DBMS, User: c.User, Pass: c.Pass}] += n
+// CompareCreds orders credentials by descending count, then by dbms,
+// user and pass: a total order, so equal counts on different DBMSes come
+// back in the same order every time. Store, Snapshot and the collector
+// tier's /query merge all rank credentials with it.
+func CompareCreds(a, b CredCount) int {
+	if c := cmp.Compare(b.Count, a.Count); c != 0 {
+		return c
 	}
+	if c := cmp.Compare(a.DBMS, b.DBMS); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.User, b.User); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Pass, b.Pass)
 }
 
-// sortCreds flattens a merged credential map, sorted by descending count
-// then user/pass.
-func sortCreds(merged map[Cred]int64) []CredCount {
-	out := make([]CredCount, 0, len(merged))
-	for c, n := range merged {
-		out = append(out, CredCount{Cred: c, Count: n})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Count != out[j].Count {
-			return out[i].Count > out[j].Count
-		}
-		if out[i].User != out[j].User {
-			return out[i].User < out[j].User
-		}
-		return out[i].Pass < out[j].Pass
-	})
-	return out
+// Creds returns the first n credentials matching q (DBMS, Tier) in
+// CompareCreds order; n <= 0 returns them all. It reads through a fresh
+// Snapshot.
+func (s *Store) Creds(q Query, n int) []CredCount {
+	return s.Snapshot().Creds(q, n)
 }
 
-// loginSum totals login observations matching the query's DBMS and Tier.
-func loginSum(src map[Cred]int64, q Query) int64 {
-	var n int64
-	for c, cnt := range src {
-		if q.DBMS != "" && c.DBMS != q.DBMS {
-			continue
-		}
-		if !q.Tier.matchLow(c.Low) {
-			continue
-		}
-		n += cnt
-	}
-	return n
-}
-
-// Creds returns the aggregated credentials matching q (DBMS, Tier),
-// merged by (dbms, user, pass) and sorted by descending count then
-// user/pass.
-func (s *Store) Creds(q Query) []CredCount {
-	merged := make(map[Cred]int64)
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-		mergeCreds(merged, sh.creds, q)
-		sh.mu.Unlock()
-	}
-	return sortCreds(merged)
-}
-
-// Logins sums the login attempts matching q (DBMS, Tier).
+// Logins sums the login attempts matching q (DBMS, Tier). It reads
+// through a fresh Snapshot.
 func (s *Store) Logins(q Query) int64 {
-	var n int64
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-		n += loginSum(sh.creds, q)
-		sh.mu.Unlock()
-	}
-	return n
+	return s.Snapshot().Logins(q)
 }
 
 // UniqueIPs reports the number of sources matching q. The zero Query
@@ -220,7 +180,7 @@ func (s *Store) UniqueIPs(q Query) int {
 	n := 0
 	for _, sh := range s.shards {
 		sh.mu.Lock()
-		for _, r := range sh.ips {
+		for _, r := range sh.recs {
 			if q.matchRecord(r, s.days) {
 				n++
 			}
@@ -244,11 +204,7 @@ func (s *Store) HourlyUnique(q Query) []int {
 	out := make([]int, hi-lo)
 	for _, sh := range s.shards {
 		sh.mu.Lock()
-		if hs := sh.hourly[q.DBMS]; hs != nil {
-			for h := lo; h < hi; h++ {
-				out[h-lo] += len(hs[h])
-			}
-		}
+		sh.series(q.DBMS).addCounts(out, lo)
 		sh.mu.Unlock()
 	}
 	return out
@@ -264,19 +220,42 @@ func (s *Store) CumulativeNew(q Query) []int {
 	out := make([]int, hi-lo)
 	for _, sh := range s.shards {
 		sh.mu.Lock()
-		hs := sh.hourly[q.DBMS]
-		if hs == nil {
-			sh.mu.Unlock()
-			continue
-		}
-		seen := make(map[netip.Addr]struct{})
-		for h := lo; h < hi; h++ {
-			for a := range hs[h] {
-				seen[a] = struct{}{}
-			}
-			out[h-lo] += len(seen)
-		}
+		sh.series(q.DBMS).addCumulative(out, lo)
 		sh.mu.Unlock()
 	}
 	return out
+}
+
+// series returns the shard's hourly sets for dbms ("" = all), or nil.
+// The caller holds sh.mu.
+func (sh *storeShard) series(dbms string) hourSets {
+	if se := sh.hourly[dbms]; se != nil {
+		return se.sets
+	}
+	return nil
+}
+
+// addCounts adds the unique-source count of each hour from lo on to out.
+func (hs hourSets) addCounts(out []int, lo int) {
+	if hs == nil {
+		return
+	}
+	for h := range out {
+		out[h] += len(hs[lo+h])
+	}
+}
+
+// addCumulative adds to out, for each hour from lo on, the number of
+// distinct sources seen from lo up to that hour.
+func (hs hourSets) addCumulative(out []int, lo int) {
+	if hs == nil {
+		return
+	}
+	seen := make(map[netip.Addr]struct{})
+	for h := range out {
+		for a := range hs[lo+h] {
+			seen[a] = struct{}{}
+		}
+		out[h] += len(seen)
+	}
 }

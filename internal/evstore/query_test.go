@@ -3,6 +3,9 @@ package evstore
 import (
 	"fmt"
 	"net/netip"
+	"reflect"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -10,30 +13,48 @@ import (
 	"decoydb/internal/core"
 )
 
-// seedStore builds a store with a deterministic mixed workload: logins on
-// two DBMSes across both tiers, connects spread over days, and enough
-// distinct sources to populate every shard of a multi-shard store.
-func seedStore(t *testing.T, shards int) *Store {
-	t.Helper()
-	s := NewSharded(start, 20, nil, shards)
+// seedEvents is a deterministic mixed workload: logins on two DBMSes
+// across both tiers, commands on a medium-tier honeypot, connects spread
+// over days, and enough distinct sources to populate every shard of a
+// multi-shard store.
+func seedEvents() []core.Event {
+	var out []core.Event
 	med := core.Info{DBMS: core.Postgres, Level: core.Medium, Config: core.ConfigNoLogin, Group: core.GroupMedium}
+	redis := core.Info{DBMS: core.Redis, Level: core.Medium, Config: core.ConfigDefault, Group: core.GroupMedium}
 	for i := 0; i < 64; i++ {
 		addr := fmt.Sprintf("198.51.%d.%d", i/200, 1+i%200)
 		day := i % 20
-		s.Record(ev(addr, lowInfo(core.MSSQL), core.EventConnect, day*24))
+		out = append(out, ev(addr, lowInfo(core.MSSQL), core.EventConnect, day*24))
 		if i%2 == 0 {
 			e := ev(addr, lowInfo(core.MSSQL), core.EventLogin, day*24)
 			e.User, e.Pass = "sa", fmt.Sprintf("pw%d", i%5)
-			s.Record(e)
+			out = append(out, e)
 		}
 		if i%3 == 0 {
 			e := ev(addr, med, core.EventLogin, day*24+1)
 			e.User, e.Pass = "postgres", "pw0"
-			s.Record(e)
+			out = append(out, e)
 		}
 		if i%4 == 0 {
-			s.Record(ev(addr, lowInfo(core.MySQL), core.EventConnect, day*24+2))
+			out = append(out, ev(addr, lowInfo(core.MySQL), core.EventConnect, day*24+2))
 		}
+		if i%5 == 0 {
+			for _, cmd := range []string{"INFO", "CONFIG", "SET"} {
+				e := ev(addr, redis, core.EventCommand, day*24+3)
+				e.Command, e.Raw = cmd, cmd+" x"
+				out = append(out, e)
+			}
+		}
+	}
+	return out
+}
+
+// seedStore records seedEvents into a store with the given shard count.
+func seedStore(t *testing.T, shards int) *Store {
+	t.Helper()
+	s := NewSharded(start, 20, nil, shards)
+	for _, e := range seedEvents() {
+		s.Record(e)
 	}
 	return s
 }
@@ -42,7 +63,7 @@ func seedStore(t *testing.T, shards int) *Store {
 // per-dimension method family: Creds(Query{DBMS}) ≡ Creds(dbms),
 // Creds(Query{DBMS, Tier}) ≡ CredsTier(dbms, low), Logins(Query{DBMS})
 // ≡ TotalLogins(dbms), and so on — computed here against a brute-force
-// reference over the same events.
+// reference over the events seedStore records.
 func TestQueryEquivalence(t *testing.T) {
 	s := seedStore(t, 4)
 
@@ -60,39 +81,50 @@ func TestQueryEquivalence(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			// Reference: recompute from the raw per-shard credential maps.
+			// Reference: recount the login events the store was fed.
 			var wantLogins int64
 			wantCreds := map[Cred]int64{}
-			for _, sh := range s.shards {
-				for cr, n := range sh.creds {
-					if c.q.DBMS != "" && cr.DBMS != c.q.DBMS {
-						continue
-					}
-					if !c.q.Tier.matchLow(cr.Low) {
-						continue
-					}
-					wantLogins += n
-					wantCreds[Cred{DBMS: cr.DBMS, User: cr.User, Pass: cr.Pass}] += n
+			for _, e := range seedEvents() {
+				if e.Kind != core.EventLogin || !c.q.MatchKey(PerKey{DBMS: e.Honeypot.DBMS, Level: e.Honeypot.Level}) {
+					continue
 				}
+				wantLogins++
+				wantCreds[Cred{DBMS: e.Honeypot.DBMS, User: e.User, Pass: e.Pass}]++
 			}
 			if got := s.Logins(c.q); got != wantLogins {
 				t.Fatalf("Logins = %d, want %d", got, wantLogins)
 			}
-			got := s.Creds(c.q)
+			got := s.Creds(c.q, 0)
 			if len(got) != len(wantCreds) {
 				t.Fatalf("Creds len = %d, want %d", len(got), len(wantCreds))
 			}
-			var prev int64 = 1<<63 - 1
-			for _, cc := range got {
+			for i, cc := range got {
 				if wantCreds[cc.Cred] != cc.Count {
 					t.Fatalf("cred %+v count = %d, want %d", cc.Cred, cc.Count, wantCreds[cc.Cred])
 				}
-				if cc.Count > prev {
-					t.Fatal("creds not sorted by descending count")
+				if i > 0 && CompareCreds(got[i-1], cc) >= 0 {
+					t.Fatalf("creds %d and %d out of order: %+v, %+v", i-1, i, got[i-1], cc)
 				}
-				prev = cc.Count
 			}
 		})
+	}
+}
+
+// TestCredOrderIsTotal: equal counts for the same user and pass on two
+// DBMSes come back in one order, dbms ascending, on every call. Ranking
+// by count, user and pass alone left such ties to map iteration order.
+func TestCredOrderIsTotal(t *testing.T) {
+	s := New(start, 20, nil)
+	for _, dbms := range []string{core.MySQL, core.MSSQL} {
+		e := ev("192.0.2.7", lowInfo(dbms), core.EventLogin, 0)
+		e.User, e.Pass = "sa", "x"
+		s.Record(e)
+	}
+	for i := 0; i < 200; i++ {
+		got := s.Creds(Query{}, 0)
+		if len(got) != 2 || got[0].DBMS != core.MSSQL || got[1].DBMS != core.MySQL {
+			t.Fatalf("call %d: creds = %+v, want mssql before mysql", i, got)
+		}
 	}
 }
 
@@ -125,13 +157,17 @@ func TestQueryShardInvariance(t *testing.T) {
 					t.Fatalf("shards=%d %+v: hourly series diverge at hour %d", shards, q, h)
 				}
 			}
-			la, lb := one.Creds(q), many.Creds(q)
-			if len(la) != len(lb) {
-				t.Fatalf("shards=%d %+v: creds len %d != %d", shards, q, len(lb), len(la))
+			all := one.Creds(q, 0)
+			if !slices.Equal(many.Creds(q, 0), all) {
+				t.Fatalf("shards=%d %+v: creds %+v != %+v", shards, q, many.Creds(q, 0), all)
 			}
-			for i := range la {
-				if la[i] != lb[i] {
-					t.Fatalf("shards=%d %+v: cred %d: %+v != %+v", shards, q, i, lb[i], la[i])
+			// Creds(q, n) is exactly the first n of Creds(q, 0).
+			for _, n := range []int{1, 3, 10, len(all) + 1} {
+				want := all[:min(n, len(all))]
+				for _, s := range []*Store{one, many} {
+					if got := s.Creds(q, n); !slices.Equal(got, want) {
+						t.Fatalf("shards=%d %+v n=%d: creds %+v, want %+v", s.Shards(), q, n, got, want)
+					}
 				}
 			}
 		}
@@ -178,58 +214,142 @@ func TestQueryDayRange(t *testing.T) {
 	}
 }
 
+// snapQueries are the selections the snapshot tests compare on.
+var snapQueries = []Query{
+	{},
+	{DBMS: core.MSSQL, Tier: LowTier},
+	{DBMS: core.MSSQL},
+	{Tier: MediumHighTier},
+	{Days: DayRange{From: 2, To: 10}},
+}
+
+// snapAnswers renders every query answer a reader can get from v, for
+// comparing two points in time.
+func snapAnswers(v interface {
+	Logins(Query) int64
+	Creds(Query, int) []CredCount
+	UniqueIPs(Query) int
+	HourlyUnique(Query) []int
+	CumulativeNew(Query) []int
+	Events() int64
+}) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "events=%d\n", v.Events())
+	for _, q := range snapQueries {
+		fmt.Fprintf(&b, "%+v: logins=%d ips=%d creds=%v\nhourly=%v\ncumulative=%v\n",
+			q, v.Logins(q), v.UniqueIPs(q), v.Creds(q, 0), v.HourlyUnique(q), v.CumulativeNew(q))
+	}
+	return b.String()
+}
+
+// deepCopy copies records down to their Actions, sharing nothing with
+// the store.
+func deepCopy(recs []*IPRecord) []IPRecord {
+	out := make([]IPRecord, len(recs))
+	for i, r := range recs {
+		c := *r
+		c.Per = make(map[PerKey]*Activity, len(r.Per))
+		for k, a := range r.Per {
+			ac := *a
+			ac.Actions = slices.Clone(a.Actions)
+			c.Per[k] = &ac
+		}
+		out[i] = c
+	}
+	return out
+}
+
 // TestSnapshotMatchesStore: a quiesced store and its snapshot must agree
-// on every query, and the snapshot must be immune to later ingest.
+// on every query, and the snapshot must be immune to every kind of later
+// write — its answers and its records stay what they were when it was
+// taken, although it shares records and hourly sets with the store.
 func TestSnapshotMatchesStore(t *testing.T) {
 	s := seedStore(t, 4)
 	snap := s.Snapshot()
 
-	queries := []Query{
-		{},
-		{DBMS: core.MSSQL, Tier: LowTier},
-		{Tier: MediumHighTier},
-		{Days: DayRange{From: 2, To: 10}},
-	}
-	for _, q := range queries {
-		if a, b := s.Logins(q), snap.Logins(q); a != b {
-			t.Fatalf("%+v: Logins store=%d snap=%d", q, a, b)
-		}
-		if a, b := s.UniqueIPs(q), snap.UniqueIPs(q); a != b {
-			t.Fatalf("%+v: UniqueIPs store=%d snap=%d", q, a, b)
-		}
-		ha, hb := s.HourlyUnique(q), snap.HourlyUnique(q)
-		ca, cb := s.CumulativeNew(q), snap.CumulativeNew(q)
-		for h := range ha {
-			if ha[h] != hb[h] || ca[h] != cb[h] {
-				t.Fatalf("%+v: hourly series diverge at %d", q, h)
-			}
-		}
-	}
-	if a, b := s.Events(), snap.Events(); a != b {
-		t.Fatalf("events store=%d snap=%d", a, b)
+	if a, b := snapAnswers(s), snapAnswers(snap); a != b {
+		t.Fatalf("store and snapshot disagree:\nstore:\n%s\nsnapshot:\n%s", a, b)
 	}
 	recs, live := snap.Recs(), s.IPs()
 	if len(recs) != len(live) {
 		t.Fatalf("recs %d != %d", len(recs), len(live))
 	}
 	for i := range recs {
-		if recs[i].Addr != live[i].Addr || recs[i].TotalLogins() != live[i].TotalLogins() {
-			t.Fatalf("rec %d differs", i)
+		if recs[i] != live[i] {
+			t.Fatalf("rec %d: snapshot %v and store %v hold different records", i, recs[i].Addr, live[i].Addr)
+		}
+		if snap.IP(recs[i].Addr) != recs[i] {
+			t.Fatalf("snapshot IP(%v) misses its record", recs[i].Addr)
 		}
 	}
+	if snap.IP(netip.MustParseAddr("203.0.113.250")) != nil {
+		t.Fatal("snapshot IP found an absent address")
+	}
 
-	// Later ingest must not leak into the snapshot (deep copy).
-	addr := recs[0].Addr
-	before := snap.IP(addr).TotalLogins()
-	e := core.Event{
-		Time: start, Src: netip.AddrPortFrom(addr, 999),
-		Honeypot: lowInfo(core.MSSQL), Kind: core.EventLogin, User: "sa", Pass: "x",
+	answers := snapAnswers(snap)
+	frozen := deepCopy(recs)
+
+	// Addresses for the writes: seed source i is 198.51.0.<i+1>, active on
+	// day i%20 with a low-tier connect at hour (i%20)*24. Sources 1 to 7
+	// are the other writes' targets. peer is a later source in source 0's
+	// shard with no connect in hour 0, so its connect there extends an
+	// hour set the snapshot holds.
+	addr := func(i int) string { return fmt.Sprintf("198.51.0.%d", i+1) }
+	peer := ""
+	for i := 8; i < 64 && peer == ""; i++ {
+		if i%20 != 0 && core.ShardOf(netip.MustParseAddr(addr(i)), 4) == core.ShardOf(netip.MustParseAddr(addr(0)), 4) {
+			peer = addr(i)
+		}
 	}
-	for i := 0; i < 10; i++ {
-		s.Record(e)
+	med := core.Info{DBMS: core.Postgres, Level: core.Medium, Config: core.ConfigNoLogin, Group: core.GroupMedium}
+	redis := core.Info{DBMS: core.Redis, Level: core.Medium, Config: core.ConfigDefault, Group: core.GroupMedium}
+	login := func(a string, hp core.Info, user, pass string) core.Event {
+		e := ev(a, hp, core.EventLogin, 30)
+		e.User, e.Pass = user, pass
+		return e
 	}
-	if got := snap.IP(addr).TotalLogins(); got != before {
-		t.Fatalf("snapshot mutated by later ingest: %d -> %d", before, got)
+
+	// MarkInstitutional first, on a source no other write touches.
+	if n := s.MarkInstitutional([]netip.Addr{netip.MustParseAddr(addr(7))}); n != 1 {
+		t.Fatalf("MarkInstitutional applied %d", n)
+	}
+	s.Record(ev(peer, lowInfo(core.MSSQL), core.EventConnect, 0))          // an hour the snapshot holds
+	s.Record(ev(addr(1), lowInfo(core.MSSQL), core.EventConnect, 5))       // a new hour
+	s.Record(ev("203.0.113.9", lowInfo(core.MySQL), core.EventConnect, 6)) // a new source
+	s.Record(login(addr(2), lowInfo(core.MSSQL), "sa", "pw0"))             // existing credential, low tier
+	s.Record(login(addr(2), lowInfo(core.MSSQL), "sa", "fresh"))           // new credential, low tier
+	s.Record(login(addr(3), med, "postgres", "pw0"))                       // existing credential, medium tier
+	s.Record(login(addr(3), med, "postgres", "fresh"))                     // new credential, medium tier
+	cmd := ev(addr(5), redis, core.EventCommand, 5*24+3)                   // source 5 already ran commands
+	cmd.Command, cmd.Raw = "FLUSHALL", "FLUSHALL"
+	s.Record(cmd)
+	s.Record(ev(addr(4), lowInfo(core.MSSQL), core.EventClose, 10*24)) // a new active day
+	batch := []core.Event{
+		ev(addr(6), lowInfo(core.MSSQL), core.EventConnect, 6*24),
+		login(addr(6), lowInfo(core.MSSQL), "sa", "pw1"),
+	}
+	if err := s.RecordBatchTagged(batch, []byte("tag")); err != nil {
+		t.Fatal(err)
+	}
+
+	if got := snapAnswers(s); got == answers {
+		t.Fatal("the writes did not reach the store")
+	}
+	if got := snapAnswers(snap); got != answers {
+		t.Fatalf("snapshot answers changed by later writes:\nbefore:\n%s\nafter:\n%s", answers, got)
+	}
+	for i, r := range snap.Recs() {
+		if !reflect.DeepEqual(*r, frozen[i]) {
+			t.Fatalf("snapshot record %v changed by later writes:\nbefore %+v\nafter  %+v", r.Addr, frozen[i], *r)
+		}
+	}
+	// And the store holds what the writes made of each record.
+	if !s.IP(netip.MustParseAddr(addr(7))).Institutional {
+		t.Fatal("MarkInstitutional did not reach the store")
+	}
+	act := s.IP(netip.MustParseAddr(addr(5))).Per[PerKey{DBMS: core.Redis, Level: core.Medium, Config: core.ConfigDefault, Group: core.GroupMedium}]
+	if n := len(act.Actions); n != 4 || act.Actions[3].Name != "FLUSHALL" {
+		t.Fatalf("store actions = %+v", act.Actions)
 	}
 }
 
@@ -274,16 +394,41 @@ func TestConcurrentRecordBatchSnapshot(t *testing.T) {
 		}(perShard[si])
 	}
 
+	// Every snapshot's answers stay what they were when it was taken,
+	// however long the writers go on.
+	type taken struct {
+		snap   *Snapshot
+		logins int64
+	}
+	var snaps []taken
+	recheck := func() {
+		for _, tk := range snaps {
+			if got := tk.snap.Logins(Query{}); got != tk.logins {
+				t.Errorf("snapshot logins moved from %d to %d while writers continued", tk.logins, got)
+			}
+		}
+	}
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
 		for i := 0; i < 50; i++ {
 			snap := s.Snapshot()
 			// Every observed state must be internally consistent.
-			if got := snap.Logins(Query{}); got != snap.Logins(Query{DBMS: core.MSSQL}) {
-				t.Errorf("snapshot logins inconsistent: %d", got)
+			logins := snap.Logins(Query{})
+			if logins != snap.Logins(Query{DBMS: core.MSSQL}) {
+				t.Errorf("snapshot logins inconsistent: %d", logins)
 				return
 			}
+			var perIP int64
+			for _, r := range snap.Recs() {
+				perIP += r.TotalLogins()
+			}
+			if perIP != logins {
+				t.Errorf("snapshot records hold %d logins, its credentials %d", perIP, logins)
+				return
+			}
+			snaps = append(snaps, taken{snap, logins})
+			recheck()
 			_ = snap.UniqueIPs(Query{Tier: LowTier})
 			_ = s.Logins(Query{})
 			_ = s.IPs()
@@ -292,6 +437,7 @@ func TestConcurrentRecordBatchSnapshot(t *testing.T) {
 
 	wg.Wait()
 	<-done
+	recheck()
 
 	want := int64(1024 * 20)
 	if got := s.Logins(Query{}); got != want {
@@ -317,10 +463,25 @@ func TestShardAffinity(t *testing.T) {
 		s.Record(core.Event{Time: start, Src: netip.AddrPortFrom(addr, 1), Honeypot: lowInfo(core.MSSQL), Kind: core.EventConnect})
 		sh := s.shards[si]
 		sh.mu.Lock()
-		_, ok := sh.ips[addr]
+		_, ok := sh.index[addr]
 		sh.mu.Unlock()
 		if !ok {
 			t.Fatalf("addr %v not in shard %d", addr, si)
 		}
+	}
+}
+
+// TestSnapshotStats: every snapshot observes its build time and its
+// shard-lock hold time once, and the hold is part of the build.
+func TestSnapshotStats(t *testing.T) {
+	s := seedStore(t, 4)
+	s.Snapshot()
+	s.Snapshot()
+	st := s.SnapshotStats()
+	if st.Build.Count != 2 || st.Lock.Count != 2 {
+		t.Fatalf("counts: build %d, lock %d, want 2 and 2", st.Build.Count, st.Lock.Count)
+	}
+	if st.Lock.Sum > st.Build.Sum || st.Lock.Max > st.Build.Max {
+		t.Fatalf("lock %v exceeds build %v", st.Lock, st.Build)
 	}
 }

@@ -2,77 +2,135 @@ package evstore
 
 import (
 	"net/netip"
-	"sort"
+	"slices"
 	"time"
+
+	"decoydb/internal/core"
 )
 
-// Snapshot is an immutable point-in-time view of the whole store, merged
-// across shards. The analysis/report layer queries a Snapshot instead of
-// the live Store: one lock pass at construction, then every Table 1–12
-// experiment reads lock-free from the same consistent dataset. All data
-// is deep-copied, so a Snapshot stays valid and race-free while ingest
-// continues.
+// Snapshot is an immutable point-in-time view of the whole store. The
+// analysis/report layer queries a Snapshot instead of the live Store: one
+// pass over the shards at construction, then every Table 1–12 experiment
+// reads lock-free from the same dataset. A Snapshot stays valid and
+// race-free while ingest continues: it shares records and hourly sets
+// with the store, which copies each one before writing it again.
 type Snapshot struct {
 	start  time.Time
 	days   int
 	events int64
-	recs   []*IPRecord // sorted by address
-	byAddr map[netip.Addr]*IPRecord
-	creds  map[Cred]int64
-	hourly map[string][]map[netip.Addr]struct{}
+	recs   []*IPRecord           // sorted by address
+	hourly []map[string]hourSets // per shard: dbms -> hour -> unique IPs
+	creds  []Cred                // store-wide credential id -> credential
+	low    []int64               // low-tier logins per credential id
+	mh     []int64               // medium/high-tier logins per credential id
 }
 
-// Snapshot builds an immutable merged view. All shards are locked for
-// the duration of the copy, so the view is consistent across shards even
-// under concurrent ingest.
-func (s *Store) Snapshot() *Snapshot {
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-	}
-	defer func() {
-		for _, sh := range s.shards {
-			sh.mu.Unlock()
-		}
-	}()
+// SnapshotStats reports what building snapshots has cost. Build is the
+// duration of each Snapshot call; Lock is the part of it spent holding
+// shard locks, summed over the shards, which bounds how long the
+// snapshot held up ingest.
+type SnapshotStats struct {
+	Build core.DurationHist `json:"build"`
+	Lock  core.DurationHist `json:"lock"`
+}
 
-	snap := &Snapshot{
-		start:  s.start,
-		days:   s.days,
-		byAddr: make(map[netip.Addr]*IPRecord),
-		creds:  make(map[Cred]int64),
-		hourly: make(map[string][]map[netip.Addr]struct{}),
+// credIDs numbers credentials store-wide, so Snapshot can merge the
+// shards' credential rows by id. rows[i] maps shard i's rows to ids; it
+// grows by the rows added since the previous snapshot, so only the first
+// snapshot hashes every row.
+type credIDs struct {
+	id    map[Cred]int32
+	creds []Cred // id -> credential, append-only; snapshots share its prefix
+	rows  [][]int32
+}
+
+// extend assigns ids to shard i's rows from the last one it numbered up
+// to n, reading their keys from chunks, and returns the shard's row -> id
+// map. Keys below n never change, so this runs without the shard lock.
+func (c *credIDs) extend(i int, chunks []*credChunk, n int) []int32 {
+	rows := c.rows[i]
+	for r := len(rows); r < n; r++ {
+		key := chunks[r/credChunkRows].keys[r%credChunkRows]
+		id, ok := c.id[key]
+		if !ok {
+			id = int32(len(c.creds))
+			c.id[key] = id
+			c.creds = append(c.creds, key)
+		}
+		rows = append(rows, id)
 	}
-	for _, sh := range s.shards {
-		snap.events += sh.events
-		for _, r := range sh.ips {
-			c := r.clone()
-			snap.byAddr[c.Addr] = c
-			snap.recs = append(snap.recs, c)
+	c.rows[i] = rows
+	return rows
+}
+
+// Snapshot builds an immutable view of the store. Each shard is captured
+// under its own lock, one shard at a time, so the view is consistent
+// within every shard while the others keep ingesting. Under the lock the
+// shard bumps its generation and hands over its record pointers, its
+// hourly set pointers and a copy of its credential tallies; after the
+// first write to any of them the shard works on a clone. Credentials are
+// then merged across shards by id and the records sorted, outside every
+// shard lock.
+func (s *Store) Snapshot() *Snapshot {
+	s.snapMu.Lock()
+	defer s.snapMu.Unlock()
+	began := time.Now()
+	var held time.Duration
+	v := &Snapshot{start: s.start, days: s.days, hourly: make([]map[string]hourSets, len(s.shards))}
+	for i, sh := range s.shards {
+		sh.mu.Lock()
+		locked := time.Now()
+		sh.gen++
+		v.events += sh.events
+		v.recs = append(v.recs, sh.recs...)
+		hourly := make(map[string]hourSets, len(sh.hourly))
+		for dbms, se := range sh.hourly {
+			hourly[dbms] = slices.Clone(se.sets)
 		}
-		for c, n := range sh.creds {
-			snap.creds[c] += n
+		v.hourly[i] = hourly
+		chunks, n := sh.creds.chunks, sh.creds.n
+		low, mh := s.tallyBuf(n)
+		for c := 0; c*credChunkRows < n; c++ {
+			copy(low[c*credChunkRows:], chunks[c].low[:])
+			copy(mh[c*credChunkRows:], chunks[c].mh[:])
 		}
-		for dbms, hs := range sh.hourly {
-			merged := snap.hourly[dbms]
-			if merged == nil {
-				merged = make([]map[netip.Addr]struct{}, s.days*24)
-				snap.hourly[dbms] = merged
-			}
-			for h, set := range hs {
-				if set == nil {
-					continue
-				}
-				if merged[h] == nil {
-					merged[h] = make(map[netip.Addr]struct{}, len(set))
-				}
-				for a := range set {
-					merged[h][a] = struct{}{}
-				}
-			}
+		sh.mu.Unlock()
+		held += time.Since(locked)
+
+		ids := s.ids.extend(i, chunks, n)
+		if k := len(s.ids.creds); k > len(v.low) {
+			v.low = append(v.low, make([]int64, k-len(v.low))...)
+			v.mh = append(v.mh, make([]int64, k-len(v.mh))...)
+		}
+		for r, id := range ids {
+			v.low[id] += low[r]
+			v.mh[id] += mh[r]
 		}
 	}
-	sort.Slice(snap.recs, func(i, j int) bool { return snap.recs[i].Addr.Less(snap.recs[j].Addr) })
-	return snap
+	v.creds = s.ids.creds[:len(v.low):len(v.low)]
+	sortByAddr(v.recs)
+	s.stats.Lock.Observe(held)
+	s.stats.Build.Observe(time.Since(began))
+	return v
+}
+
+// tallyBuf returns the reused buffers a shard's n credential tallies are
+// copied into, each rounded up to whole chunks. The caller holds snapMu.
+func (s *Store) tallyBuf(n int) (low, mh []int64) {
+	n = (n + credChunkRows - 1) / credChunkRows * credChunkRows
+	for i := range s.tallies {
+		if cap(s.tallies[i]) < n {
+			s.tallies[i] = make([]int64, n)
+		}
+	}
+	return s.tallies[0][:n], s.tallies[1][:n]
+}
+
+// SnapshotStats returns the snapshot build and lock-hold histograms.
+func (s *Store) SnapshotStats() SnapshotStats {
+	s.snapMu.Lock()
+	defer s.snapMu.Unlock()
+	return s.stats
 }
 
 // Start returns the experiment start time.
@@ -89,20 +147,55 @@ func (v *Snapshot) Events() int64 { return v.events }
 func (v *Snapshot) Recs() []*IPRecord { return v.recs }
 
 // IP returns the record for addr, or nil.
-func (v *Snapshot) IP(addr netip.Addr) *IPRecord { return v.byAddr[addr] }
+func (v *Snapshot) IP(addr netip.Addr) *IPRecord {
+	i, ok := slices.BinarySearchFunc(v.recs, addr, func(r *IPRecord, a netip.Addr) int { return r.Addr.Compare(a) })
+	if !ok {
+		return nil
+	}
+	return v.recs[i]
+}
 
-// Creds returns the aggregated credentials matching q (DBMS, Tier),
-// merged by (dbms, user, pass) and sorted by descending count then
-// user/pass.
-func (v *Snapshot) Creds(q Query) []CredCount {
-	merged := make(map[Cred]int64)
-	mergeCreds(merged, v.creds, q)
-	return sortCreds(merged)
+// Creds returns the first n credentials matching q (DBMS, Tier) in
+// CompareCreds order: by descending count, then dbms, user and pass.
+// n <= 0 returns them all.
+func (v *Snapshot) Creds(q Query, n int) []CredCount {
+	var top []CredCount
+	for id, c := range v.creds {
+		count := q.Tier.tally(v.low[id], v.mh[id])
+		if count == 0 || (q.DBMS != "" && c.DBMS != q.DBMS) {
+			continue
+		}
+		cc := CredCount{Cred: c, Count: count}
+		if n <= 0 {
+			top = append(top, cc)
+			continue
+		}
+		// Bounded insertion: most rows lose to the current n-th at once.
+		if len(top) == n && CompareCreds(cc, top[n-1]) >= 0 {
+			continue
+		}
+		at, _ := slices.BinarySearchFunc(top, cc, CompareCreds)
+		if len(top) < n {
+			top = append(top, CredCount{})
+		}
+		copy(top[at+1:], top[at:])
+		top[at] = cc
+	}
+	if n <= 0 {
+		slices.SortFunc(top, CompareCreds)
+	}
+	return top
 }
 
 // Logins sums the login attempts matching q (DBMS, Tier).
 func (v *Snapshot) Logins(q Query) int64 {
-	return loginSum(v.creds, q)
+	var n int64
+	for id, c := range v.creds {
+		if q.DBMS == "" || c.DBMS == q.DBMS {
+			n += q.Tier.tally(v.low[id], v.mh[id])
+		}
+	}
+	return n
 }
 
 // Select returns the records matching q, in address order. The records
@@ -134,10 +227,8 @@ func (v *Snapshot) UniqueIPs(q Query) int {
 func (v *Snapshot) HourlyUnique(q Query) []int {
 	lo, hi := hourSpan(q, v.days)
 	out := make([]int, hi-lo)
-	if hs := v.hourly[q.DBMS]; hs != nil {
-		for h := lo; h < hi; h++ {
-			out[h-lo] = len(hs[h])
-		}
+	for _, hourly := range v.hourly {
+		hourly[q.DBMS].addCounts(out, lo)
 	}
 	return out
 }
@@ -148,16 +239,8 @@ func (v *Snapshot) HourlyUnique(q Query) []int {
 func (v *Snapshot) CumulativeNew(q Query) []int {
 	lo, hi := hourSpan(q, v.days)
 	out := make([]int, hi-lo)
-	hs := v.hourly[q.DBMS]
-	if hs == nil {
-		return out
-	}
-	seen := make(map[netip.Addr]struct{})
-	for h := lo; h < hi; h++ {
-		for a := range hs[h] {
-			seen[a] = struct{}{}
-		}
-		out[h-lo] = len(seen)
+	for _, hourly := range v.hourly {
+		hourly[q.DBMS].addCumulative(out, lo)
 	}
 	return out
 }

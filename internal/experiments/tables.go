@@ -224,15 +224,12 @@ func Table11(ds *Dataset) report.Artifact {
 
 // Table12 reproduces the top MSSQL credentials.
 func Table12(ds *Dataset) report.Artifact {
-	creds := ds.Snap.Creds(evstore.Query{DBMS: core.MSSQL, Tier: evstore.LowTier})
+	creds := ds.Snap.Creds(evstore.Query{DBMS: core.MSSQL, Tier: evstore.LowTier}, 10)
 	t := &report.Table{
 		Title:  "Top-10 MSSQL credentials",
 		Header: []string{"username", "password", "count"},
 	}
-	for i, c := range creds {
-		if i >= 10 {
-			break
-		}
+	for _, c := range creds {
 		pass := c.Pass
 		if pass == "" {
 			pass = `""`

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"decoydb/internal/bus"
+	"decoydb/internal/core"
 	"decoydb/internal/evstore"
 	"decoydb/internal/relay"
 	"decoydb/internal/wal"
@@ -207,10 +208,12 @@ func (s walSource) Collect(e *Emitter) {
 
 // storeStatus is the /statusz snapshot for an event store.
 type storeStatus struct {
-	Events  int64 `json:"events"`
-	Sources int   `json:"sources"`
-	Shards  int   `json:"shards"`
-	Days    int   `json:"days"`
+	Events        int64             `json:"events"`
+	Sources       int               `json:"sources"`
+	Shards        int               `json:"shards"`
+	Days          int               `json:"days"`
+	SnapshotBuild core.DurationHist `json:"snapshot_build"`
+	SnapshotLock  core.DurationHist `json:"snapshot_lock"`
 }
 
 // storeSource adapts *evstore.Store.
@@ -222,11 +225,14 @@ func StoreSource(s *evstore.Store) Source { return storeSource{s} }
 func (s storeSource) Name() string { return "store" }
 
 func (s storeSource) Status() any {
+	snaps := s.s.SnapshotStats()
 	return storeStatus{
-		Events:  s.s.Events(),
-		Sources: s.s.UniqueIPs(evstore.Query{}),
-		Shards:  s.s.Shards(),
-		Days:    s.s.Days(),
+		Events:        s.s.Events(),
+		Sources:       s.s.UniqueIPs(evstore.Query{}),
+		Shards:        s.s.Shards(),
+		Days:          s.s.Days(),
+		SnapshotBuild: snaps.Build,
+		SnapshotLock:  snaps.Lock,
 	}
 }
 
@@ -234,4 +240,7 @@ func (s storeSource) Collect(e *Emitter) {
 	e.Counter("decoydb_store_events_total", "Events ingested into the store.", float64(s.s.Events()))
 	e.Gauge("decoydb_store_sources", "Distinct source addresses recorded.", float64(s.s.UniqueIPs(evstore.Query{})))
 	e.Gauge("decoydb_store_shards", "Store shard count.", float64(s.s.Shards()))
+	snaps := s.s.SnapshotStats()
+	e.Durations("decoydb_store_snapshot_seconds", "Snapshot build time.", snaps.Build)
+	e.Durations("decoydb_store_snapshot_lock_seconds", "Shard-lock hold time per snapshot, summed over shards.", snaps.Lock)
 }

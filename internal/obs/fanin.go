@@ -4,10 +4,13 @@ import (
 	"context"
 	"net/http"
 	"net/netip"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"decoydb/internal/evstore"
 )
 
 // FanIn merges /query across a collector tier. Mounted in place of the
@@ -28,9 +31,10 @@ import (
 //   - Unique/total counts are the per-collector sums minus the overlap
 //     visible in the fetched pages — exact whenever the page covers the
 //     selection, an upper bound otherwise.
-//   - Credentials merge by (dbms, user, pass), re-sort, and truncate;
-//     merging per-collector top-N lists is approximate in the tail, as
-//     with any distributed top-K.
+//   - Credentials merge by (dbms, user, pass), re-sort in
+//     evstore.CompareCreds order (the order each collector answers in),
+//     and truncate; merging per-collector top-N lists is approximate in
+//     the tail, as with any distributed top-K.
 //
 // Peers are asked for limit+offset records from zero so the merged page
 // is correct at any offset. A peer that fails to answer degrades the
@@ -161,8 +165,8 @@ func (f *FanIn) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		byAddr[rec.Addr] = &rec
 		order = append(order, rec.Addr)
 	}
-	credKey := func(c CredRow) [3]string { return [3]string{c.DBMS, c.User, c.Pass} }
-	creds := make(map[[3]string]int64, len(local.Creds))
+	credKey := func(c CredRow) evstore.Cred { return evstore.Cred{DBMS: c.DBMS, User: c.User, Pass: c.Pass} }
+	creds := make(map[evstore.Cred]int64, len(local.Creds))
 	for _, c := range local.Creds {
 		creds[credKey(c)] += c.Count
 	}
@@ -282,23 +286,11 @@ func (f *FanIn) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	merged.Offset = offset
 	merged.Records = records
 
-	credRows := make([]CredRow, 0, len(creds))
-	for k, n := range creds {
-		credRows = append(credRows, CredRow{DBMS: k[0], User: k[1], Pass: k[2], Count: n})
+	ranked := make([]evstore.CredCount, 0, len(creds))
+	for c, n := range creds {
+		ranked = append(ranked, evstore.CredCount{Cred: c, Count: n})
 	}
-	sort.Slice(credRows, func(i, j int) bool {
-		if credRows[i].Count != credRows[j].Count {
-			return credRows[i].Count > credRows[j].Count
-		}
-		a, b := credRows[i], credRows[j]
-		if a.DBMS != b.DBMS {
-			return a.DBMS < b.DBMS
-		}
-		if a.User != b.User {
-			return a.User < b.User
-		}
-		return a.Pass < b.Pass
-	})
+	slices.SortFunc(ranked, evstore.CompareCreds)
 	nCreds := req.Creds
 	if nCreds < 0 {
 		nCreds = 0
@@ -306,8 +298,12 @@ func (f *FanIn) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if nCreds > f.opts.Local.opts.MaxCreds {
 		nCreds = f.opts.Local.opts.MaxCreds
 	}
-	if len(credRows) > nCreds {
-		credRows = credRows[:nCreds]
+	if len(ranked) > nCreds {
+		ranked = ranked[:nCreds]
+	}
+	credRows := make([]CredRow, 0, len(ranked))
+	for _, c := range ranked {
+		credRows = append(credRows, CredRow{DBMS: c.DBMS, User: c.User, Pass: c.Pass, Count: c.Count})
 	}
 	merged.Creds = credRows
 	merged.Tier = tier

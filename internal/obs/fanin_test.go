@@ -3,11 +3,13 @@ package obs
 import (
 	"context"
 	"net/http/httptest"
+	"net/netip"
 	"net/url"
 	"reflect"
 	"testing"
 	"time"
 
+	"decoydb/internal/core"
 	"decoydb/internal/evstore"
 )
 
@@ -162,6 +164,36 @@ func TestFanInMerge(t *testing.T) {
 	st := fi.Status().(map[string]any)
 	if st["queries"].(uint64) == 0 || st["peer_errors"].(uint64) != 0 {
 		t.Fatalf("fanin status: %v", st)
+	}
+}
+
+// TestFanInCredOrderMatchesLocal: the tier ranks credentials exactly as
+// a collector's own /query does, ties on count included, so the two
+// never disagree on which of equal rows comes first.
+func TestFanInCredOrderMatchesLocal(t *testing.T) {
+	store := evstore.NewSharded(traceStart, 20, nil, 2)
+	for i, dbms := range []string{core.Redis, core.MySQL, core.MSSQL} {
+		store.Record(core.Event{
+			Time: traceStart, Src: netip.AddrPortFrom(netip.AddrFrom4([4]byte{203, 0, 113, byte(i + 1)}), 40000),
+			Honeypot: core.Info{DBMS: dbms, Level: core.Low}, Kind: core.EventLogin, User: "sa", Pass: "x",
+		})
+	}
+	local := NewQueryHandler(QueryOptions{Store: store})
+	ts := httptest.NewServer(NewServer(ServerOptions{Registry: NewRegistry(), Query: NewFanIn(FanInOptions{Local: local})}).Handler())
+	defer ts.Close()
+
+	own, err := local.Respond(QueryRequest{Creds: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tier := queryJSON(t, ts, "creds=10")
+	if !reflect.DeepEqual(tier.Creds, own.Creds) {
+		t.Fatalf("tier creds %+v, local %+v", tier.Creds, own.Creds)
+	}
+	for i, dbms := range []string{core.MSSQL, core.MySQL, core.Redis} {
+		if own.Creds[i].DBMS != dbms {
+			t.Fatalf("creds %+v, want %s at %d", own.Creds, dbms, i)
+		}
 	}
 }
 

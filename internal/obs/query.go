@@ -16,10 +16,12 @@ import (
 // The /query endpoint serves evstore.Query against the live capture on
 // the collector: the same selection semantics dbreport uses offline
 // (DBMS, tier, day range), paged and JSON-rendered for remote readers.
-// Queries run against a cached Store.Snapshot() — building a snapshot
-// locks every store shard for a full copy, so the handler amortises one
-// snapshot across all requests inside MaxAge rather than letting an
-// eager scraper stall ingest.
+// Queries run against a cached Store.Snapshot(). A fresh snapshot does
+// not copy the store: it takes record pointers and copies credential
+// tallies under each shard lock, and the credential read picks the top
+// rows without sorting them all. The handler still serves one snapshot
+// to every request inside MaxAge, so paging reads one consistent view
+// and an eager poller does not make every write clone its record.
 //
 // The request/response types double as the wire schema for the
 // collector tier: Client fetches them, FanIn merges them, and dbreport
@@ -335,9 +337,9 @@ func (h *QueryHandler) Respond(req QueryRequest) (QueryResponse, error) {
 		records = append(records, row)
 	}
 
-	credCounts := snap.Creds(q)
-	if len(credCounts) > creds {
-		credCounts = credCounts[:creds]
+	var credCounts []evstore.CredCount
+	if creds > 0 { // Creds reads n <= 0 as "all"
+		credCounts = snap.Creds(q, creds)
 	}
 	credRows := make([]CredRow, 0, len(credCounts))
 	for _, c := range credCounts {

@@ -68,6 +68,8 @@ func get(t *testing.T, srv *httptest.Server, path string) (int, string) {
 // TestServerEndpoints round-trips every admin endpoint over HTTP.
 func TestServerEndpoints(t *testing.T) {
 	store := testStore(t, 6)
+	store.Snapshot()
+	store.Snapshot()
 	reg := NewRegistry()
 	reg.Register(StoreSource(store))
 	tr := NewTraceRing(TraceOptions{})
@@ -93,6 +95,8 @@ func TestServerEndpoints(t *testing.T) {
 		"decoydb_traces_active 1",
 		"decoydb_admin_scrapes_total 1",
 		"# TYPE decoydb_store_events_total counter",
+		"decoydb_store_snapshot_seconds_count 2",
+		"decoydb_store_snapshot_lock_seconds_count 2",
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("/metrics missing %q", want)
@@ -115,6 +119,13 @@ func TestServerEndpoints(t *testing.T) {
 	for _, key := range []string{"store", "traces", "admin", "now"} {
 		if _, ok := status[key]; !ok {
 			t.Errorf("/statusz missing %q: %v", key, keys(status))
+		}
+	}
+	if st, ok := status["store"].(map[string]any); ok {
+		for _, key := range []string{"snapshot_build", "snapshot_lock"} {
+			if h, _ := st[key].(map[string]any); h["Count"] != 2.0 {
+				t.Errorf("/statusz store %s = %v, want 2 observations", key, st[key])
+			}
 		}
 	}
 

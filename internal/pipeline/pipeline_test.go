@@ -82,7 +82,7 @@ func TestRoundTrip(t *testing.T) {
 	if rec.TotalLogins() != 1 {
 		t.Fatalf("logins = %d", rec.TotalLogins())
 	}
-	creds := store.Creds(evstore.Query{DBMS: core.MSSQL})
+	creds := store.Creds(evstore.Query{DBMS: core.MSSQL}, 0)
 	if len(creds) != 1 || creds[0].User != "sa" || creds[0].Pass != "123" {
 		t.Fatalf("creds = %v", creds)
 	}

@@ -266,7 +266,7 @@ func TestRunSmall(t *testing.T) {
 	}
 
 	// Top credential is sa/123 (Table 12).
-	creds := store.Creds(evstore.Query{DBMS: core.MSSQL, Tier: evstore.LowTier})
+	creds := store.Creds(evstore.Query{DBMS: core.MSSQL, Tier: evstore.LowTier}, 0)
 	if len(creds) == 0 || creds[0].User != "sa" || creds[0].Pass != "123" {
 		t.Errorf("top credential = %+v", creds[0])
 	}
