@@ -120,7 +120,6 @@ func (s forwardSource) Collect(e *Emitter) {
 	e.Counter("decoydb_relay_failovers_total", "Cutovers to a different collector.", float64(st.Failovers), l)
 	e.Counter("decoydb_relay_reloads_total", "Live endpoint-set reloads applied via SetEndpoints.", float64(st.Reloads), l)
 	e.Gauge("decoydb_relay_orphan_frames", "Spooled frames pinned to a collector absent from the current endpoint set.", float64(st.OrphanFrames), l)
-	e.Counter("decoydb_relay_orphans_released_total", "Orphaned frames released for retransmission by the orphan-release policy.", float64(st.OrphansReleased), l)
 	e.Durations("decoydb_relay_ack_rtt_seconds", "Frame write-to-ack round trip.", st.AckRTT, l)
 	for _, ep := range st.Endpoints {
 		le := L("collector", ep.Addr)

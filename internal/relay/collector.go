@@ -22,13 +22,9 @@ type CollectorOptions struct {
 	// response (the port is Internet-facing — it should look like
 	// nothing to a scanner).
 	Token string
-	// MaxFrame caps one frame on the wire. 0 means DefaultMaxFrame.
-	MaxFrame int
-	// Limits bound per-frame decode allocations.
+	// Limits bound per-frame decode allocations. Frames on the wire are
+	// capped at DefaultMaxFrame.
 	Limits Limits
-	// HelloTimeout is how long a fresh connection gets to present a
-	// valid HELLO. 0 means DefaultHelloTimeout.
-	HelloTimeout time.Duration
 	// IdleTimeout drops an authenticated connection that sends no frame
 	// for this long — a half-open or dead farm link must not pin its
 	// handler goroutine and conns entry forever. The forwarder dials
@@ -54,8 +50,8 @@ type FarmMark struct {
 	LastSeq uint64
 }
 
-// DefaultHelloTimeout is how long an unauthenticated connection may sit
-// before being cut.
+// DefaultHelloTimeout is how long a fresh connection gets to present a
+// valid HELLO before being cut.
 const DefaultHelloTimeout = 10 * time.Second
 
 // DefaultIdleTimeout is how long an authenticated connection may stay
@@ -63,13 +59,7 @@ const DefaultHelloTimeout = 10 * time.Second
 const DefaultIdleTimeout = 5 * time.Minute
 
 func (o CollectorOptions) withDefaults() CollectorOptions {
-	if o.MaxFrame <= 0 {
-		o.MaxFrame = DefaultMaxFrame
-	}
 	o.Limits = o.Limits.WithDefaults()
-	if o.HelloTimeout <= 0 {
-		o.HelloTimeout = DefaultHelloTimeout
-	}
 	if o.IdleTimeout <= 0 {
 		o.IdleTimeout = DefaultIdleTimeout
 	}
@@ -83,9 +73,8 @@ func (o CollectorOptions) withDefaults() CollectorOptions {
 // for one farm serialise on its mutex, so a farm that reconnects while
 // its old connection drains cannot interleave batches. The dedup key is
 // (epoch, sequence): a forwarder process restart announces a fresh
-// epoch in HELLO, which resets the high-water mark — without it the new
-// process's sequences (restarting at 1) would all be classified as
-// duplicates of the old session's and silently dropped.
+// epoch in HELLO (see hello), and admit classifies each batch against
+// the mark.
 type farmState struct {
 	mu        sync.Mutex
 	epoch     uint64 // session epoch the dedup state belongs to
@@ -95,6 +84,44 @@ type farmState struct {
 	events    uint64
 	dupFrames uint64
 	dupEvents uint64
+}
+
+// admission is admit's verdict on one batch.
+type admission int
+
+const (
+	admitFresh      admission = iota // ingest it, then advance last
+	admitDuplicate                   // already ingested: ack, never re-ingest
+	admitSuperseded                  // a newer session owns the farm: drop the connection
+)
+
+// hello adopts the session epoch a connection announced. A new
+// in-memory session restarts its sequence numbering, so the mark
+// restarts too, or every new batch would read as a duplicate. A durable
+// (WAL-backed) sequence space survives the restart, so the mark is
+// kept: batches replayed from disk whose ack was lost read as
+// duplicates.
+func (fs *farmState) hello(epoch uint64, durable bool) {
+	if fs.epoch != epoch {
+		fs.epoch = epoch
+		if !durable {
+			fs.last = 0
+		}
+	}
+	fs.durable = fs.durable || durable
+}
+
+// admit classifies batch seq arriving on a connection of session epoch.
+// It leaves the mark alone: the caller advances last only once the
+// batch is ingested.
+func (fs *farmState) admit(epoch, seq uint64) admission {
+	switch {
+	case fs.epoch != epoch:
+		return admitSuperseded
+	case seq <= fs.last:
+		return admitDuplicate
+	}
+	return admitFresh
 }
 
 // collSink pairs one local sink with its batch and provenance
@@ -288,8 +315,8 @@ func (c *Collector) handle(conn net.Conn) {
 
 	// Authentication: one frame, bounded wait, constant-time compare,
 	// silent close on failure.
-	_ = conn.SetReadDeadline(time.Now().Add(c.opts.HelloTimeout))
-	body, err := wire.ReadFrame(conn, c.opts.MaxFrame)
+	_ = conn.SetReadDeadline(time.Now().Add(DefaultHelloTimeout))
+	body, err := wire.ReadFrame(conn, maxHelloFrame)
 	if err != nil {
 		c.authFails.Add(1)
 		return
@@ -303,19 +330,7 @@ func (c *Collector) handle(conn net.Conn) {
 	c.auths.Add(1)
 	fs := c.farm(farm)
 	fs.mu.Lock()
-	if fs.epoch != epoch {
-		// A fresh forwarder session. For an in-memory spool its sequence
-		// numbering restarts, so the dedup high-water mark must too.
-		// A durable (WAL-backed) forwarder's sequence space survives the
-		// restart: keep the mark, so batches that were ingested but whose
-		// ack never reached the old process are recognised as duplicates
-		// when the new process replays them from disk.
-		fs.epoch = epoch
-		if !durable {
-			fs.last = 0
-		}
-	}
-	fs.durable = fs.durable || durable
+	fs.hello(epoch, durable)
 	fs.mu.Unlock()
 
 	for {
@@ -323,7 +338,7 @@ func (c *Collector) handle(conn net.Conn) {
 		// link would otherwise pin this handler (and its conns entry)
 		// until Close.
 		_ = conn.SetReadDeadline(time.Now().Add(c.opts.IdleTimeout))
-		body, err := wire.ReadFrame(conn, c.opts.MaxFrame)
+		body, err := wire.ReadFrame(conn, DefaultMaxFrame)
 		if err != nil {
 			return // EOF / reset / idle: the forwarder reconnects and retransmits
 		}
@@ -339,20 +354,20 @@ func (c *Collector) handle(conn net.Conn) {
 		c.rawBytes.Add(uint64(rawLen))
 
 		fs.mu.Lock()
-		if fs.epoch != epoch {
+		switch fs.admit(epoch, seq) {
+		case admitSuperseded:
 			// A newer session of this farm has announced itself while
 			// this connection was still draining; its sequence space
 			// superseded ours, so nothing here can be deduped safely.
 			fs.mu.Unlock()
 			c.logf("relay: %s (%s): superseded by a newer session, dropping", conn.RemoteAddr(), farm)
 			return
-		}
-		if seq <= fs.last {
+		case admitDuplicate:
 			fs.dupFrames++
 			fs.dupEvents += uint64(len(events))
 			c.dupFrames.Add(1)
 			c.dupEvents.Add(uint64(len(events)))
-		} else {
+		case admitFresh:
 			if !c.ingest(events, EncodeSourceTag(farm, epoch, seq)) {
 				// Every sink refused the batch: acking now would tell the
 				// forwarder the events are safe when they are gone. Leave

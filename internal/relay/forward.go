@@ -6,7 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
-	"net/netip"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -22,8 +22,7 @@ type ForwardOptions struct {
 	// rendezvous hash of the farm name (RankEndpoints) and forwards to
 	// the first-ranked collector, failing over down the list when the
 	// connection dies and failing back when a higher-ranked collector
-	// returns. A single-element slice behaves exactly like the old
-	// single-collector forwarder.
+	// returns.
 	Addrs []string
 	// Token is the shared secret presented in the HELLO frame.
 	Token string
@@ -44,64 +43,30 @@ type ForwardOptions struct {
 	// idle). 0 means DefaultFrameEvents; values above DefaultMaxBatchEvents
 	// are clamped — a default-configured collector rejects larger frames.
 	FrameEvents int
-	// MaxFrame and MaxRaw are the wire limits frames are validated
-	// against at encode time; they must be no larger than the
-	// collector's MaxFrame / Limits.MaxRaw or the collector will reject
-	// the frames. A batch that encodes past either bound is split in
-	// half until it fits; a single event that cannot fit alone is shed
-	// with attribution. Zero values mean the package defaults.
-	MaxFrame int
-	MaxRaw   int
-	// MaxFrameRetries drops a spooled frame after it has been written on
-	// this many connections without ever being acked — the signature of
-	// a frame the collector rejects at decode (limits skew between the
-	// two ends). The drop is counted in Stats (DroppedFrames, and the
-	// events as Shed) and surfaces via Err. 0 means
-	// DefaultMaxFrameRetries.
-	MaxFrameRetries int
+	// MaxRaw caps a frame's uncompressed payload, and must not exceed
+	// the collector's Limits.MaxRaw; frames are also held to
+	// DefaultMaxFrame (see ledger.cut). 0 means DefaultMaxRaw.
+	MaxRaw int
 	// SpoolBytes caps the memory held by encoded frames buffered while
 	// unacked: their wire bytes plus spoolFrameOverhead per frame, so
 	// the one bound holds even when frames carry a single event. 0 means
 	// DefaultSpoolBytes.
 	SpoolBytes int64
 
-	// SpoolWAL, when non-nil, backs the retransmission spool with a
-	// durable log (in practice a *wal.Log, which satisfies SpoolLog):
-	// every cut frame is journaled before it is spooled, frame ownership
-	// is journaled when a frame is first written to an endpoint,
-	// collector acks are persisted as marks (and compact the log), and a
-	// restarted forwarder reloads every unacked frame — with its pinned
-	// endpoint address — from disk and resumes retransmission under a
-	// fresh epoch, so a farm crash costs nothing that was already framed
-	// and never replays a frame to a collector other than its owner.
-	// Frame sequence numbers are the WAL's sequence numbers, which
-	// survive restarts; the HELLO advertises this (durable flag) so the
-	// collector dedups on sequence across epochs. The log must be
-	// exclusively owned by this sink while it is open (its sequence
-	// space is the frame sequence space); the caller retains ownership
-	// for Close. Assign only a non-nil concrete value: a nil *wal.Log
-	// stored in the interface reads as a present (and broken) log.
+	// SpoolWAL, when non-nil, journals the spool (in practice a
+	// *wal.Log): frames, their owners and the ack mark, so a restarted
+	// forwarder reloads every unacked frame with its owner and never
+	// replays a frame to a collector other than its owner (see
+	// ledger). Frame sequence numbers are the WAL's, which survive
+	// restarts; the HELLO's durable flag tells the collector to dedup
+	// across epochs. The sink must own the log exclusively while open;
+	// the caller closes it. Assign only a non-nil concrete value: a nil
+	// *wal.Log in the interface reads as a present, broken log.
 	SpoolWAL SpoolLog
 
-	// OrphanRelease, when positive, is how long a spooled frame may stay
-	// pinned to an endpoint that is absent from the current endpoint set
-	// before the pin is released and the frame becomes eligible for any
-	// collector. Zero (the default) never releases: an orphaned frame
-	// waits for its owner to reappear (SetEndpoints, or a restart with
-	// the owner back in Addrs). Releasing trades the exactly-once
-	// guarantee for drain progress — the departed collector may already
-	// hold the events — so it is opt-in, for tiers where removed
-	// collectors are gone for good and their stores are discarded.
-	OrphanRelease time.Duration
-
-	// CompressionLevel is the compress/flate level for batch payloads.
-	// 0 means flate.BestSpeed.
-	CompressionLevel int
-
-	// DialTimeout, WriteTimeout and FlushTimeout bound connection
-	// attempts, single frame writes, and Flush respectively. Zero values
-	// take the package defaults.
-	DialTimeout  time.Duration
+	// WriteTimeout and FlushTimeout bound single frame writes and Flush
+	// (connection attempts take DefaultDialTimeout). Zero values take the
+	// package defaults.
 	WriteTimeout time.Duration
 	FlushTimeout time.Duration
 	// MinBackoff/MaxBackoff bound the jittered exponential reconnect
@@ -126,7 +91,8 @@ type ForwardOptions struct {
 	Logf func(format string, args ...any)
 }
 
-// Defaults for ForwardOptions.
+// Defaults for ForwardOptions, and the dial timeout and retry cap
+// (see ledger.next) every forwarder uses.
 const (
 	DefaultFrameEvents      = 512
 	DefaultSpoolBytes       = 64 << 20
@@ -160,20 +126,11 @@ func (o ForwardOptions) withDefaults() ForwardOptions {
 	if o.FrameEvents > DefaultMaxBatchEvents {
 		o.FrameEvents = DefaultMaxBatchEvents
 	}
-	if o.MaxFrame <= 0 {
-		o.MaxFrame = DefaultMaxFrame
-	}
 	if o.MaxRaw <= 0 {
 		o.MaxRaw = DefaultMaxRaw
 	}
-	if o.MaxFrameRetries <= 0 {
-		o.MaxFrameRetries = DefaultMaxFrameRetries
-	}
 	if o.SpoolBytes <= 0 {
 		o.SpoolBytes = DefaultSpoolBytes
-	}
-	if o.DialTimeout <= 0 {
-		o.DialTimeout = DefaultDialTimeout
 	}
 	if o.WriteTimeout <= 0 {
 		o.WriteTimeout = DefaultWriteTimeout
@@ -185,10 +142,7 @@ func (o ForwardOptions) withDefaults() ForwardOptions {
 		o.MinBackoff = DefaultMinBackoff
 	}
 	if o.MaxBackoff < o.MinBackoff {
-		o.MaxBackoff = DefaultMaxBackoff
-	}
-	if o.MaxBackoff < o.MinBackoff {
-		o.MaxBackoff = o.MinBackoff
+		o.MaxBackoff = max(DefaultMaxBackoff, o.MinBackoff)
 	}
 	if o.FailbackInterval <= 0 {
 		o.FailbackInterval = DefaultFailbackInterval
@@ -221,36 +175,6 @@ type SpoolLog interface {
 
 var _ SpoolLog = (*wal.Log)(nil)
 
-// spoolFrame is one encoded, unacked batch. attempts counts the
-// connections the frame has been written on as the first frame of the
-// connection without being acked — a frame the collector rejects at
-// decode always leads the retransmission, whereas frames merely queued
-// behind it must not accrue blame. Past Options.MaxFrameRetries such a
-// frame is presumed collector-rejected and dropped.
-//
-// owner pins the frame to the address of the endpoint it was first
-// written to (empty until then). Retransmits only ever go to the owner:
-// after a failover the new collector never sees frames the old one may
-// have ingested without the ack reaching us, so an event is ingested by
-// exactly one collector and the tier-wide merge stays exactly-once.
-// Pinned frames drain when their collector returns (the failback probe
-// seeks the oldest pinned frame's owner); the owner's own
-// journal-restored dedup absorbs the re-send of anything it had already
-// ingested. Ownership is keyed by address, not endpoint index, so it
-// survives both a SetEndpoints re-rank and — journaled in the spool WAL
-// — a farm restart. A frame whose owner is absent from the current
-// endpoint set is an orphan: it is never retransmitted elsewhere unless
-// Options.OrphanRelease fires.
-type spoolFrame struct {
-	seq      uint64
-	events   int
-	body     []byte
-	attempts int
-	owner    string    // endpoint address the frame is pinned to; "" = unowned
-	pinnedAt time.Time // when owner was set; orphan-release clock
-	sentAt   time.Time // last successful write; zero until first send
-}
-
 // endpoint is the per-collector dial state and accounting, in
 // rendezvous rank order for this farm.
 type endpoint struct {
@@ -267,13 +191,14 @@ type endpoint struct {
 // ForwardSink streams events to a tier of relay collectors. It
 // implements core.Sink, core.BatchSink and core.Flusher, so it registers
 // on the event bus like any local sink; batches arrive on bus worker
-// goroutines, are encoded into frames and spooled, and a background pump
-// goroutine owns the TCP connection: rank the endpoints by rendezvous
-// hash, dial the best one due, HELLO, write frames with a deadline, read
-// cumulative ACKs, and on failure fail over to the next-ranked collector
-// while the dead one backs off — retransmitting everything unacked,
-// except that frames already written to one collector stay pinned to it
-// (see spoolFrame.owner).
+// goroutines and go into the sink's ledger, which frames, spools and
+// journals them. A background pump goroutine owns the TCP connection:
+// rank the endpoints by rendezvous hash, dial the best one due, HELLO,
+// write the frames the ledger hands out with a deadline, read cumulative
+// ACKs into the ledger, and on failure fail over to the next-ranked
+// collector while the dead one backs off — retransmitting everything
+// unacked, except that frames already handed to one collector stay
+// pinned to it (see spoolFrame.owner).
 //
 // When the spool hits its byte bound (collector down, or slower than
 // the farm), new events are shed with per-source accounting — the
@@ -284,16 +209,10 @@ type ForwardSink struct {
 	opts ForwardOptions
 	eps  []*endpoint // rendezvous rank order for opts.Farm
 
-	mu   sync.Mutex
-	cond sync.Cond // new data, acks, disconnects, stop
-
-	pending []core.Event  // not yet framed
-	spool   []*spoolFrame // framed, FIFO by seq
-	scanIdx int           // next spool index the current connection considers
-	spoolEv int
-	spoolB  int64
-	nextSeq uint64
-	epoch   uint64 // per-process session nonce, sent in HELLO
+	mu    sync.Mutex
+	cond  sync.Cond // new data, acks, disconnects, stop
+	led   *ledger   // frame state; guarded by mu
+	epoch uint64    // per-process session nonce, sent in HELLO
 
 	conn       net.Conn
 	connected  bool
@@ -306,34 +225,17 @@ type ForwardSink struct {
 	stopCh     chan struct{}
 	wg         sync.WaitGroup
 
-	firstErr error
-
-	// Counters (guarded by mu).
-	enqueued    uint64
-	frames      uint64
-	framesSent  uint64
-	framesAcked uint64
-	eventsAcked uint64
-	wireBytes   uint64
-	rawBytes    uint64
-	dials       uint64
-	dialErrors  uint64
-	reconnects  uint64
-	failovers   uint64
-	writeErrors uint64
-	shed        uint64
-	shedUnattr  uint64
-	shedSrc     *core.LRU[netip.Addr, uint64]
-	droppedFr   uint64            // frames dropped at the retry cap
-	lastCompact uint64            // highest seq successfully compacted
-	reloads     uint64            // SetEndpoints calls that changed the set
-	orphansRel  uint64            // orphaned pins released (OrphanRelease)
-	ackRTT      core.DurationHist // write-to-ack round trips
+	// Transport counters (guarded by mu).
+	dials      uint64
+	dialErrors uint64
+	reconnects uint64
+	failovers  uint64
+	reloads    uint64 // SetEndpoints calls that changed the set
 }
 
-// NewForwardSink validates opts and starts the connection pump. The
-// sink dials lazily: no connection is attempted until there is an event
-// to ship.
+// NewForwardSink validates opts, reloads the spool WAL if one is set,
+// and starts the connection pump. The sink dials lazily: no connection
+// is attempted until there is an event to ship.
 func NewForwardSink(opts ForwardOptions) (*ForwardSink, error) {
 	addrs := cleanAddrs(opts.Addrs)
 	if len(addrs) == 0 {
@@ -349,62 +251,24 @@ func NewForwardSink(opts ForwardOptions) (*ForwardSink, error) {
 		return nil, fmt.Errorf("relay: forward: farm name is %d bytes, limit %d", len(opts.Farm), MaxName)
 	}
 	f := &ForwardSink{
-		opts:    opts.withDefaults(),
-		stopCh:  make(chan struct{}),
-		shedSrc: core.NewLRU[netip.Addr, uint64](DefaultMaxShedSources),
-		epoch:   newEpoch(),
+		opts:   opts.withDefaults(),
+		stopCh: make(chan struct{}),
+		epoch:  newEpoch(),
 	}
 	for _, a := range RankEndpoints(f.opts.Farm, addrs) {
 		f.eps = append(f.eps, &endpoint{addr: a, backoff: f.opts.MinBackoff})
 	}
 	f.cond.L = &f.mu
-	if err := f.loadSpoolWAL(); err != nil {
+	f.led = newLedger(f.opts, f.logf)
+	if err := f.led.reload(); err != nil {
 		return nil, err
+	}
+	if n := f.orphansLocked(f.led.pins()); n > 0 {
+		f.logf("relay: %d reloaded frames are orphaned: their owners are not in %v", n, addrs)
 	}
 	f.wg.Add(1)
 	go f.pump()
-	if f.opts.OrphanRelease > 0 {
-		f.wg.Add(1)
-		go f.orphanLoop()
-	}
 	return f, nil
-}
-
-// orphanLoop periodically applies the opt-in orphan-release policy so
-// an expired orphan is freed even when no traffic makes the write loop
-// rescan the spool — without it, a connected-but-idle sink would hold
-// a releasable frame until the next reconnect. Runs only when
-// Options.OrphanRelease is set.
-func (f *ForwardSink) orphanLoop() {
-	defer f.wg.Done()
-	period := f.opts.OrphanRelease / 2
-	if period < 10*time.Millisecond {
-		period = 10 * time.Millisecond
-	}
-	if period > time.Second {
-		period = time.Second
-	}
-	t := time.NewTicker(period)
-	defer t.Stop()
-	for {
-		select {
-		case <-f.stopCh:
-			return
-		case <-t.C:
-		}
-		f.mu.Lock()
-		released := false
-		for _, fr := range f.spool {
-			if fr.owner != "" && f.releaseOrphanLocked(fr) {
-				released = true
-			}
-		}
-		if released {
-			f.scanIdx = 0 // the serving connection rescans the freed frames
-			f.cond.Broadcast()
-		}
-		f.mu.Unlock()
-	}
 }
 
 // cleanAddrs trims, drops empties and dedupes an address list, keeping
@@ -414,77 +278,11 @@ func (f *ForwardSink) orphanLoop() {
 func cleanAddrs(in []string) []string {
 	var out []string
 	for _, a := range in {
-		a = strings.TrimSpace(a)
-		if a == "" {
-			continue
-		}
-		dup := false
-		for _, seen := range out {
-			if seen == a {
-				dup = true
-				break
-			}
-		}
-		if !dup {
+		if a = strings.TrimSpace(a); a != "" && !slices.Contains(out, a) {
 			out = append(out, a)
 		}
 	}
 	return out
-}
-
-// loadSpoolWAL adopts the durable spool: the forwarder's sequence space
-// continues the log's, and every journaled-but-unacked frame (sequence
-// past the persisted ack mark) is re-encoded into the spool so the next
-// connection retransmits it. Journaled ownership is restored by
-// endpoint address — a frame pinned to collector A before the crash is
-// retransmitted only to A, even if A is currently absent from Addrs
-// (the frame waits as an orphan; see spoolFrame.owner) — which is what
-// keeps the tier-wide merge exactly-once across a farm restart. Runs
-// before the pump starts, so no lock is needed.
-func (f *ForwardSink) loadSpoolWAL() error {
-	w := f.opts.SpoolWAL
-	if w == nil {
-		return nil
-	}
-	f.nextSeq = w.LastSeq()
-	f.lastCompact = w.Mark()
-	owners := w.Owners()
-	now := time.Now()
-	owned := 0
-	err := w.Replay(w.Mark()+1, func(seq uint64, _ []byte, events []core.Event) error {
-		body, rawLen, err := EncodeBatch(seq, events, f.opts.CompressionLevel)
-		if err != nil {
-			return fmt.Errorf("relay: re-encode spooled frame seq %d: %w", seq, err)
-		}
-		fr := &spoolFrame{seq: seq, events: len(events), body: body}
-		if addr := owners[seq]; addr != "" {
-			fr.owner = addr
-			fr.pinnedAt = now
-			owned++
-		}
-		f.spool = append(f.spool, fr)
-		f.spoolEv += fr.events
-		f.spoolB += int64(len(body)) + 4
-		f.enqueued += uint64(fr.events)
-		f.frames++
-		f.wireBytes += uint64(len(body)) + 4
-		f.rawBytes += uint64(rawLen)
-		return nil
-	})
-	if err != nil {
-		return fmt.Errorf("relay: reload spool: %w", err)
-	}
-	if n := len(f.spool); n > 0 {
-		orphans := 0
-		for _, fr := range f.spool {
-			if fr.owner != "" && f.endpointByAddrLocked(fr.owner) == nil {
-				orphans++
-			}
-		}
-		f.logf("relay: reloaded %d unacked frames (%d events, seq %d..%d, %d pinned, %d orphaned) from spool WAL",
-			n, f.spoolEv, f.spool[0].seq, f.spool[n-1].seq, owned, orphans)
-	}
-	return nil
 }
 
 // newEpoch draws the per-process session nonce the collector uses to
@@ -504,10 +302,6 @@ func newEpoch() uint64 {
 	return e
 }
 
-// durable reports whether the spool is WAL-backed — advertised in the
-// HELLO so the collector dedups on sequence across session epochs.
-func (f *ForwardSink) durable() bool { return f.opts.SpoolWAL != nil }
-
 // Record implements core.Sink.
 func (f *ForwardSink) Record(e core.Event) {
 	_ = f.RecordBatch([]core.Event{e})
@@ -520,139 +314,19 @@ func (f *ForwardSink) RecordBatch(events []core.Event) error {
 	f.mu.Lock()
 	for _, e := range events {
 		if f.opts.Block {
-			for f.overLimitLocked() && !f.stopped {
+			for f.led.full() && !f.stopped {
 				f.cond.Wait()
 			}
 		}
-		if f.stopped || f.overLimitLocked() {
-			f.shedLocked(e)
+		if f.stopped || f.led.full() {
+			f.led.shedEvent(e)
 			continue
 		}
-		f.pending = append(f.pending, e)
-		f.enqueued++
-		if len(f.pending) >= f.opts.FrameEvents {
-			f.cutFrameLocked()
-		}
+		f.led.add(e)
 	}
 	f.cond.Broadcast()
 	f.mu.Unlock()
 	return nil
-}
-
-func (f *ForwardSink) overLimitLocked() bool {
-	return f.spoolB+int64(len(f.spool))*spoolFrameOverhead >= f.opts.SpoolBytes
-}
-
-// shedLocked counts one shed event against its source. When the
-// attribution table is full, the least recently shedding source is
-// evicted and its count moves to the unattributed bucket, so shed
-// totals stay exact.
-func (f *ForwardSink) shedLocked(e core.Event) {
-	f.shed++
-	a := e.Src.Addr()
-	n := f.shedSrc.Get(a)
-	if n == nil {
-		var evicted *uint64
-		n, evicted = f.shedSrc.Add(a, 0)
-		if evicted != nil {
-			f.shedUnattr += *evicted
-		}
-	}
-	*n++
-}
-
-// cutFrameLocked encodes pending events into spool frames, validating
-// every cut frame against the wire limits the collector will enforce at
-// decode (Options.MaxFrame/MaxRaw). A batch that encodes past either
-// bound is split in half until it fits — spooling it would poison the
-// spool head: the collector rejects the frame and drops the connection,
-// and the retransmit loop would replay it forever. A single event that
-// cannot fit alone is shed with attribution instead.
-func (f *ForwardSink) cutFrameLocked() {
-	for len(f.pending) > 0 {
-		n := len(f.pending)
-		var body []byte
-		var rawLen int
-		for body == nil {
-			b, rl, err := EncodeBatch(f.nextSeq+1, f.pending[:n], f.opts.CompressionLevel)
-			switch {
-			case err != nil:
-				// Encoding into memory cannot fail outside of a
-				// programming error; record it and shed the batch
-				// rather than wedging.
-				f.noteErrLocked(err)
-				f.shedPendingLocked(n)
-			case len(b)+4 <= f.opts.MaxFrame && rl <= f.opts.MaxRaw:
-				body, rawLen = b, rl
-			case n > 1:
-				n /= 2
-				continue
-			default:
-				f.noteErrLocked(fmt.Errorf("relay: event exceeds frame limits (%d raw bytes, limit %d)", rl, f.opts.MaxRaw))
-				f.shedPendingLocked(1)
-			}
-			break
-		}
-		if body == nil {
-			continue
-		}
-		if w := f.opts.SpoolWAL; w != nil {
-			// Journal before spooling: a frame the WAL did not accept must
-			// not enter the sequence space (its seq would be reused after a
-			// restart and the collector would dedup-drop a different
-			// batch). A failing disk degrades to accounted shedding, the
-			// same contract as a full spool.
-			seq, err := w.Append(f.pending[:n], nil)
-			if err != nil {
-				f.noteErrLocked(err)
-				f.logf("relay: spool WAL append: %v (shedding %d events)", err, n)
-				f.shedPendingLocked(n)
-				continue
-			}
-			if seq != f.nextSeq+1 {
-				// Foreign writer on the log (ownership contract broken).
-				// Resync to the WAL's sequence space — it is authoritative —
-				// and re-encode under the right sequence number.
-				f.noteErrLocked(fmt.Errorf("relay: spool WAL sequence skew: got %d, want %d", seq, f.nextSeq+1))
-				f.nextSeq = seq - 1
-				if body, rawLen, err = EncodeBatch(seq, f.pending[:n], f.opts.CompressionLevel); err != nil {
-					f.noteErrLocked(err)
-					f.shedPendingLocked(n)
-					continue
-				}
-			}
-		}
-		f.nextSeq++
-		fr := &spoolFrame{seq: f.nextSeq, events: n, body: body}
-		f.spool = append(f.spool, fr)
-		f.spoolEv += fr.events
-		f.spoolB += int64(len(body)) + 4
-		f.frames++
-		f.wireBytes += uint64(len(body)) + 4
-		f.rawBytes += uint64(rawLen)
-		f.consumePendingLocked(n)
-	}
-}
-
-// shedPendingLocked sheds the first n pending events with attribution,
-// unwinding their enqueued count.
-func (f *ForwardSink) shedPendingLocked(n int) {
-	for _, e := range f.pending[:n] {
-		f.enqueued--
-		f.shedLocked(e)
-	}
-	f.consumePendingLocked(n)
-}
-
-// consumePendingLocked removes the first n pending events.
-func (f *ForwardSink) consumePendingLocked(n int) {
-	f.pending = f.pending[:copy(f.pending, f.pending[n:])]
-}
-
-func (f *ForwardSink) noteErrLocked(err error) {
-	if f.firstErr == nil {
-		f.firstErr = err
-	}
 }
 
 func (f *ForwardSink) logf(format string, args ...any) {
@@ -673,6 +347,18 @@ func (f *ForwardSink) endpointByAddrLocked(addr string) *endpoint {
 	return nil
 }
 
+// orphansLocked counts the frames in a per-owner pin count whose owner
+// is absent from the current endpoint set: they wait for it to return.
+func (f *ForwardSink) orphansLocked(pins map[string]int) int {
+	n := 0
+	for addr, frames := range pins {
+		if f.endpointByAddrLocked(addr) == nil {
+			n += frames
+		}
+	}
+	return n
+}
+
 // preferredLocked is the endpoint the sink would rather be connected
 // to: the owner of the oldest pinned frame whose owner is present (FIFO
 // progress on spooled data — those frames can drain nowhere else),
@@ -680,13 +366,9 @@ func (f *ForwardSink) endpointByAddrLocked(addr string) *endpoint {
 // absent from the current set — cannot steer the dial: there is nothing
 // to dial.
 func (f *ForwardSink) preferredLocked() *endpoint {
-	for _, fr := range f.spool {
-		if fr.owner == "" {
-			continue
-		}
-		if ep := f.endpointByAddrLocked(fr.owner); ep != nil {
-			return ep
-		}
+	owner := f.led.oldestOwner(func(addr string) bool { return f.endpointByAddrLocked(addr) != nil })
+	if ep := f.endpointByAddrLocked(owner); ep != nil {
+		return ep
 	}
 	return f.eps[0]
 }
@@ -696,23 +378,16 @@ func (f *ForwardSink) preferredLocked() *endpoint {
 // due — or nil and the wait until the earliest endpoint comes due.
 func (f *ForwardSink) pickEndpointLocked(now time.Time) (*endpoint, time.Duration) {
 	pref := f.preferredLocked()
-	order := make([]*endpoint, 0, len(f.eps))
-	order = append(order, pref)
-	for _, ep := range f.eps {
-		if ep != pref {
-			order = append(order, ep)
-		}
-	}
-	var earliest time.Time
-	for _, ep := range order {
+	soonest := pref
+	for _, ep := range append([]*endpoint{pref}, f.eps...) {
 		if !ep.due.After(now) {
 			return ep, 0
 		}
-		if earliest.IsZero() || ep.due.Before(earliest) {
-			earliest = ep.due
+		if ep.due.Before(soonest.due) {
+			soonest = ep
 		}
 	}
-	return nil, earliest.Sub(now)
+	return nil, soonest.due.Sub(now)
 }
 
 // backoffLocked schedules the endpoint's next allowed dial and, when
@@ -748,7 +423,7 @@ func (f *ForwardSink) pump() {
 	defer f.wg.Done()
 	for {
 		f.mu.Lock()
-		for !f.stopped && f.handoff == nil && len(f.spool) == 0 && len(f.pending) == 0 {
+		for !f.stopped && f.handoff == nil && f.led.idle() {
 			f.cond.Wait()
 		}
 		if f.stopped {
@@ -767,7 +442,9 @@ func (f *ForwardSink) pump() {
 		ep, wait := f.pickEndpointLocked(time.Now())
 		f.mu.Unlock()
 		if ep == nil {
-			if !f.sleepUntil(wait) {
+			select {
+			case <-time.After(max(wait, time.Millisecond)):
+			case <-f.stopCh:
 				return
 			}
 			continue
@@ -798,12 +475,12 @@ func (f *ForwardSink) noteDialError(ep *endpoint, err error) {
 // exchange.
 func (f *ForwardSink) dialEndpoint(ep *endpoint) (net.Conn, error) {
 	addr := ep.addr
-	conn, err := net.DialTimeout("tcp", addr, f.opts.DialTimeout)
+	conn, err := net.DialTimeout("tcp", addr, DefaultDialTimeout)
 	if err != nil {
 		return nil, fmt.Errorf("relay: dial %s: %w", addr, err)
 	}
 	_ = conn.SetWriteDeadline(time.Now().Add(f.opts.WriteTimeout))
-	if err := wire.WriteFrame(conn, encodeHello(f.opts.Token, f.opts.Farm, f.epoch, f.durable())); err != nil {
+	if err := wire.WriteFrame(conn, encodeHello(f.opts.Token, f.opts.Farm, f.epoch, f.opts.SpoolWAL != nil)); err != nil {
 		conn.Close()
 		return nil, fmt.Errorf("relay: hello to %s: %w", addr, err)
 	}
@@ -818,21 +495,8 @@ func (f *ForwardSink) dialEndpoint(ep *endpoint) (net.Conn, error) {
 	return conn, nil
 }
 
-// sleepUntil sleeps d (at least a millisecond) or until Close.
-func (f *ForwardSink) sleepUntil(d time.Duration) bool {
-	if d < time.Millisecond {
-		d = time.Millisecond
-	}
-	select {
-	case <-time.After(d):
-		return true
-	case <-f.stopCh:
-		return false
-	}
-}
-
-// serveConn runs one connection: an ack-reader goroutine prunes the
-// spool while the write loop streams frames, and (with multiple
+// serveConn runs one connection: an ack-reader goroutine feeds acks to
+// the ledger while the write loop streams frames, and (with multiple
 // endpoints) a failback prober looks for a better collector. Any side
 // failing closes the connection and returns control to the pump, which
 // retransmits every still-spooled frame owned here or unowned on the
@@ -843,7 +507,7 @@ func (f *ForwardSink) serveConn(conn net.Conn, ep *endpoint) {
 	f.connected = true
 	f.connAcked = false
 	f.cur = ep
-	f.scanIdx = 0 // retransmit everything unacked that this endpoint may send
+	f.led.rewind() // retransmit everything unacked that this endpoint may send
 	if f.lastServed != nil && f.lastServed.addr != ep.addr {
 		f.failovers++
 		f.logf("relay: now forwarding to %s (was %s)", ep.addr, f.lastServed.addr)
@@ -870,7 +534,6 @@ func (f *ForwardSink) serveConn(conn net.Conn, ep *endpoint) {
 	f.conn = nil
 	f.connected = false
 	f.cur = nil
-	f.scanIdx = 0
 	// Throttle the immediate redial: an acked (healthy) connection comes
 	// back after ~MinBackoff, an ackless one keeps doubling — and either
 	// way the pump is free to fail over to the next-ranked collector
@@ -925,154 +588,47 @@ func (f *ForwardSink) failbackLoop(conn net.Conn, ep *endpoint, stop <-chan stru
 	}
 }
 
-// writeLoop streams spooled frames in sequence order — skipping frames
-// pinned to other endpoints — and cuts pending events into a fresh
-// frame whenever it catches up, so under light load every batch ships
-// as soon as the previous write returns, without a flush timer. The
-// first write of a frame pins it to this endpoint's address, and on a
-// durable spool the pin is journaled before any byte can reach the
-// collector — so no collector can ever hold a frame the journal does
-// not pin to it.
+// writeLoop asks the ledger for the next frame this endpoint may
+// write, writes it, and records the write; when the ledger is caught up
+// it waits for new events, acks or a disconnect.
 func (f *ForwardSink) writeLoop(conn net.Conn, ep *endpoint) {
-	first := true
 	for {
 		f.mu.Lock()
 		var fr *spoolFrame
-		for fr == nil {
-			for f.scanIdx < len(f.spool) {
-				cand := f.spool[f.scanIdx]
-				if cand.owner != "" && cand.owner != ep.addr {
-					if !f.releaseOrphanLocked(cand) {
-						f.scanIdx++ // pinned elsewhere; its owner will drain it
-						continue
-					}
-				}
-				fr = cand
+		for !f.stopped && f.connected {
+			if fr = f.led.next(ep.addr); fr != nil {
 				break
 			}
-			if fr != nil {
-				break
-			}
-			if len(f.pending) > 0 {
-				f.cutFrameLocked() // may shed on encode failure; rescan
-				continue
-			}
-			if f.stopped || !f.connected {
-				f.mu.Unlock()
-				return
-			}
+			// next may have dropped frames at the retry cap, freeing
+			// spool space a blocked RecordBatch waits for.
+			f.cond.Broadcast()
 			f.cond.Wait()
 		}
-		if f.stopped || !f.connected {
-			f.mu.Unlock()
+		f.mu.Unlock()
+		if fr == nil {
 			return
 		}
-		if fr.attempts >= f.opts.MaxFrameRetries {
-			// Led the retransmission on MaxFrameRetries connections
-			// without ever being acked: the collector is rejecting this
-			// frame at decode (limits skew or corruption in transit that
-			// survives TCP). Drop it so the spool drains instead of
-			// replaying the same frame forever; the loss is counted,
-			// never silent.
-			f.removeFrameLocked(f.scanIdx)
-			f.enqueued -= uint64(fr.events)
-			f.shed += uint64(fr.events)
-			f.shedUnattr += uint64(fr.events)
-			f.droppedFr++
-			f.noteErrLocked(fmt.Errorf("relay: frame seq %d (%d events) dropped after %d unacked transmissions", fr.seq, fr.events, fr.attempts))
-			f.cond.Broadcast()
-			f.mu.Unlock()
-			f.logf("relay: dropping frame seq=%d (%d events) after %d unacked transmissions", fr.seq, fr.events, fr.attempts)
-			continue
-		}
-		if first {
-			fr.attempts++
-			first = false
-		}
-		if fr.owner == "" {
-			fr.owner = ep.addr
-			fr.pinnedAt = time.Now()
-			if w := f.opts.SpoolWAL; w != nil {
-				// Journal the pin BEFORE the frame goes on the wire: once
-				// any byte may have reached this collector, a restarted
-				// farm must never offer the frame elsewhere. A journal
-				// write that fails keeps the in-memory pin and degrades
-				// the guarantee to this process's lifetime — noted, never
-				// silent.
-				if err := w.AppendOwner(fr.seq, ep.addr); err != nil {
-					f.noteErrLocked(err)
-					f.logf("relay: journal owner seq=%d -> %s: %v", fr.seq, ep.addr, err)
-				}
-			}
-		}
-		f.scanIdx++
-		f.mu.Unlock()
 
 		_ = conn.SetWriteDeadline(time.Now().Add(f.opts.WriteTimeout))
 		if err := wire.WriteFrame(conn, fr.body); err != nil {
-			// Also transient: the frame stays spooled (now pinned here)
-			// and ships again after the reconnect.
-			f.mu.Lock()
-			f.writeErrors++
-			f.mu.Unlock()
+			// Transient: the frame stays spooled (pinned here) and ships
+			// again after the reconnect.
 			f.logf("relay: write to %s: %v (will reconnect)", ep.addr, err)
 			return
 		}
 		f.mu.Lock()
-		f.framesSent++
-		fr.sentAt = time.Now()
+		f.led.sent(fr, time.Now())
 		f.mu.Unlock()
 	}
 }
 
-// releaseOrphanLocked applies the opt-in orphan-release policy to a
-// frame pinned to an endpoint absent from the current set: past
-// Options.OrphanRelease the pin is dropped (and the release journaled,
-// so a restart does not resurrect it) and the frame becomes eligible
-// for any collector. With the policy off — the default — it reports
-// false and the frame keeps waiting for its owner.
-func (f *ForwardSink) releaseOrphanLocked(fr *spoolFrame) bool {
-	if f.opts.OrphanRelease <= 0 {
-		return false
-	}
-	if f.endpointByAddrLocked(fr.owner) != nil {
-		return false // owner present; not an orphan
-	}
-	if time.Since(fr.pinnedAt) < f.opts.OrphanRelease {
-		return false
-	}
-	f.logf("relay: releasing frame seq=%d from departed endpoint %s after %s", fr.seq, fr.owner, f.opts.OrphanRelease)
-	fr.owner = ""
-	f.orphansRel++
-	if w := f.opts.SpoolWAL; w != nil {
-		if err := w.AppendOwner(fr.seq, ""); err != nil {
-			f.noteErrLocked(err)
-		}
-	}
-	return true
-}
-
-// removeFrameLocked drops spool[i], keeping the connection's scan
-// cursor pointing at the same next frame.
-func (f *ForwardSink) removeFrameLocked(i int) {
-	fr := f.spool[i]
-	f.spool = append(f.spool[:i], f.spool[i+1:]...)
-	if f.scanIdx > i {
-		f.scanIdx--
-	}
-	f.spoolEv -= fr.events
-	f.spoolB -= int64(len(fr.body)) + 4
-}
-
-// ackLoop reads cumulative ACKs and prunes the spool. An ack from an
-// endpoint covers exactly the frames pinned to it — a cumulative
-// sequence from one collector says nothing about frames another
-// collector still owes. A read error closes the connection so the write
-// loop notices.
+// ackLoop reads cumulative ACKs into the ledger, which prunes the
+// frames pinned to this endpoint. A read error closes the connection so
+// the write loop notices.
 func (f *ForwardSink) ackLoop(conn net.Conn, ep *endpoint, done chan<- struct{}) {
 	defer close(done)
 	for {
-		body, err := wire.ReadFrame(conn, DefaultMaxFrame)
+		body, err := wire.ReadFrame(conn, maxAckFrame)
 		if err != nil {
 			conn.Close()
 			f.mu.Lock()
@@ -1084,33 +640,16 @@ func (f *ForwardSink) ackLoop(conn net.Conn, ep *endpoint, done chan<- struct{})
 		seq, err := decodeAck(body)
 		if err != nil {
 			f.mu.Lock()
-			f.noteErrLocked(err)
+			f.led.noteErr(err)
 			f.mu.Unlock()
 			conn.Close()
 			continue // next read fails and exits the loop
 		}
 		f.mu.Lock()
-		acked := false
-		for i := 0; i < len(f.spool); {
-			fr := f.spool[i]
-			if fr.seq > seq {
-				break
-			}
-			if fr.owner != ep.addr {
-				i++ // another collector's frame; its own ack prunes it
-				continue
-			}
-			f.removeFrameLocked(i)
-			f.framesAcked++
-			f.eventsAcked += uint64(fr.events)
-			ep.framesAcked++
-			ep.eventsAcked += uint64(fr.events)
-			if !fr.sentAt.IsZero() {
-				f.ackRTT.Observe(time.Since(fr.sentAt))
-			}
-			acked = true
-		}
-		if acked {
+		frames, events := f.led.ack(ep.addr, seq, time.Now())
+		if frames > 0 {
+			ep.framesAcked += uint64(frames)
+			ep.eventsAcked += uint64(events)
 			if !f.connAcked {
 				// First acked frame on this connection: the collector is
 				// demonstrably processing frames, so the endpoint earns
@@ -1119,37 +658,9 @@ func (f *ForwardSink) ackLoop(conn net.Conn, ep *endpoint, done chan<- struct{})
 				f.connAcked = true
 				ep.backoff = f.opts.MinBackoff
 			}
-			f.compactSpoolLocked()
 		}
 		f.cond.Broadcast()
 		f.mu.Unlock()
-	}
-}
-
-// compactSpoolLocked persists the contiguous ack floor as a spool WAL
-// mark and reclaims fully-acked segments; after a restart,
-// Replay(Mark()+1) reloads only what is still unacked. The floor — not
-// the raw acked sequence — because with pinned frames a later sequence
-// can be acked by one collector while an earlier frame still awaits
-// another. A mark that fails to persist is harmless to correctness —
-// the frames replay and the collector's durable dedup drops them — so
-// the error is only noted; but lastCompact advances only on success, or
-// one failed compaction would silence every retry at that floor and
-// fully-acked segments would pile up until the process restarted.
-func (f *ForwardSink) compactSpoolLocked() {
-	if f.opts.SpoolWAL == nil {
-		return
-	}
-	floor := f.nextSeq
-	if len(f.spool) > 0 {
-		floor = f.spool[0].seq - 1
-	}
-	if floor > f.lastCompact {
-		if _, err := f.opts.SpoolWAL.Compact(floor); err != nil {
-			f.noteErrLocked(err)
-		} else {
-			f.lastCompact = floor
-		}
 	}
 }
 
@@ -1159,15 +670,14 @@ func (f *ForwardSink) compactSpoolLocked() {
 // backoff — is carried over for every surviving address (so the
 // decoydb_relay_endpoint_* metrics survive the swap), and fresh state is
 // built for new ones. Frames pinned to a removed address become orphans:
-// they are never retransmitted to a different collector (unless
-// Options.OrphanRelease fires) and drain when the address is added back.
-// If the set actually changed while a connection is up, the connection
-// is closed so the pump immediately re-dials the new preferred endpoint
-// — a deliberate kick that doubles as the failback probe for tiers that
-// grew from one collector (no prober runs on single-endpoint
-// connections). An unchanged set is a no-op. Safe to call concurrently
-// with recording and delivery; returns an error on an empty set or a
-// closed sink.
+// they are never retransmitted to a different collector and drain when
+// the address is added back. If the set actually changed while a
+// connection is up, the connection is closed so the pump immediately
+// re-dials the new preferred endpoint — a deliberate kick that doubles
+// as the failback probe for tiers that grew from one collector (no
+// prober runs on single-endpoint connections). An unchanged set is a
+// no-op. Safe to call concurrently with recording and delivery; returns
+// an error on an empty set or a closed sink.
 func (f *ForwardSink) SetEndpoints(addrs []string) error {
 	cleaned := cleanAddrs(addrs)
 	if len(cleaned) == 0 {
@@ -1179,13 +689,8 @@ func (f *ForwardSink) SetEndpoints(addrs []string) error {
 		return fmt.Errorf("relay: forward: sink closed")
 	}
 	same := len(cleaned) == len(f.eps)
-	if same {
-		for _, a := range cleaned {
-			if f.endpointByAddrLocked(a) == nil {
-				same = false
-				break
-			}
-		}
+	for i := 0; same && i < len(cleaned); i++ {
+		same = f.endpointByAddrLocked(cleaned[i]) != nil
 	}
 	if same {
 		f.mu.Unlock()
@@ -1206,12 +711,7 @@ func (f *ForwardSink) SetEndpoints(addrs []string) error {
 	f.reloads++
 	conn, handoff := f.conn, f.handoff
 	f.handoff = nil
-	orphans := 0
-	for _, fr := range f.spool {
-		if fr.owner != "" && f.endpointByAddrLocked(fr.owner) == nil {
-			orphans++
-		}
-	}
+	orphans := f.orphansLocked(f.led.pins())
 	pref := f.preferredLocked()
 	f.cond.Broadcast()
 	f.mu.Unlock()
@@ -1237,7 +737,7 @@ func (f *ForwardSink) Flush() {
 	deadline := time.Now().Add(f.opts.FlushTimeout)
 	for {
 		f.mu.Lock()
-		drained := len(f.spool) == 0 && len(f.pending) == 0
+		drained := f.led.idle()
 		stopped := f.stopped
 		f.cond.Broadcast() // nudge the pump in case it waits on work
 		f.mu.Unlock()
@@ -1256,15 +756,15 @@ func (f *ForwardSink) Flush() {
 func (f *ForwardSink) Close() error {
 	f.mu.Lock()
 	if f.stopped {
-		err := f.firstErr
+		err := f.led.firstErr
 		f.mu.Unlock()
 		return err
 	}
-	if f.durable() {
+	if f.opts.SpoolWAL != nil {
 		// Journal the unframed tail: pending events below the frame
 		// cutoff would otherwise exist only in memory, and the restart
 		// that replays the spool WAL would silently lose them.
-		f.cutFrameLocked()
+		f.led.cut()
 	}
 	f.stopped = true
 	conn := f.conn
@@ -1280,16 +780,14 @@ func (f *ForwardSink) Close() error {
 		handoff.Close()
 	}
 	f.wg.Wait()
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.firstErr
+	return f.Err()
 }
 
 // Err returns the first non-recoverable error observed so far.
 func (f *ForwardSink) Err() error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return f.firstErr
+	return f.led.firstErr
 }
 
 // EndpointStats is the per-collector slice of Stats, in rendezvous rank
@@ -1343,10 +841,8 @@ type Stats struct {
 
 	// OrphanFrames counts spooled frames pinned to an address absent
 	// from the current endpoint set — held back, never retransmitted
-	// elsewhere, until the owner returns or Options.OrphanRelease fires.
+	// elsewhere, until the owner returns.
 	OrphanFrames int
-	// OrphansReleased counts pins dropped by the orphan-release policy.
-	OrphansReleased uint64
 
 	SpoolFrames int   // frames currently spooled (unacked)
 	SpoolEvents int   // events in those frames
@@ -1362,7 +858,7 @@ type Stats struct {
 	// retry cap, whose source addresses are no longer available).
 	ShedUnattributed uint64
 	// DroppedFrames counts spooled frames dropped at
-	// Options.MaxFrameRetries (their events are included in Shed).
+	// DefaultMaxFrameRetries (their events are included in Shed).
 	DroppedFrames uint64
 	// AckRTT is the distribution of frame write-to-ack round trips —
 	// the live health signal for the farm→collector link (a rising RTT
@@ -1412,40 +908,17 @@ func (f *ForwardSink) Stats() Stats {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	st := Stats{
-		Farm:             f.opts.Farm,
-		Connected:        f.connected,
-		Enqueued:         f.enqueued,
-		Frames:           f.frames,
-		FramesSent:       f.framesSent,
-		FramesAcked:      f.framesAcked,
-		EventsAcked:      f.eventsAcked,
-		WireBytes:        f.wireBytes,
-		RawBytes:         f.rawBytes,
-		Dials:            f.dials,
-		DialErrors:       f.dialErrors,
-		Reconnects:       f.reconnects,
-		Failovers:        f.failovers,
-		Reloads:          f.reloads,
-		OrphansReleased:  f.orphansRel,
-		SpoolFrames:      len(f.spool),
-		SpoolEvents:      f.spoolEv,
-		SpoolBytes:       f.spoolB,
-		Pending:          len(f.pending),
-		Shed:             f.shed,
-		ShedUnattributed: f.shedUnattr,
-		DroppedFrames:    f.droppedFr,
-		AckRTT:           f.ackRTT,
+		Farm:       f.opts.Farm,
+		Connected:  f.connected,
+		Dials:      f.dials,
+		DialErrors: f.dialErrors,
+		Reconnects: f.reconnects,
+		Failovers:  f.failovers,
+		Reloads:    f.reloads,
 	}
-	pinned := make(map[string]int, len(f.eps))
-	for _, fr := range f.spool {
-		if fr.owner == "" {
-			continue
-		}
-		pinned[fr.owner]++
-		if f.endpointByAddrLocked(fr.owner) == nil {
-			st.OrphanFrames++
-		}
-	}
+	f.led.stats(&st)
+	pins := f.led.pins()
+	st.OrphanFrames = f.orphansLocked(pins)
 	for i, ep := range f.eps {
 		st.Endpoints = append(st.Endpoints, EndpointStats{
 			Addr:         ep.addr,
@@ -1455,13 +928,9 @@ func (f *ForwardSink) Stats() Stats {
 			DialErrors:   ep.dialErrors,
 			FramesAcked:  ep.framesAcked,
 			EventsAcked:  ep.eventsAcked,
-			PinnedFrames: pinned[ep.addr],
+			PinnedFrames: pins[ep.addr],
 			Backoff:      ep.backoff,
 		})
 	}
-	for a, n := range f.shedSrc.All() {
-		st.Shedders = append(st.Shedders, core.SourceShed{Addr: a, Shed: *n})
-	}
-	st.Shedders = core.Heaviest(st.Shedders)
 	return st
 }

@@ -82,6 +82,18 @@ const (
 	MaxName = 256
 )
 
+// Read caps for the two control frames. wire.ReadFrame allocates the
+// declared length before reading it, so reading a HELLO — from a peer
+// not yet authenticated — under DefaultMaxFrame would let 4 bytes of
+// length prefix cost the collector 4 MiB for up to DefaultHelloTimeout.
+const (
+	// maxHelloFrame is the largest valid HELLO body: header, token and
+	// farm name with their uint16 length prefixes, epoch and flags.
+	maxHelloFrame = 6 + 2 + MaxName + 2 + MaxName + 8 + 1
+	// maxAckFrame is the size of an ACK body: header and sequence.
+	maxAckFrame = 6 + 8
+)
+
 // Protocol errors.
 var (
 	ErrBadFrame   = errors.New("relay: malformed frame")

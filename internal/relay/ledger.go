@@ -1,0 +1,432 @@
+package relay
+
+import (
+	"compress/flate"
+	"fmt"
+	"net/netip"
+	"time"
+
+	"decoydb/internal/core"
+)
+
+// spoolFrame is one encoded, unacked batch. attempts counts the
+// connections that wrote it as their first frame without an ack: a
+// frame the collector rejects at decode always leads the
+// retransmission, while frames queued behind it must not accrue blame.
+//
+// owner pins the frame to the address of the endpoint it was first
+// handed to. Retransmits only ever go to the owner, whose dedup absorbs
+// a re-send, so after a failover no other collector sees a frame the
+// owner may have ingested without the ack reaching us: each event is
+// ingested by exactly one collector. Pins are keyed by address, so they
+// survive a SetEndpoints re-rank and, journaled, a farm restart. A
+// frame whose owner is absent from the endpoint set is an orphan and
+// waits for it.
+type spoolFrame struct {
+	seq      uint64
+	events   int
+	body     []byte
+	attempts int
+	owner    string    // endpoint address the frame is pinned to; "" = unowned
+	sentAt   time.Time // last successful write; zero until first send
+}
+
+// ledger is a forwarder's frame state: the events not yet framed, the
+// spool of encoded unacked frames with their pins, the frame sequence
+// space, the spool WAL that journals all three, and the counters behind
+// Stats. It does no network I/O, starts no goroutine and reads no clock
+// — the transport passes the time in — so every exactly-once rule
+// lives here, where a model test can drive it step by step. It is not
+// goroutine-safe: ForwardSink.mu guards it.
+type ledger struct {
+	opts ForwardOptions // with defaults applied
+	logf func(format string, args ...any)
+
+	pending     []core.Event  // not yet framed
+	spool       []*spoolFrame // framed, FIFO by seq
+	scanIdx     int           // next spool index the current connection considers
+	charged     bool          // the current connection's first frame has been charged an attempt
+	spoolEv     int
+	spoolB      int64
+	nextSeq     uint64 // highest assigned frame sequence
+	lastCompact uint64 // highest seq successfully compacted
+
+	firstErr    error
+	enqueued    uint64
+	frames      uint64
+	framesSent  uint64
+	framesAcked uint64
+	eventsAcked uint64
+	wireBytes   uint64
+	rawBytes    uint64
+	shed        uint64
+	shedUnattr  uint64
+	shedSrc     *core.LRU[netip.Addr, uint64]
+	droppedFr   uint64            // frames dropped at the retry cap
+	ackRTT      core.DurationHist // write-to-ack round trips
+}
+
+func newLedger(opts ForwardOptions, logf func(format string, args ...any)) *ledger {
+	return &ledger{opts: opts, logf: logf, shedSrc: core.NewLRU[netip.Addr, uint64](DefaultMaxShedSources)}
+}
+
+// reload adopts the durable spool: the sequence space continues the
+// log's, and every frame past the ack mark is re-encoded into the spool
+// with the owner journaled for it — so a frame pinned to collector A
+// before the crash goes only to A, even while A is absent from Addrs.
+func (l *ledger) reload() error {
+	w := l.opts.SpoolWAL
+	if w == nil {
+		return nil
+	}
+	l.nextSeq = w.LastSeq()
+	l.lastCompact = w.Mark()
+	owners := w.Owners()
+	err := w.Replay(l.lastCompact+1, func(seq uint64, _ []byte, events []core.Event) error {
+		body, rawLen, err := EncodeBatch(seq, events, flate.BestSpeed)
+		if err != nil {
+			return fmt.Errorf("relay: re-encode spooled frame seq %d: %w", seq, err)
+		}
+		l.enqueued += uint64(len(events))
+		l.push(&spoolFrame{seq: seq, events: len(events), body: body, owner: owners[seq]}, rawLen)
+		return nil
+	})
+	if err != nil {
+		return fmt.Errorf("relay: reload spool: %w", err)
+	}
+	if n := len(l.spool); n > 0 {
+		l.logf("relay: reloaded %d unacked frames (%d events, seq %d..%d, %d pinned) from spool WAL",
+			n, l.spoolEv, l.spool[0].seq, l.spool[n-1].seq, len(owners))
+	}
+	return nil
+}
+
+// full reports whether the spool has reached its byte bound: its frames'
+// wire bytes plus spoolFrameOverhead per frame.
+func (l *ledger) full() bool {
+	return l.spoolB+int64(len(l.spool))*spoolFrameOverhead >= l.opts.SpoolBytes
+}
+
+// idle reports whether nothing is pending or spooled.
+func (l *ledger) idle() bool { return len(l.spool) == 0 && len(l.pending) == 0 }
+
+// add enqueues one event, cutting a frame once FrameEvents are pending.
+func (l *ledger) add(e core.Event) {
+	l.pending = append(l.pending, e)
+	l.enqueued++
+	if len(l.pending) >= l.opts.FrameEvents {
+		l.cut()
+	}
+}
+
+// shedEvent counts one shed event against its source. When the
+// attribution table is full, the least recently shedding source is
+// evicted and its count moves to the unattributed bucket, so shed
+// totals stay exact.
+func (l *ledger) shedEvent(e core.Event) {
+	l.shed++
+	a := e.Src.Addr()
+	n := l.shedSrc.Get(a)
+	if n == nil {
+		var evicted *uint64
+		n, evicted = l.shedSrc.Add(a, 0)
+		if evicted != nil {
+			l.shedUnattr += *evicted
+		}
+	}
+	*n++
+}
+
+// cut encodes pending events into spool frames, validating every cut
+// frame against the wire limits the collector will enforce at decode
+// (DefaultMaxFrame and Options.MaxRaw). A batch that encodes past
+// either bound is split in half until it fits — spooling it would
+// poison the spool head: the collector rejects the frame and drops the
+// connection, and the retransmit loop would replay it forever. A single
+// event that cannot fit alone is shed with attribution instead.
+func (l *ledger) cut() {
+	for len(l.pending) > 0 {
+		n := len(l.pending)
+		var body []byte
+		var rawLen int
+		for body == nil {
+			b, rl, err := EncodeBatch(l.nextSeq+1, l.pending[:n], flate.BestSpeed)
+			switch {
+			case err != nil:
+				// Encoding into memory cannot fail outside of a
+				// programming error; record it and shed the batch
+				// rather than wedging.
+				l.noteErr(err)
+				l.shedPending(n)
+			case len(b)+4 <= DefaultMaxFrame && rl <= l.opts.MaxRaw:
+				body, rawLen = b, rl
+			case n > 1:
+				n /= 2
+				continue
+			default:
+				l.noteErr(fmt.Errorf("relay: event exceeds frame limits (%d raw bytes, limit %d)", rl, l.opts.MaxRaw))
+				l.shedPending(1)
+			}
+			break
+		}
+		if body == nil {
+			continue
+		}
+		if w := l.opts.SpoolWAL; w != nil {
+			// Journal before spooling: a frame the WAL did not accept must
+			// not enter the sequence space (its seq would be reused after a
+			// restart and the collector would dedup-drop a different
+			// batch). A failing disk degrades to accounted shedding, the
+			// same contract as a full spool.
+			seq, err := w.Append(l.pending[:n], nil)
+			if err != nil {
+				l.noteErr(err)
+				l.logf("relay: spool WAL append: %v (shedding %d events)", err, n)
+				l.shedPending(n)
+				continue
+			}
+			if seq != l.nextSeq+1 {
+				// Foreign writer on the log (ownership contract broken).
+				// Resync to the WAL's sequence space — it is authoritative —
+				// and re-encode under the right sequence number.
+				l.noteErr(fmt.Errorf("relay: spool WAL sequence skew: got %d, want %d", seq, l.nextSeq+1))
+				l.nextSeq = seq - 1
+				if body, rawLen, err = EncodeBatch(seq, l.pending[:n], flate.BestSpeed); err != nil {
+					l.noteErr(err)
+					l.shedPending(n)
+					continue
+				}
+			}
+		}
+		l.nextSeq++
+		l.push(&spoolFrame{seq: l.nextSeq, events: n, body: body}, rawLen)
+		l.consumePending(n)
+	}
+}
+
+// push appends a frame to the spool and counts it.
+func (l *ledger) push(fr *spoolFrame, rawLen int) {
+	l.spool = append(l.spool, fr)
+	l.spoolEv += fr.events
+	l.spoolB += int64(len(fr.body)) + 4
+	l.frames++
+	l.wireBytes += uint64(len(fr.body)) + 4
+	l.rawBytes += uint64(rawLen)
+}
+
+// shedPending sheds the first n pending events with attribution,
+// unwinding their enqueued count.
+func (l *ledger) shedPending(n int) {
+	for _, e := range l.pending[:n] {
+		l.enqueued--
+		l.shedEvent(e)
+	}
+	l.consumePending(n)
+}
+
+// consumePending removes the first n pending events.
+func (l *ledger) consumePending(n int) {
+	l.pending = l.pending[:copy(l.pending, l.pending[n:])]
+}
+
+func (l *ledger) noteErr(err error) {
+	if l.firstErr == nil {
+		l.firstErr = err
+	}
+}
+
+// rewind starts a connection: it considers the spool from the oldest
+// frame again, and its first frame is charged an attempt.
+func (l *ledger) rewind() {
+	l.scanIdx = 0
+	l.charged = false
+}
+
+// next returns the next frame the connection to addr may write, in
+// sequence order, or nil when the spool is caught up and nothing is
+// pending. It skips frames pinned to other endpoints (their owners
+// drain them), drops a frame at the retry cap, charges the connection's
+// first frame an attempt, and cuts pending events into a fresh frame
+// whenever the spool is caught up — so under light load every batch
+// ships as soon as the previous write returns, without a flush timer.
+// An unowned frame is pinned to addr before it is returned, and on a
+// durable spool the pin is journaled before any byte can reach the
+// collector — so no collector can ever hold a frame the journal does
+// not pin to it.
+func (l *ledger) next(addr string) *spoolFrame {
+	for {
+		for l.scanIdx < len(l.spool) {
+			fr := l.spool[l.scanIdx]
+			if fr.owner != "" && fr.owner != addr {
+				l.scanIdx++
+				continue
+			}
+			if fr.attempts >= DefaultMaxFrameRetries {
+				l.drop(l.scanIdx)
+				continue
+			}
+			if !l.charged {
+				fr.attempts++
+				l.charged = true
+			}
+			if fr.owner == "" {
+				fr.owner = addr
+				if w := l.opts.SpoolWAL; w != nil {
+					// A journal write that fails keeps the in-memory pin
+					// and degrades the guarantee to this process's
+					// lifetime — noted, never silent.
+					if err := w.AppendOwner(fr.seq, addr); err != nil {
+						l.noteErr(err)
+						l.logf("relay: journal owner seq=%d -> %s: %v", fr.seq, addr, err)
+					}
+				}
+			}
+			l.scanIdx++
+			return fr
+		}
+		if len(l.pending) == 0 {
+			return nil
+		}
+		l.cut() // may shed on encode failure; rescan
+	}
+}
+
+// drop removes spool[i], a frame that led DefaultMaxFrameRetries
+// connections without an ack: the collector rejects it at decode
+// (limits skew, or corruption that survives TCP). Dropping it lets the
+// spool drain instead of replaying it forever; the loss is counted in
+// DroppedFrames and Shed and surfaces via Err.
+func (l *ledger) drop(i int) {
+	fr := l.spool[i]
+	l.remove(i)
+	l.enqueued -= uint64(fr.events)
+	l.shed += uint64(fr.events)
+	l.shedUnattr += uint64(fr.events)
+	l.droppedFr++
+	l.noteErr(fmt.Errorf("relay: frame seq %d (%d events) dropped after %d unacked transmissions", fr.seq, fr.events, fr.attempts))
+	l.logf("relay: dropping frame seq=%d (%d events) after %d unacked transmissions", fr.seq, fr.events, fr.attempts)
+}
+
+// remove drops spool[i], keeping the connection's scan cursor pointing
+// at the same next frame.
+func (l *ledger) remove(i int) {
+	fr := l.spool[i]
+	l.spool = append(l.spool[:i], l.spool[i+1:]...)
+	if l.scanIdx > i {
+		l.scanIdx--
+	}
+	l.spoolEv -= fr.events
+	l.spoolB -= int64(len(fr.body)) + 4
+}
+
+// sent records a completed write of fr at now.
+func (l *ledger) sent(fr *spoolFrame, now time.Time) {
+	l.framesSent++
+	fr.sentAt = now
+}
+
+// ack applies a cumulative ACK of seq from the collector at addr and
+// returns the frames and events it acknowledged. It covers exactly the
+// frames pinned to addr — a cumulative sequence from one collector says
+// nothing about frames another collector still owes.
+func (l *ledger) ack(addr string, seq uint64, now time.Time) (frames, events int) {
+	for i := 0; i < len(l.spool); {
+		fr := l.spool[i]
+		if fr.seq > seq {
+			break
+		}
+		if fr.owner != addr {
+			i++
+			continue
+		}
+		l.remove(i)
+		frames++
+		events += fr.events
+		if !fr.sentAt.IsZero() {
+			l.ackRTT.Observe(now.Sub(fr.sentAt))
+		}
+	}
+	if frames > 0 {
+		l.framesAcked += uint64(frames)
+		l.eventsAcked += uint64(events)
+		l.compact()
+	}
+	return frames, events
+}
+
+// floor is the highest sequence with no unacked frame at or below it.
+func (l *ledger) floor() uint64 {
+	if len(l.spool) > 0 {
+		return l.spool[0].seq - 1
+	}
+	return l.nextSeq
+}
+
+// compact persists the ack floor as a spool WAL mark and reclaims
+// fully-acked segments; after a restart, Replay(Mark()+1) reloads only
+// what is still unacked. The floor — not the raw acked sequence —
+// because with pinned frames a later sequence can be acked by one
+// collector while an earlier frame still awaits another. A mark that
+// fails to persist is harmless to correctness — the frames replay and
+// the collector's durable dedup drops them — so the error is only
+// noted; but lastCompact advances only on success, or one failed
+// compaction would silence every retry at that floor and fully-acked
+// segments would pile up until the process restarted.
+func (l *ledger) compact() {
+	w := l.opts.SpoolWAL
+	if w == nil {
+		return
+	}
+	if floor := l.floor(); floor > l.lastCompact {
+		if _, err := w.Compact(floor); err != nil {
+			l.noteErr(err)
+		} else {
+			l.lastCompact = floor
+		}
+	}
+}
+
+// pins counts the spooled frames pinned to each owner address.
+func (l *ledger) pins() map[string]int {
+	n := make(map[string]int)
+	for _, fr := range l.spool {
+		if fr.owner != "" {
+			n[fr.owner]++
+		}
+	}
+	return n
+}
+
+// oldestOwner returns the owner of the oldest pinned frame whose owner
+// is present, or "" when there is none.
+func (l *ledger) oldestOwner(present func(addr string) bool) string {
+	for _, fr := range l.spool {
+		if fr.owner != "" && present(fr.owner) {
+			return fr.owner
+		}
+	}
+	return ""
+}
+
+// stats fills the ledger's half of st.
+func (l *ledger) stats(st *Stats) {
+	st.Enqueued = l.enqueued
+	st.Frames = l.frames
+	st.FramesSent = l.framesSent
+	st.FramesAcked = l.framesAcked
+	st.EventsAcked = l.eventsAcked
+	st.WireBytes = l.wireBytes
+	st.RawBytes = l.rawBytes
+	st.SpoolFrames = len(l.spool)
+	st.SpoolEvents = l.spoolEv
+	st.SpoolBytes = l.spoolB
+	st.Pending = len(l.pending)
+	st.Shed = l.shed
+	st.ShedUnattributed = l.shedUnattr
+	st.DroppedFrames = l.droppedFr
+	st.AckRTT = l.ackRTT
+	for a, n := range l.shedSrc.All() {
+		st.Shedders = append(st.Shedders, core.SourceShed{Addr: a, Shed: *n})
+	}
+	st.Shedders = core.Heaviest(st.Shedders)
+}

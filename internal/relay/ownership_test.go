@@ -14,8 +14,7 @@ import (
 
 // These tests cover durable frame ownership: the journaled (seq →
 // endpoint address) pins that keep the tier-wide merge exactly-once
-// across farm restarts, live endpoint-set reloads (SetEndpoints), and
-// the opt-in orphan-release policy.
+// across farm restarts and live endpoint-set reloads (SetEndpoints).
 
 // flakySpool wraps a real WAL but fails the first failLeft Compact
 // calls — the fault SpoolLog exists to inject.
@@ -86,29 +85,25 @@ func TestCompactRetryAfterFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	fs := &flakySpool{Log: w, failLeft: 1}
-	f := &ForwardSink{opts: ForwardOptions{
-		Addrs: []string{"127.0.0.1:1"}, Token: "tok", SpoolWAL: fs,
-	}.withDefaults()}
-	f.nextSeq = 1 // the one journaled frame is fully acked; floor = 1
+	l := newLedger(ForwardOptions{SpoolWAL: fs}.withDefaults(), t.Logf)
+	l.nextSeq = 1 // the one journaled frame is fully acked; floor = 1
 
-	f.mu.Lock()
-	f.compactSpoolLocked()
-	if f.lastCompact != 0 {
-		t.Fatalf("lastCompact advanced to %d over a failed Compact", f.lastCompact)
+	l.compact()
+	if l.lastCompact != 0 {
+		t.Fatalf("lastCompact advanced to %d over a failed Compact", l.lastCompact)
 	}
-	f.compactSpoolLocked() // same floor: must retry, not be silenced
-	f.mu.Unlock()
+	l.compact() // same floor: must retry, not be silenced
 
 	if fs.compacts != 2 {
 		t.Fatalf("Compact called %d times, want 2 (failure + retry)", fs.compacts)
 	}
-	if f.lastCompact != 1 {
-		t.Fatalf("lastCompact = %d after successful retry, want 1", f.lastCompact)
+	if l.lastCompact != 1 {
+		t.Fatalf("lastCompact = %d after successful retry, want 1", l.lastCompact)
 	}
 	if got := w.Mark(); got != 1 {
 		t.Fatalf("spool mark = %d, want 1", got)
 	}
-	if f.Err() == nil {
+	if l.firstErr == nil {
 		t.Fatal("injected compact failure was not surfaced via Err")
 	}
 }
@@ -205,7 +200,10 @@ func TestRestartRetransmitsOnlyToOwner(t *testing.T) {
 	defer fwd.Close()
 
 	// Frames 1 (owned by A) and 3 (unowned) reach A; frame 2 must not.
+	// The collector hands a batch to its sinks before it writes the ack,
+	// so wait for the acks too before reading the forwarder's spool.
 	waitFor(t, 5*time.Second, func() bool { return sinkA.len() == 16 }, "A-owned and unowned frames delivered")
+	waitFor(t, 5*time.Second, func() bool { return fwd.Stats().EventsAcked == 16 }, "A's acks")
 	for _, e := range sinkA.snapshot() {
 		if n := userNum(t, e.User); n >= 8 && n < 16 {
 			t.Fatalf("frame pinned to %s was replayed to %s (event %s)", addrB, addrA, e.User)
@@ -354,51 +352,6 @@ func TestOrphanedFramesWaitForSetEndpoints(t *testing.T) {
 	if err := fwd.SetEndpoints([]string{addrA}); err == nil || !strings.Contains(err.Error(), "closed") {
 		t.Fatalf("SetEndpoints on a closed sink: err = %v, want closed error", err)
 	}
-}
-
-// TestOrphanReleasePolicy covers the opt-in escape hatch: with
-// Options.OrphanRelease set, a frame pinned to a departed collector is
-// released after the deadline — journaled, counted — and drains to the
-// live tier instead of waiting forever.
-func TestOrphanReleasePolicy(t *testing.T) {
-	sink := &memSink{}
-	coll, err := NewCollector(CollectorOptions{Token: "tok"}, sink)
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr, stop := startCollector(t, coll)
-	defer stop()
-
-	dir := filepath.Join(t.TempDir(), "spool")
-	w1 := openSpool(t, dir)
-	if _, err := w1.Append(testEvents(8), nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := w1.AppendOwner(1, "127.0.0.1:1"); err != nil { // departed forever
-		t.Fatal(err)
-	}
-	if err := w1.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	w2 := openSpool(t, dir)
-	defer w2.Close()
-	fwd, err := NewForwardSink(ForwardOptions{
-		Addrs: []string{addr}, Token: "tok", Farm: "release",
-		SpoolWAL:      w2,
-		OrphanRelease: 30 * time.Millisecond,
-		MinBackoff:    time.Millisecond, MaxBackoff: 10 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fwd.Close()
-
-	waitFor(t, 5*time.Second, func() bool { return sink.len() == 8 }, "released orphan delivered")
-	if st := fwd.Stats(); st.OrphansReleased != 1 {
-		t.Fatalf("OrphansReleased = %d, want 1", st.OrphansReleased)
-	}
-	waitFor(t, 5*time.Second, func() bool { return w2.Mark() == 1 }, "released frame compacted")
 }
 
 // userNum extracts the index from a testEvent user name ("user17" →

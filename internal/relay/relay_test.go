@@ -279,6 +279,46 @@ func TestCollectorRejectsBadToken(t *testing.T) {
 	waitFor(t, 2*time.Second, func() bool { return coll.Stats().AuthFailures >= 2 }, "garbage rejection")
 }
 
+// TestCollectorCapsHelloRead pins the HELLO read cap: a peer that has
+// not authenticated declares a frame longer than the largest valid
+// HELLO and is cut at once, without the collector allocating the
+// declared length or waiting DefaultHelloTimeout for the bytes.
+func TestCollectorCapsHelloRead(t *testing.T) {
+	if got := len(encodeHello(strings.Repeat("t", MaxName), strings.Repeat("f", MaxName), 1, true)); got != maxHelloFrame {
+		t.Fatalf("largest HELLO is %d bytes, cap is %d", got, maxHelloFrame)
+	}
+	if got := len(encodeAck(1)); got != maxAckFrame {
+		t.Fatalf("ACK is %d bytes, cap is %d", got, maxAckFrame)
+	}
+	coll, err := NewCollector(CollectorOptions{Token: "tok"}, &memSink{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr, stop := startCollector(t, coll)
+	defer stop()
+
+	for i, declared := range []uint32{maxHelloFrame + 1, DefaultMaxFrame} {
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		start := time.Now()
+		prefix := []byte{byte(declared >> 24), byte(declared >> 16), byte(declared >> 8), byte(declared)}
+		if _, err := conn.Write(prefix); err != nil {
+			t.Fatal(err)
+		}
+		_ = conn.SetReadDeadline(time.Now().Add(DefaultHelloTimeout))
+		if n, err := conn.Read(make([]byte, 1)); err == nil {
+			t.Fatalf("collector answered a %d-byte HELLO prefix with %d bytes", declared, n)
+		}
+		conn.Close()
+		if took := time.Since(start); took > DefaultHelloTimeout/4 {
+			t.Fatalf("a %d-byte HELLO prefix held the connection for %v", declared, took)
+		}
+		waitFor(t, time.Second, func() bool { return coll.Stats().AuthFailures == uint64(i+1) }, "oversized HELLO counted")
+	}
+}
+
 func TestForwardShedsWhenDown(t *testing.T) {
 	// No collector at all: a spool with room for two frames must fill,
 	// then shed with per-source attribution, without ever blocking
@@ -633,8 +673,8 @@ func TestPoisonFrameDroppedAfterRetries(t *testing.T) {
 
 	fwd, err := NewForwardSink(ForwardOptions{
 		Addrs: []string{addr}, Token: "tok", Farm: "skew",
-		FrameEvents: 4, MaxFrameRetries: 3,
-		MinBackoff: time.Millisecond, MaxBackoff: 5 * time.Millisecond,
+		FrameEvents: 4,
+		MinBackoff:  time.Millisecond, MaxBackoff: 5 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
