@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"decoydb/internal/relay"
+	"decoydb/internal/wal"
 )
 
 func TestParseForwardStructured(t *testing.T) {
@@ -304,5 +305,47 @@ func TestForwardSIGHUPReload(t *testing.T) {
 	}
 	if st := sink.Stats(); len(st.Endpoints) != 2 {
 		t.Fatalf("endpoints after SIGHUP = %+v, want 2", st.Endpoints)
+	}
+}
+
+// TestStoreSpec: -store takes a directory and an fsync policy, and
+// nothing else — the keys that once chose segment size, sync cadence
+// and encoding fail with the unknown-key error.
+func TestStoreSpec(t *testing.T) {
+	parse := func(spec string) (wal.Options, error) {
+		fs := flag.NewFlagSet("t", flag.ContinueOnError)
+		s := RegisterStore(fs)
+		if err := fs.Parse([]string{"-store", spec}); err != nil {
+			t.Fatal(err)
+		}
+		return s.Options("journal", nil)
+	}
+	for spec, want := range map[string]wal.SyncPolicy{
+		"/d":                wal.SyncInterval,
+		"/d,fsync=batch":    wal.SyncBatch,
+		"/d,fsync=off":      wal.SyncOff,
+		"/d,fsync=interval": wal.SyncInterval,
+	} {
+		opts, err := parse(spec)
+		if err != nil {
+			t.Errorf("%q: %v", spec, err)
+			continue
+		}
+		if opts.Dir != filepath.Join("/d", "journal") || opts.Sync != want {
+			t.Errorf("%q = dir %q sync %v, want %q %v", spec, opts.Dir, opts.Sync, filepath.Join("/d", "journal"), want)
+		}
+	}
+	for _, spec := range []string{
+		"/d,compress=speed", "/d,compress=best", "/d,compress=none",
+		"/d,interval=100ms", "/d,segbytes=16777216", "/d,fsync=batch,segbytes=1",
+	} {
+		if _, err := parse(spec); err == nil || !strings.Contains(err.Error(), "unknown option") {
+			t.Errorf("%q: err = %v, want the unknown-key error", spec, err)
+		}
+	}
+	for _, spec := range []string{",fsync=batch", "/d,fsync=sometimes", "/d,fsync"} {
+		if _, err := parse(spec); err == nil {
+			t.Errorf("%q: accepted", spec)
+		}
 	}
 }

@@ -1,15 +1,11 @@
 package cliflags
 
 import (
-	"compress/flate"
 	"flag"
 	"fmt"
 	"path/filepath"
-	"strconv"
 	"strings"
-	"time"
 
-	"decoydb/internal/evcodec"
 	"decoydb/internal/wal"
 )
 
@@ -18,7 +14,10 @@ import (
 // root, and each log lives in a named subdirectory (dbcollect journals
 // under <dir>/collector; decoydb keeps its capture journal under
 // <dir>/journal and its relay spool under <dir>/spool), so one -store
-// value moves the whole durable state of a process.
+// value moves the whole durable state of a process. The one key is the
+// fsync policy, which decides what a machine crash on that host may
+// lose; segment size, sync cadence and the stored-block encoding are
+// the wal package's.
 type Store struct {
 	Spec *string
 }
@@ -27,7 +26,7 @@ type Store struct {
 func RegisterStore(fs *flag.FlagSet) *Store {
 	return &Store{
 		Spec: fs.String("store", "",
-			"durable event storage: DIR[,fsync=interval|batch|off][,interval=DUR][,segbytes=N][,compress=none|speed|best] — captures survive restarts"),
+			"durable event storage: DIR[,fsync=interval|batch|off] — captures survive restarts"),
 	}
 }
 
@@ -63,31 +62,8 @@ func (s *Store) Options(subdir string, logf func(string, ...any)) (wal.Options, 
 				return wal.Options{}, fmt.Errorf("-store: %w", err)
 			}
 			opts.Sync = pol
-		case "interval":
-			d, err := time.ParseDuration(val)
-			if err != nil {
-				return wal.Options{}, fmt.Errorf("-store: interval: %w", err)
-			}
-			opts.SyncEvery = d
-		case "segbytes":
-			n, err := strconv.ParseInt(val, 10, 64)
-			if err != nil || n <= 0 {
-				return wal.Options{}, fmt.Errorf("-store: segbytes: want a positive integer, got %q", val)
-			}
-			opts.SegmentBytes = n
-		case "compress":
-			switch val {
-			case "none", "":
-				opts.CompressionLevel = evcodec.LevelStored
-			case "speed":
-				opts.CompressionLevel = flate.BestSpeed
-			case "best":
-				opts.CompressionLevel = flate.BestCompression
-			default:
-				return wal.Options{}, fmt.Errorf("-store: compress: want none, speed or best, got %q", val)
-			}
 		default:
-			return wal.Options{}, fmt.Errorf("-store: unknown option %q (want fsync, interval, segbytes or compress)", key)
+			return wal.Options{}, fmt.Errorf("-store: unknown option %q (want fsync)", key)
 		}
 	}
 	return opts, nil

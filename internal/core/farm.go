@@ -43,14 +43,12 @@ type FarmOptions struct {
 	// SessionTimeout caps how long one client connection may live.
 	// Zero means DefaultSessionTimeout.
 	SessionTimeout time.Duration
-	// MaxConns caps concurrently served connections across the farm.
-	// Zero means DefaultMaxConns.
-	MaxConns int
 	// Logf, when non-nil, receives operational diagnostics.
 	Logf func(format string, args ...any)
 }
 
-// Defaults for FarmOptions.
+// DefaultSessionTimeout is FarmOptions.SessionTimeout's default, and
+// DefaultMaxConns caps concurrently served connections across a farm.
 const (
 	DefaultSessionTimeout = 5 * time.Minute
 	DefaultMaxConns       = 1024
@@ -80,9 +78,6 @@ func NewFarm(clock Clock, sink Sink, opts FarmOptions) *Farm {
 	if opts.SessionTimeout <= 0 {
 		opts.SessionTimeout = DefaultSessionTimeout
 	}
-	if opts.MaxConns <= 0 {
-		opts.MaxConns = DefaultMaxConns
-	}
 	if opts.Logf == nil {
 		opts.Logf = log.Printf
 	}
@@ -90,7 +85,7 @@ func NewFarm(clock Clock, sink Sink, opts FarmOptions) *Farm {
 		clock: clock,
 		sink:  sink,
 		opts:  opts,
-		sem:   make(chan struct{}, opts.MaxConns),
+		sem:   make(chan struct{}, DefaultMaxConns),
 	}
 }
 

@@ -12,10 +12,15 @@
 // decompressor is capped at the declared size so a zip bomb cannot
 // inflate past its declaration.
 //
+// There are two encodings (see Encoding): stored blocks for WAL
+// segments and flate.BestSpeed for relay frames. The decoder reads any
+// flate stream, so segments an earlier build compressed at another
+// level still replay.
+//
 // Both directions are allocation-free per batch once warm, because
 // batches are small (a brute-force session yields two or three events)
 // and per-batch set-up would otherwise dwarf the per-event work.
-// Compress keeps one writer pool per flate level, and writes stored
+// Compress keeps one pool of BestSpeed writers, and writes stored
 // blocks itself, byte-for-byte as flate.NewWriter(w, flate.NoCompression)
 // would. ReadBatch reuses pooled decompressors and inflate buffers. The
 // only per-batch allocations left are the decoded events and their
@@ -54,13 +59,20 @@ const (
 	MaxOwnerAddr = 256
 )
 
-// LevelStored selects flate stored (uncompressed) blocks: the payload
-// is still a valid flate stream any decoder accepts, but encoding is a
-// plain copy, done without a flate.Writer. The WAL defaults to it —
-// segment appends sit on the ingest hot path and local disk is cheaper
-// than the CPU to shrink it — while the relay keeps real compression
-// for the wire.
-const LevelStored = -3
+// Encoding selects how Compress writes a payload. Both are flate
+// streams, so ReadBatch decodes either.
+type Encoding int
+
+const (
+	// Stored writes flate stored (uncompressed) blocks: encoding is a
+	// plain copy, done without a flate.Writer. WAL segments use it —
+	// appends sit on the ingest hot path and local disk is cheaper than
+	// the CPU to shrink them.
+	Stored Encoding = iota
+	// Deflated compresses at flate.BestSpeed, for relay frames on the
+	// wire.
+	Deflated
+)
 
 // maxStoredBlock is the largest stored block flate can express (its
 // LEN field is 16 bits), and the size compress/flate cuts them at.
@@ -130,26 +142,19 @@ func (p Payload) AppendHead(buf []byte, seq uint64) []byte {
 	return binary.LittleEndian.AppendUint32(buf, p.CRC)
 }
 
-// flateWriters recycles flate compressors, one pool per level (indexed
-// by level - flate.HuffmanOnly): flate.NewWriter allocates up to ~1MB
-// of window and hash-table state, and a writer is only reusable at the
-// level it was built for. A farm compresses relay frames and journal
-// records at different levels, so one shared pool would hand back the
-// wrong level and allocate a fresh writer on nearly every batch.
-var flateWriters [flate.BestCompression - flate.HuffmanOnly + 1]sync.Pool
+// flateWriters recycles BestSpeed compressors: flate.NewWriter
+// allocates up to ~1MB of window and hash-table state.
+var flateWriters = sync.Pool{New: func() any {
+	fw, _ := flate.NewWriter(nil, flate.BestSpeed) // a valid level cannot fail
+	return fw
+}}
 
 // rawBufs recycles the pre-compression encode buffer; it never escapes
 // Compress, so pooling it removes a ~32KB alloc+clear per batch.
 var rawBufs = sync.Pool{New: func() any { b := make([]byte, 0, 32<<10); return &b }}
 
-// Compress encodes and compresses events into a Payload. level is a
-// compress/flate level; 0 selects flate.BestSpeed — both callers sit on
-// hot paths and trade ratio for throughput by default — and LevelStored
-// selects stored blocks.
-func Compress(events []core.Event, level int) (Payload, error) {
-	if level == 0 {
-		level = flate.BestSpeed
-	}
+// Compress encodes events and writes them as a Payload in enc.
+func Compress(events []core.Event, enc Encoding) (Payload, error) {
 	// Encode into a local slice: appending through a pointer field would
 	// pay a GC write barrier on every field write, which profiles as half
 	// the cost of encoding a batch.
@@ -160,9 +165,9 @@ func Compress(events []core.Event, level int) (Payload, error) {
 	}
 	defer func() { *rawp = raw[:0]; rawBufs.Put(rawp) }()
 	comp := compBufs.Get().(*bytes.Buffer)
-	if level == LevelStored {
+	if enc == Stored {
 		writeStored(comp, raw)
-	} else if err := deflate(comp, raw, level); err != nil {
+	} else if err := deflate(comp, raw); err != nil {
 		comp.Reset()
 		compBufs.Put(comp)
 		return Payload{}, err
@@ -193,29 +198,17 @@ func writeStored(w *bytes.Buffer, raw []byte) {
 	w.Write([]byte{1, 0, 0, 0xff, 0xff})
 }
 
-// deflate compresses raw to w at a compress/flate level, with a writer
-// from that level's pool.
-func deflate(w *bytes.Buffer, raw []byte, level int) error {
-	if level < flate.HuffmanOnly || level > flate.BestCompression {
-		return fmt.Errorf("evcodec: invalid flate level %d", level)
-	}
-	pool := &flateWriters[level-flate.HuffmanOnly]
-	fw, _ := pool.Get().(*flate.Writer)
-	if fw == nil {
-		var err error
-		if fw, err = flate.NewWriter(w, level); err != nil {
-			return fmt.Errorf("evcodec: flate level %d: %w", level, err)
-		}
-	} else {
-		fw.Reset(w)
-	}
+// deflate compresses raw to w at flate.BestSpeed, with a pooled writer.
+func deflate(w *bytes.Buffer, raw []byte) error {
+	fw := flateWriters.Get().(*flate.Writer)
+	fw.Reset(w)
 	if _, err := fw.Write(raw); err != nil {
 		return fmt.Errorf("evcodec: compress batch: %w", err)
 	}
 	if err := fw.Close(); err != nil {
 		return fmt.Errorf("evcodec: compress batch: %w", err)
 	}
-	pool.Put(fw)
+	flateWriters.Put(fw)
 	return nil
 }
 
@@ -231,8 +224,8 @@ func AppendPayload(w *wire.Writer, seq uint64, p Payload) {
 // AppendPayload in one step, for callers that already hold seq. It
 // returns the uncompressed payload size (the numerator of the
 // compression ratio).
-func AppendBatch(w *wire.Writer, seq uint64, events []core.Event, level int) (rawLen int, err error) {
-	p, err := Compress(events, level)
+func AppendBatch(w *wire.Writer, seq uint64, events []core.Event, enc Encoding) (rawLen int, err error) {
+	p, err := Compress(events, enc)
 	if err != nil {
 		return 0, err
 	}
@@ -283,7 +276,9 @@ func (inf *inflater) release() {
 
 // ReadBatch is the symmetric inverse of AppendBatch: it consumes one
 // batch body from r (through to the end of the buffer — the compressed
-// payload is whatever remains). Every declared size is validated
+// payload is whatever remains). It inflates a payload written at any
+// flate level, so segments earlier builds compressed at other levels
+// still replay. Every declared size is validated
 // against lim before allocation, the CRC is verified before
 // decompression, and the decompressed payload must parse into exactly
 // the declared event count with no bytes left over.

@@ -83,13 +83,13 @@ func randomEvent(rng *rand.Rand) core.Event {
 	}
 }
 
-// encode frames events as one batch body at level.
-func encode(t testing.TB, seq uint64, events []core.Event, level int) (body []byte, rawLen int) {
+// encode frames events as one batch body in enc.
+func encode(t testing.TB, seq uint64, events []core.Event, enc Encoding) (body []byte, rawLen int) {
 	t.Helper()
 	w := wire.NewWriter(0)
-	rawLen, err := AppendBatch(w, seq, events, level)
+	rawLen, err := AppendBatch(w, seq, events, enc)
 	if err != nil {
-		t.Fatalf("AppendBatch(level %d): %v", level, err)
+		t.Fatalf("AppendBatch(encoding %d): %v", enc, err)
 	}
 	return w.Bytes(), rawLen
 }
@@ -124,14 +124,49 @@ func reference(t testing.TB, raw []byte, level int) []byte {
 	return buf.Bytes()
 }
 
-var roundTripLevels = []struct {
-	name  string
-	level int
+// encodings lists both encodings Compress writes.
+var encodings = []struct {
+	name string
+	enc  Encoding
 }{
-	{"default", 0},
-	{"stored", LevelStored},
-	{"huffman", flate.HuffmanOnly},
-	{"best", flate.BestCompression},
+	{"stored", Stored},
+	{"deflated", Deflated},
+}
+
+// roundTrips lists every way a batch body reaches ReadBatch: both
+// encodings AppendBatch writes ("default" is the relay's), and payloads
+// the stdlib flate writer produced at other levels, as WAL segments
+// written by earlier builds with -store compress=speed|best hold them.
+var roundTrips = []struct {
+	name   string
+	encode func(t testing.TB, seq uint64, events []core.Event) (body []byte, rawLen int)
+}{
+	{"stored", appended(Stored)},
+	{"default", appended(Deflated)},
+	{"huffman", stdlib(flate.HuffmanOnly)},
+	{"speed", stdlib(flate.BestSpeed)},
+	{"flate-default", stdlib(flate.DefaultCompression)},
+	{"best", stdlib(flate.BestCompression)},
+}
+
+// appended encodes with AppendBatch in enc.
+func appended(enc Encoding) func(testing.TB, uint64, []core.Event) ([]byte, int) {
+	return func(t testing.TB, seq uint64, events []core.Event) ([]byte, int) {
+		return encode(t, seq, events, enc)
+	}
+}
+
+// stdlib frames a payload a fresh stdlib flate writer compressed at
+// level.
+func stdlib(level int) func(testing.TB, uint64, []core.Event) ([]byte, int) {
+	return func(t testing.TB, seq uint64, events []core.Event) ([]byte, int) {
+		var raw []byte
+		for _, e := range events {
+			raw = appendEvent(raw, e)
+		}
+		comp := reference(t, raw, level)
+		return frame(seq, len(events), len(raw), comp, crc32.ChecksumIEEE(comp)), len(raw)
+	}
 }
 
 func TestRoundTrip(t *testing.T) {
@@ -148,10 +183,10 @@ func TestRoundTrip(t *testing.T) {
 		}
 		batches = append(batches, evs)
 	}
-	for _, lv := range roundTripLevels {
-		t.Run(lv.name, func(t *testing.T) {
+	for _, rt := range roundTrips {
+		t.Run(rt.name, func(t *testing.T) {
 			for i, evs := range batches {
-				body, rawLen := encode(t, uint64(i+1), evs, lv.level)
+				body, rawLen := rt.encode(t, uint64(i+1), evs)
 				seq, got, gotRaw, err := ReadBatch(wire.NewReader(body), Limits{})
 				if err != nil {
 					t.Fatalf("batch %d: ReadBatch: %v", i, err)
@@ -163,7 +198,7 @@ func TestRoundTrip(t *testing.T) {
 					t.Fatalf("batch %d: events differ after the round trip", i)
 				}
 			}
-			if _, rawLen := encode(t, 1, big, lv.level); rawLen <= 3*maxStoredBlock {
+			if _, rawLen := rt.encode(t, 1, big); rawLen <= 3*maxStoredBlock {
 				t.Fatalf("big batch is %d raw bytes; it must span several stored blocks", rawLen)
 			}
 		})
@@ -180,11 +215,7 @@ func TestConcurrentRoundTrip(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
 				evs := testEvents(1 + (g+i)%5)
-				level := flate.BestSpeed
-				if i%2 == 0 {
-					level = LevelStored
-				}
-				p, err := Compress(evs, level)
+				p, err := Compress(evs, Encoding(i%2))
 				if err != nil {
 					t.Error(err)
 					return
@@ -224,13 +255,14 @@ func TestStoredMatchesFlate(t *testing.T) {
 
 // TestCompressMatchesFreshWriter checks that Compress, with its pooled
 // writers and its own stored blocks, emits exactly what a fresh flate
-// writer emits over the same encoding, whatever level ran before.
+// writer emits over the same encoding, whichever encoding ran before.
 func TestCompressMatchesFreshWriter(t *testing.T) {
-	levels := []struct{ level, flateLevel int }{
-		{LevelStored, flate.NoCompression},
-		{0, flate.BestSpeed},
-		{flate.HuffmanOnly, flate.HuffmanOnly},
-		{flate.BestCompression, flate.BestCompression},
+	levels := []struct {
+		enc        Encoding
+		flateLevel int
+	}{
+		{Stored, flate.NoCompression},
+		{Deflated, flate.BestSpeed},
 	}
 	for round := 0; round < 2; round++ {
 		for _, n := range []int{1, 3, 300} {
@@ -240,24 +272,16 @@ func TestCompressMatchesFreshWriter(t *testing.T) {
 				raw = appendEvent(raw, e)
 			}
 			for _, lv := range levels {
-				p, err := Compress(evs, lv.level)
+				p, err := Compress(evs, lv.enc)
 				if err != nil {
 					t.Fatal(err)
 				}
 				want := reference(t, raw, lv.flateLevel)
 				if !bytes.Equal(p.Comp, want) || p.CRC != crc32.ChecksumIEEE(want) || p.RawLen != len(raw) || p.Count != n {
-					t.Errorf("round %d, %d events, level %d: payload differs from a fresh flate writer's", round, n, lv.level)
+					t.Errorf("round %d, %d events, flate level %d: payload differs from a fresh flate writer's", round, n, lv.flateLevel)
 				}
 				p.Release()
 			}
-		}
-	}
-}
-
-func TestCompressRejectsBadLevel(t *testing.T) {
-	for _, level := range []int{LevelStored - 1, flate.BestCompression + 1} {
-		if _, err := Compress(testEvents(1), level); err == nil {
-			t.Errorf("level %d: Compress succeeded", level)
 		}
 	}
 }
@@ -316,7 +340,7 @@ func TestReadBatchRejects(t *testing.T) {
 func TestReadBatchDropsLargeBuffers(t *testing.T) {
 	evs := testEvents(1)
 	evs[0].Raw = strings.Repeat("x", maxPooledInflate)
-	body, _ := encode(t, 1, evs, 0)
+	body, _ := encode(t, 1, evs, Deflated)
 	if _, _, _, err := ReadBatch(wire.NewReader(body), Limits{}); err != nil {
 		t.Fatal(err)
 	}
@@ -327,9 +351,9 @@ func TestReadBatchDropsLargeBuffers(t *testing.T) {
 	}
 }
 
-// TestCompressAllocs alternates the relay's level and the WAL's, as a
-// farm does, and bounds what each Compress allocates. A writer pool
-// shared across levels allocates a fresh compressor, ~1MB, per call.
+// TestCompressAllocs alternates the relay's encoding and the WAL's, as
+// a farm does, and bounds what each Compress allocates. A compressor
+// that is not pooled costs ~1MB per call.
 func TestCompressAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector drops sync.Pool items at random")
@@ -338,11 +362,7 @@ func TestCompressAllocs(t *testing.T) {
 	const budget = 64 << 10 // bytes per call
 	evs := testEvents(3)
 	compress := func(i int) {
-		level := flate.BestSpeed
-		if i%2 == 1 {
-			level = LevelStored
-		}
-		p, err := Compress(evs, level)
+		p, err := Compress(evs, Encoding(i%2))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -363,17 +383,17 @@ func TestCompressAllocs(t *testing.T) {
 }
 
 // BenchmarkCodec times one brute-force-sized batch (three events)
-// through each direction at the WAL's level and the relay's.
+// through each direction in the WAL's encoding and the relay's.
 func BenchmarkCodec(b *testing.B) {
 	evs := testEvents(3)
 	for _, lv := range []struct {
-		name  string
-		level int
-	}{{"stored", LevelStored}, {"speed", flate.BestSpeed}} {
+		name string
+		enc  Encoding
+	}{{"stored", Stored}, {"speed", Deflated}} {
 		b.Run("op=encode/level="+lv.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for b.Loop() {
-				p, err := Compress(evs, lv.level)
+				p, err := Compress(evs, lv.enc)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -382,7 +402,7 @@ func BenchmarkCodec(b *testing.B) {
 			b.ReportMetric(float64(b.N)*float64(len(evs))/b.Elapsed().Seconds(), "events/s")
 		})
 		b.Run("op=decode/level="+lv.name, func(b *testing.B) {
-			body, _ := encode(b, 1, evs, lv.level)
+			body, _ := encode(b, 1, evs, lv.enc)
 			b.ReportAllocs()
 			for b.Loop() {
 				if _, _, _, err := ReadBatch(wire.NewReader(body), Limits{}); err != nil {

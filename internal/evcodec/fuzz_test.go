@@ -1,7 +1,6 @@
 package evcodec
 
 import (
-	"compress/flate"
 	"encoding/binary"
 	"hash/crc32"
 	"reflect"
@@ -14,14 +13,14 @@ import (
 // FuzzReadBatch feeds arbitrary batch bodies to the decoder. Hostile
 // bodies must be rejected with an error — never a panic, never an
 // allocation beyond what the limits allow — and any body that decodes
-// must re-encode, at both the relay's level and the WAL's, to a batch
-// that decodes to the same events.
+// must re-encode, in both the relay's encoding and the WAL's, to a
+// batch that decodes to the same events.
 func FuzzReadBatch(f *testing.F) {
-	for _, lv := range roundTripLevels {
-		body, _ := encode(f, 1, testEvents(3), lv.level)
+	for _, rt := range roundTrips {
+		body, _ := rt.encode(f, 1, testEvents(3))
 		f.Add(body)
 	}
-	valid, _ := encode(f, 9, testEvents(2), LevelStored)
+	valid, _ := encode(f, 9, testEvents(2), Stored)
 	f.Add(valid[:len(valid)-1])                     // torn payload
 	f.Add(valid[:12])                               // torn header
 	f.Add(append(valid[:len(valid):len(valid)], 0)) // trailing byte
@@ -74,17 +73,17 @@ func checkReadBatch(t *testing.T, body []byte, lim Limits, allocBudget uint64) {
 	if len(events) == 0 || len(events) > lim.MaxEvents || rawLen > lim.MaxRaw {
 		t.Fatalf("decoded %d events, %d raw bytes, past %+v", len(events), rawLen, lim)
 	}
-	for _, level := range []int{flate.BestSpeed, LevelStored} {
-		again, againRaw := encode(t, seq, events, level)
+	for _, en := range encodings {
+		again, againRaw := encode(t, seq, events, en.enc)
 		if againRaw != rawLen {
-			t.Fatalf("level %d: re-encodes to %d raw bytes, decoded from %d", level, againRaw, rawLen)
+			t.Fatalf("%s: re-encodes to %d raw bytes, decoded from %d", en.name, againRaw, rawLen)
 		}
 		seq2, events2, _, err := ReadBatch(wire.NewReader(again), Limits{})
 		if err != nil {
-			t.Fatalf("level %d: re-encoded batch fails to decode: %v", level, err)
+			t.Fatalf("%s: re-encoded batch fails to decode: %v", en.name, err)
 		}
 		if seq2 != seq || !reflect.DeepEqual(events2, events) {
-			t.Fatalf("level %d: re-encoded batch decodes to different events", level)
+			t.Fatalf("%s: re-encoded batch decodes to different events", en.name)
 		}
 	}
 }

@@ -110,11 +110,6 @@ func (q Query) MatchKey(k PerKey) bool {
 	return q.Tier.matchLevel(k.Level)
 }
 
-// Match reports whether a record matches the full query within a
-// days-long experiment window. The serving layer uses it to page
-// through snapshot records without duplicating the matching rules.
-func (q Query) Match(r *IPRecord, days int) bool { return q.matchRecord(r, days) }
-
 // matchRecord reports whether a record matches the full query.
 func (q Query) matchRecord(r *IPRecord, days int) bool {
 	if q.Where != nil && !q.Where(r) {

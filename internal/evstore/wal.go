@@ -57,9 +57,6 @@ func (s *Store) AttachWAL(l *wal.Log, onReplay func(tag []byte)) (int, error) {
 	return replayed, nil
 }
 
-// WAL returns the attached journal, or nil.
-func (s *Store) WAL() *wal.Log { return s.wal }
-
 // RecordBatchTagged implements core.TaggedBatchSink: the batch is
 // journaled together with an opaque provenance tag (surfaced again via
 // AttachWAL's onReplay after a restart), then applied. With no WAL

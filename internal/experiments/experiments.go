@@ -34,15 +34,6 @@ var All = []Experiment{
 	{ID: "X6", Title: "Institutional scanners", Run: Institutional},
 }
 
-// RunAll executes every experiment against the dataset.
-func RunAll(ds *Dataset) []report.Artifact {
-	out := make([]report.Artifact, 0, len(All))
-	for _, e := range All {
-		out = append(out, e.Run(ds))
-	}
-	return out
-}
-
 // ByID returns the experiment with the given ID, or nil.
 func ByID(id string) *Experiment {
 	for i := range All {

@@ -295,9 +295,7 @@ func (f *FanIn) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if nCreds < 0 {
 		nCreds = 0
 	}
-	if nCreds > f.opts.Local.opts.MaxCreds {
-		nCreds = f.opts.Local.opts.MaxCreds
-	}
+	nCreds = min(nCreds, maxCreds)
 	if len(ranked) > nCreds {
 		ranked = ranked[:nCreds]
 	}

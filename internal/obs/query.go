@@ -20,8 +20,9 @@ import (
 // not copy the store: it takes record pointers and copies credential
 // tallies under each shard lock, and the credential read picks the top
 // rows without sorting them all. The handler still serves one snapshot
-// to every request inside MaxAge, so paging reads one consistent view
-// and an eager poller does not make every write clone its record.
+// to every request inside snapshotMaxAge, so paging reads one
+// consistent view and an eager poller does not make every write clone
+// its record.
 //
 // The request/response types double as the wire schema for the
 // collector tier: Client fetches them, FanIn merges them, and dbreport
@@ -30,25 +31,22 @@ import (
 // QueryOptions configures a QueryHandler.
 type QueryOptions struct {
 	Store *evstore.Store
-	// MaxAge is how long a cached snapshot keeps serving before the next
-	// request rebuilds it. Default 1s; requests can force a rebuild with
-	// ?fresh=1.
-	MaxAge time.Duration
 	// MaxLimit caps the per-request record page size. Default 1000.
 	MaxLimit int
-	// MaxCreds caps the credential rows returned. Default 100.
-	MaxCreds int
 }
 
+// Limits every query handler shares: how long a cached snapshot keeps
+// serving before the next request rebuilds it (a request can force a
+// rebuild with ?fresh=1), and the most credential rows one response
+// carries, locally or merged by FanIn.
+const (
+	snapshotMaxAge = time.Second
+	maxCreds       = 100
+)
+
 func (o QueryOptions) withDefaults() QueryOptions {
-	if o.MaxAge <= 0 {
-		o.MaxAge = time.Second
-	}
 	if o.MaxLimit <= 0 {
 		o.MaxLimit = 1000
-	}
-	if o.MaxCreds <= 0 {
-		o.MaxCreds = 100
 	}
 	return o
 }
@@ -71,7 +69,7 @@ func NewQueryHandler(opts QueryOptions) *QueryHandler {
 func (h *QueryHandler) snapshot(force bool) (*evstore.Snapshot, time.Time) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if force || h.snap == nil || time.Since(h.built) > h.opts.MaxAge {
+	if force || h.snap == nil || time.Since(h.built) > snapshotMaxAge {
 		h.snap = h.opts.Store.Snapshot()
 		h.built = time.Now()
 	}
@@ -286,9 +284,7 @@ func (h *QueryHandler) Respond(req QueryRequest) (QueryResponse, error) {
 	if creds < 0 {
 		creds = 0
 	}
-	if creds > h.opts.MaxCreds {
-		creds = h.opts.MaxCreds
-	}
+	creds = min(creds, maxCreds)
 
 	q := evstore.Query{
 		DBMS: req.DBMS,

@@ -43,8 +43,9 @@ type CollectorOptions struct {
 }
 
 // FarmMark is a restorable dedup high-water mark for one farm: the
-// session epoch it belongs to and the highest sequence ingested within
-// it. dbcollect rebuilds these from the WAL batch tags on reopen.
+// epoch of the sequence space it belongs to and the highest sequence
+// ingested within it. dbcollect rebuilds these from the WAL batch tags
+// on reopen.
 type FarmMark struct {
 	Epoch   uint64
 	LastSeq uint64
@@ -72,14 +73,13 @@ func (o CollectorOptions) withDefaults() CollectorOptions {
 // farmState is the per-farm dedup and accounting record. Ingest and ack
 // for one farm serialise on its mutex, so a farm that reconnects while
 // its old connection drains cannot interleave batches. The dedup key is
-// (epoch, sequence): a forwarder process restart announces a fresh
-// epoch in HELLO (see hello), and admit classifies each batch against
-// the mark.
+// (epoch, sequence): a forwarder whose sequence space starts over
+// announces a fresh epoch in HELLO (see hello), and admit classifies
+// each batch against the mark.
 type farmState struct {
 	mu        sync.Mutex
-	epoch     uint64 // session epoch the dedup state belongs to
+	epoch     uint64 // epoch of the sequence space the mark belongs to
 	last      uint64 // highest ingested sequence within epoch
-	durable   bool   // farm announced a WAL-backed sequence space
 	frames    uint64
 	events    uint64
 	dupFrames uint64
@@ -95,25 +95,21 @@ const (
 	admitSuperseded                  // a newer session owns the farm: drop the connection
 )
 
-// hello adopts the session epoch a connection announced. A new
-// in-memory session restarts its sequence numbering, so the mark
-// restarts too, or every new batch would read as a duplicate. A durable
-// (WAL-backed) sequence space survives the restart, so the mark is
-// kept: batches replayed from disk whose ack was lost read as
-// duplicates.
-func (fs *farmState) hello(epoch uint64, durable bool) {
+// hello adopts the epoch a connection announced, and resets the mark
+// if and only if the epoch changed. The forwarder keeps its epoch
+// whenever it may resend a frame (a reconnect, or a restart replaying
+// its spool), so those frames read as duplicates; a new epoch means the
+// sequence space started over, and the old mark would read every new
+// batch as a duplicate.
+func (fs *farmState) hello(epoch uint64) {
 	if fs.epoch != epoch {
-		fs.epoch = epoch
-		if !durable {
-			fs.last = 0
-		}
+		fs.epoch, fs.last = epoch, 0
 	}
-	fs.durable = fs.durable || durable
 }
 
-// admit classifies batch seq arriving on a connection of session epoch.
-// It leaves the mark alone: the caller advances last only once the
-// batch is ingested.
+// admit classifies batch seq arriving on a connection that announced
+// epoch. It leaves the mark alone: the caller advances last only once
+// the batch is ingested.
 func (fs *farmState) admit(epoch, seq uint64) admission {
 	switch {
 	case fs.epoch != epoch:
@@ -200,7 +196,7 @@ func NewCollector(opts CollectorOptions, sinks ...core.Sink) (*Collector, error)
 		c.sinks = append(c.sinks, cs)
 	}
 	for name, m := range c.opts.Farms {
-		c.farms[name] = &farmState{epoch: m.Epoch, last: m.LastSeq, durable: true}
+		c.farms[name] = &farmState{epoch: m.Epoch, last: m.LastSeq}
 	}
 	return c, nil
 }
@@ -321,7 +317,7 @@ func (c *Collector) handle(conn net.Conn) {
 		c.authFails.Add(1)
 		return
 	}
-	token, farm, epoch, durable, err := decodeHello(body)
+	token, farm, epoch, err := decodeHello(body)
 	if err != nil || subtle.ConstantTimeCompare([]byte(token), []byte(c.opts.Token)) != 1 {
 		c.authFails.Add(1)
 		c.logf("relay: %s: rejected hello", conn.RemoteAddr())
@@ -330,7 +326,7 @@ func (c *Collector) handle(conn net.Conn) {
 	c.auths.Add(1)
 	fs := c.farm(farm)
 	fs.mu.Lock()
-	fs.hello(epoch, durable)
+	fs.hello(epoch)
 	fs.mu.Unlock()
 
 	for {
@@ -434,8 +430,8 @@ func (c *Collector) ingest(events []core.Event, tag []byte) bool {
 	return delivered
 }
 
-// EncodeSourceTag packs a batch's provenance — farm name, session
-// epoch, sequence — into the opaque annotation a durable sink journals
+// EncodeSourceTag packs a batch's provenance — farm name, epoch,
+// sequence — into the opaque annotation a durable sink journals
 // alongside the batch. A restarted collector replays its journal,
 // decodes the tags and passes the resulting high-water marks back via
 // CollectorOptions.Farms.
@@ -471,9 +467,8 @@ func DecodeSourceTag(tag []byte) (farm string, epoch, seq uint64, ok bool) {
 // FarmStats is the per-farm slice of CollectorStats.
 type FarmStats struct {
 	Name      string
-	Epoch     uint64 // session epoch the dedup state belongs to
+	Epoch     uint64 // epoch of the sequence space the mark belongs to
 	LastSeq   uint64 // highest ingested sequence within Epoch
-	Durable   bool   // farm announced a WAL-backed sequence space
 	Frames    uint64
 	Events    uint64
 	DupFrames uint64
@@ -545,7 +540,7 @@ func (c *Collector) Stats() CollectorStats {
 	for name, fs := range c.farms {
 		fs.mu.Lock()
 		st.Farms = append(st.Farms, FarmStats{
-			Name: name, Epoch: fs.epoch, LastSeq: fs.last, Durable: fs.durable,
+			Name: name, Epoch: fs.epoch, LastSeq: fs.last,
 			Frames: fs.frames, Events: fs.events,
 			DupFrames: fs.dupFrames, DupEvents: fs.dupEvents,
 		})

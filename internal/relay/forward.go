@@ -58,10 +58,11 @@ type ForwardOptions struct {
 	// forwarder reloads every unacked frame with its owner and never
 	// replays a frame to a collector other than its owner (see
 	// ledger). Frame sequence numbers are the WAL's, which survive
-	// restarts; the HELLO's durable flag tells the collector to dedup
-	// across epochs. The sink must own the log exclusively while open;
-	// the caller closes it. Assign only a non-nil concrete value: a nil
-	// *wal.Log in the interface reads as a present, broken log.
+	// restarts, and each batch is journaled with the epoch, so a restart
+	// that replays frames keeps the name collectors dedup them under.
+	// The sink must own the log exclusively while open; the caller
+	// closes it. Assign only a non-nil concrete value: a nil *wal.Log in
+	// the interface reads as a present, broken log.
 	SpoolWAL SpoolLog
 
 	// WriteTimeout and FlushTimeout bound single frame writes and Flush
@@ -209,10 +210,9 @@ type ForwardSink struct {
 	opts ForwardOptions
 	eps  []*endpoint // rendezvous rank order for opts.Farm
 
-	mu    sync.Mutex
-	cond  sync.Cond // new data, acks, disconnects, stop
-	led   *ledger   // frame state; guarded by mu
-	epoch uint64    // per-process session nonce, sent in HELLO
+	mu   sync.Mutex
+	cond sync.Cond // new data, acks, disconnects, stop
+	led  *ledger   // frame state; guarded by mu, except the read-only epoch
 
 	conn       net.Conn
 	connected  bool
@@ -253,14 +253,13 @@ func NewForwardSink(opts ForwardOptions) (*ForwardSink, error) {
 	f := &ForwardSink{
 		opts:   opts.withDefaults(),
 		stopCh: make(chan struct{}),
-		epoch:  newEpoch(),
 	}
 	for _, a := range RankEndpoints(f.opts.Farm, addrs) {
 		f.eps = append(f.eps, &endpoint{addr: a, backoff: f.opts.MinBackoff})
 	}
 	f.cond.L = &f.mu
 	f.led = newLedger(f.opts, f.logf)
-	if err := f.led.reload(); err != nil {
+	if err := f.led.reload(newEpoch()); err != nil {
 		return nil, err
 	}
 	if n := f.orphansLocked(f.led.pins()); n > 0 {
@@ -285,9 +284,10 @@ func cleanAddrs(in []string) []string {
 	return out
 }
 
-// newEpoch draws the per-process session nonce the collector uses to
-// tell a reconnect from a restart. Never zero, so it is distinguishable
-// from a collector farmState that has seen no HELLO at all.
+// newEpoch draws a fresh epoch for a sequence space that starts with
+// nothing to replay (see ledger.reload). Never zero, so it is
+// distinguishable from a collector farmState that has seen no HELLO at
+// all.
 func newEpoch() uint64 {
 	var b [8]byte
 	if _, err := crand.Read(b[:]); err != nil {
@@ -480,7 +480,7 @@ func (f *ForwardSink) dialEndpoint(ep *endpoint) (net.Conn, error) {
 		return nil, fmt.Errorf("relay: dial %s: %w", addr, err)
 	}
 	_ = conn.SetWriteDeadline(time.Now().Add(f.opts.WriteTimeout))
-	if err := wire.WriteFrame(conn, encodeHello(f.opts.Token, f.opts.Farm, f.epoch, f.opts.SpoolWAL != nil)); err != nil {
+	if err := wire.WriteFrame(conn, encodeHello(f.opts.Token, f.opts.Farm, f.led.epoch)); err != nil {
 		conn.Close()
 		return nil, fmt.Errorf("relay: hello to %s: %w", addr, err)
 	}

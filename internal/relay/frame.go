@@ -9,10 +9,10 @@
 // payloads, a per-frame sequence number and a CRC over the compressed
 // bytes (the batch body is the shared internal/evcodec encoding, the
 // same bytes the durable WAL writes to disk). A connection opens with a
-// HELLO frame carrying a shared token, the farm's name, a random
-// per-process session epoch and a flags byte; the collector answers
-// each BATCH frame with a cumulative ACK once the batch has been handed
-// to its local sinks.
+// HELLO frame carrying a shared token, the farm's name and the epoch
+// that names its sequence space; the collector answers each BATCH frame
+// with a cumulative ACK once the batch has been handed to its local
+// sinks.
 //
 //	farm ──HELLO──▶ collector
 //	farm ──BATCH seq=1..n──▶ collector
@@ -20,15 +20,15 @@
 //
 // Delivery is at-least-once: the forwarder retransmits every unacked
 // frame after a reconnect, and the collector dedups on (farm, epoch,
-// sequence) — the epoch distinguishes a reconnecting process (same
-// epoch, dedup state kept) from a restarted one (new epoch, sequence
-// space restarts) — so a collector outage costs buffering (and, once
-// the spool is full, per-source-accounted shedding) but never double
-// counting and never a silently discarded session. A forwarder whose
-// spool is backed by a WAL sets the durable flag: its sequence space
-// survives process restarts, so the collector keeps the dedup
-// high-water mark across epochs and a crash-replayed frame can never
-// double-ingest.
+// sequence), so a collector outage costs buffering (and, once the spool
+// is full, per-source-accounted shedding) but never double counting and
+// never a silently discarded session. The epoch changes exactly when
+// the sequence space starts over: a reconnect keeps it, and so does a
+// restart that replays frames from a durable spool (the spool journals
+// the epoch with every batch), so the collector keeps its dedup mark
+// and a crash-replayed frame can never double-ingest. A process with
+// nothing to replay draws a fresh epoch, and the collector resets the
+// mark.
 package relay
 
 import (
@@ -45,24 +45,15 @@ const Magic uint32 = 0x44524c59
 
 // Version is the wire-format version. A collector refuses frames from a
 // different version instead of guessing. Version 2 added the session
-// epoch to the HELLO frame; version 3 added the HELLO flags byte
-// (durable sequence space).
-const Version = 3
+// epoch to the HELLO frame; version 3 added a HELLO flags byte, which
+// version 4 removed again: the epoch alone names the sequence space.
+const Version = 4
 
 // Frame types.
 const (
 	frameHello = 1
 	frameBatch = 2
 	frameAck   = 3
-)
-
-// HELLO flag bits.
-const (
-	// helloDurable announces that the forwarder's sequence space is
-	// durable (WAL-backed): it survives process restarts, so the
-	// collector must dedup on sequence across session epochs instead of
-	// resetting its high-water mark when the epoch changes.
-	helloDurable = 1 << 0
 )
 
 // Hard limits. They bound what a single frame can make either endpoint
@@ -88,8 +79,8 @@ const (
 // length prefix cost the collector 4 MiB for up to DefaultHelloTimeout.
 const (
 	// maxHelloFrame is the largest valid HELLO body: header, token and
-	// farm name with their uint16 length prefixes, epoch and flags.
-	maxHelloFrame = 6 + 2 + MaxName + 2 + MaxName + 8 + 1
+	// farm name with their uint16 length prefixes, and epoch.
+	maxHelloFrame = 6 + 2 + MaxName + 2 + MaxName + 8
 	// maxAckFrame is the size of an ACK body: header and sequence.
 	maxAckFrame = 6 + 8
 )
@@ -136,55 +127,45 @@ func readHeader(r *wire.Reader) (byte, error) {
 	return typ, nil
 }
 
-// encodeHello builds the connection-opening frame body. epoch is the
-// forwarder's per-process session nonce: it lets the collector tell a
-// reconnect (same epoch, sequence numbering continues) from a process
-// restart (new epoch). durable announces a WAL-backed sequence space
-// that survives restarts.
-func encodeHello(token, farm string, epoch uint64, durable bool) []byte {
-	w := wire.NewWriter(25 + len(token) + len(farm))
+// encodeHello builds the connection-opening frame body. epoch names
+// the forwarder's sequence space: it lets the collector tell a
+// reconnect or a replaying restart (same epoch, sequence numbering
+// continues) from a sequence space that started over (new epoch).
+func encodeHello(token, farm string, epoch uint64) []byte {
+	w := wire.NewWriter(24 + len(token) + len(farm))
 	header(w, frameHello)
 	putString16(w, token)
 	putString16(w, farm)
 	w.Uint64LE(epoch)
-	var flags byte
-	if durable {
-		flags |= helloDurable
-	}
-	w.Uint8(flags)
 	return w.Bytes()
 }
 
-// decodeHello parses a HELLO body into (token, farm, epoch, durable).
-func decodeHello(body []byte) (token, farm string, epoch uint64, durable bool, err error) {
+// decodeHello parses a HELLO body into (token, farm, epoch).
+func decodeHello(body []byte) (token, farm string, epoch uint64, err error) {
 	r := wire.NewReader(body)
 	typ, err := readHeader(r)
 	if err != nil {
-		return "", "", 0, false, err
+		return "", "", 0, err
 	}
 	if typ != frameHello {
-		return "", "", 0, false, fmt.Errorf("%w: expected hello, got type %d", ErrBadFrame, typ)
+		return "", "", 0, fmt.Errorf("%w: expected hello, got type %d", ErrBadFrame, typ)
 	}
 	if token, err = getString16(r); err != nil {
-		return "", "", 0, false, err
+		return "", "", 0, err
 	}
 	if farm, err = getString16(r); err != nil {
-		return "", "", 0, false, err
+		return "", "", 0, err
 	}
 	if farm == "" {
-		return "", "", 0, false, fmt.Errorf("%w: empty farm name", ErrBadFrame)
+		return "", "", 0, fmt.Errorf("%w: empty farm name", ErrBadFrame)
 	}
 	if epoch, err = r.Uint64LE(); err != nil {
-		return "", "", 0, false, fmt.Errorf("%w: %v", ErrBadFrame, err)
-	}
-	flags, err := r.Uint8()
-	if err != nil {
-		return "", "", 0, false, fmt.Errorf("%w: %v", ErrBadFrame, err)
+		return "", "", 0, fmt.Errorf("%w: %v", ErrBadFrame, err)
 	}
 	if r.Len() != 0 {
-		return "", "", 0, false, fmt.Errorf("%w: %d trailing bytes after hello", ErrBadFrame, r.Len())
+		return "", "", 0, fmt.Errorf("%w: %d trailing bytes after hello", ErrBadFrame, r.Len())
 	}
-	return token, farm, epoch, flags&helloDurable != 0, nil
+	return token, farm, epoch, nil
 }
 
 // encodeAck builds a cumulative acknowledgement: every batch with
@@ -217,13 +198,13 @@ func decodeAck(body []byte) (uint64, error) {
 }
 
 // EncodeBatch encodes events as one BATCH frame body: the relay header
-// followed by the shared evcodec batch body. It returns the frame body
-// and the uncompressed payload size (the numerator of the compression
-// ratio). level is a compress/flate level; 0 selects flate.BestSpeed.
-func EncodeBatch(seq uint64, events []core.Event, level int) (body []byte, rawLen int, err error) {
+// followed by the shared evcodec batch body, deflated. It returns the
+// frame body and the uncompressed payload size (the numerator of the
+// compression ratio).
+func EncodeBatch(seq uint64, events []core.Event) (body []byte, rawLen int, err error) {
 	w := wire.NewWriter(64*len(events)/4 + 32)
 	header(w, frameBatch)
-	rawLen, err = evcodec.AppendBatch(w, seq, events, level)
+	rawLen, err = evcodec.AppendBatch(w, seq, events, evcodec.Deflated)
 	if err != nil {
 		return nil, 0, err
 	}

@@ -1,7 +1,7 @@
 package relay
 
 import (
-	"compress/flate"
+	"encoding/binary"
 	"fmt"
 	"net/netip"
 	"time"
@@ -33,14 +33,18 @@ type spoolFrame struct {
 
 // ledger is a forwarder's frame state: the events not yet framed, the
 // spool of encoded unacked frames with their pins, the frame sequence
-// space, the spool WAL that journals all three, and the counters behind
-// Stats. It does no network I/O, starts no goroutine and reads no clock
-// — the transport passes the time in — so every exactly-once rule
+// space and the epoch that names it, the spool WAL that journals them,
+// and the counters behind Stats. It does no network I/O, starts no
+// goroutine and reads no clock — the transport passes the time in — so
+// every exactly-once rule
 // lives here, where a model test can drive it step by step. It is not
 // goroutine-safe: ForwardSink.mu guards it.
 type ledger struct {
 	opts ForwardOptions // with defaults applied
 	logf func(format string, args ...any)
+
+	epoch uint64 // names the sequence space; fixed by reload, then read-only
+	tag   []byte // spoolTag(epoch), journaled with every spool batch
 
 	pending     []core.Event  // not yet framed
 	spool       []*spoolFrame // framed, FIFO by seq
@@ -74,7 +78,16 @@ func newLedger(opts ForwardOptions, logf func(format string, args ...any)) *ledg
 // log's, and every frame past the ack mark is re-encoded into the spool
 // with the owner journaled for it — so a frame pinned to collector A
 // before the crash goes only to A, even while A is absent from Addrs.
-func (l *ledger) reload() error {
+//
+// It also settles the epoch the collectors dedup the sequence space
+// under. Replayed frames keep the epoch they were journaled with, so
+// each collector keeps its mark and absorbs a frame whose ack was lost.
+// With nothing to replay (no spool, an empty or wiped one, or one fully
+// acked) or only untagged batches from an earlier build, the epoch is
+// fresh: no frame can be a duplicate, and every collector resets its
+// mark.
+func (l *ledger) reload(fresh uint64) error {
+	l.epoch = fresh
 	w := l.opts.SpoolWAL
 	if w == nil {
 		return nil
@@ -82,8 +95,11 @@ func (l *ledger) reload() error {
 	l.nextSeq = w.LastSeq()
 	l.lastCompact = w.Mark()
 	owners := w.Owners()
-	err := w.Replay(l.lastCompact+1, func(seq uint64, _ []byte, events []core.Event) error {
-		body, rawLen, err := EncodeBatch(seq, events, flate.BestSpeed)
+	err := w.Replay(l.lastCompact+1, func(seq uint64, tag []byte, events []core.Event) error {
+		if epoch, ok := spoolEpoch(tag); ok {
+			l.epoch = epoch
+		}
+		body, rawLen, err := EncodeBatch(seq, events)
 		if err != nil {
 			return fmt.Errorf("relay: re-encode spooled frame seq %d: %w", seq, err)
 		}
@@ -94,11 +110,29 @@ func (l *ledger) reload() error {
 	if err != nil {
 		return fmt.Errorf("relay: reload spool: %w", err)
 	}
+	l.tag = spoolTag(l.epoch)
 	if n := len(l.spool); n > 0 {
-		l.logf("relay: reloaded %d unacked frames (%d events, seq %d..%d, %d pinned) from spool WAL",
-			n, l.spoolEv, l.spool[0].seq, l.spool[n-1].seq, len(owners))
+		l.logf("relay: reloaded %d unacked frames (%d events, seq %d..%d, %d pinned, epoch %#x) from spool WAL",
+			n, l.spoolEv, l.spool[0].seq, l.spool[n-1].seq, len(owners), l.epoch)
 	}
 	return nil
+}
+
+// spoolTag is the tag the spool WAL journals with each batch: the
+// epoch, 8 bytes little-endian.
+func spoolTag(epoch uint64) []byte {
+	return binary.LittleEndian.AppendUint64(nil, epoch)
+}
+
+// spoolEpoch reads a spool batch tag. ok is false for anything
+// spoolTag did not write: an untagged batch from an earlier build, or a
+// zero epoch, which no forwarder draws.
+func spoolEpoch(tag []byte) (epoch uint64, ok bool) {
+	if len(tag) != 8 {
+		return 0, false
+	}
+	epoch = binary.LittleEndian.Uint64(tag)
+	return epoch, epoch != 0
 }
 
 // full reports whether the spool has reached its byte bound: its frames'
@@ -150,7 +184,7 @@ func (l *ledger) cut() {
 		var body []byte
 		var rawLen int
 		for body == nil {
-			b, rl, err := EncodeBatch(l.nextSeq+1, l.pending[:n], flate.BestSpeed)
+			b, rl, err := EncodeBatch(l.nextSeq+1, l.pending[:n])
 			switch {
 			case err != nil:
 				// Encoding into memory cannot fail outside of a
@@ -177,8 +211,9 @@ func (l *ledger) cut() {
 			// not enter the sequence space (its seq would be reused after a
 			// restart and the collector would dedup-drop a different
 			// batch). A failing disk degrades to accounted shedding, the
-			// same contract as a full spool.
-			seq, err := w.Append(l.pending[:n], nil)
+			// same contract as a full spool. The tag carries the epoch to
+			// a restart that replays the batch.
+			seq, err := w.Append(l.pending[:n], l.tag)
 			if err != nil {
 				l.noteErr(err)
 				l.logf("relay: spool WAL append: %v (shedding %d events)", err, n)
@@ -191,7 +226,7 @@ func (l *ledger) cut() {
 				// and re-encode under the right sequence number.
 				l.noteErr(fmt.Errorf("relay: spool WAL sequence skew: got %d, want %d", seq, l.nextSeq+1))
 				l.nextSeq = seq - 1
-				if body, rawLen, err = EncodeBatch(seq, l.pending[:n], flate.BestSpeed); err != nil {
+				if body, rawLen, err = EncodeBatch(seq, l.pending[:n]); err != nil {
 					l.noteErr(err)
 					l.shedPending(n)
 					continue
@@ -367,9 +402,9 @@ func (l *ledger) floor() uint64 {
 // what is still unacked. The floor — not the raw acked sequence —
 // because with pinned frames a later sequence can be acked by one
 // collector while an earlier frame still awaits another. A mark that
-// fails to persist is harmless to correctness — the frames replay and
-// the collector's durable dedup drops them — so the error is only
-// noted; but lastCompact advances only on success, or one failed
+// fails to persist is harmless to correctness — the frames replay under
+// their epoch and the collector's dedup drops them — so the error is
+// only noted; but lastCompact advances only on success, or one failed
 // compaction would silence every retry at that floor and fully-acked
 // segments would pile up until the process restarted.
 func (l *ledger) compact() {

@@ -3,6 +3,7 @@ package relay
 import (
 	"fmt"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"slices"
 	"strconv"
@@ -19,11 +20,14 @@ import (
 // events, connect, write (some writes fail), deliver, ack (a quarter of
 // the acks' compactions fail), disconnect, re-rank the endpoint set,
 // and crash the farm — clean or hard — then reopen the journal and
-// reload. A reference model tracks which collector each frame was
-// handed to and which events each collector ingested, and every step is
-// checked against it. A quarter of the seeds run without a journal, as
-// decoydb does without -store: there a crash loses the spool. In a third
-// of them one collector decodes under stricter limits, so the frames
+// reload. A quarter of the crashes on a journal wipe its directory
+// first, as a replaced disk or a farm name reused on a new host does:
+// the new process starts a new sequence space with nothing to replay.
+// A reference model tracks which collector each frame was handed to
+// and which events each collector ingested, and every step is checked
+// against it. A quarter of the seeds run without a journal, as decoydb
+// does without -store: there a crash loses the spool. In a third of
+// them one collector decodes under stricter limits, so the frames
 // pinned to it reach the retry cap.
 func TestLedgerModel(t *testing.T) {
 	seeds, steps := 60, 1000
@@ -44,10 +48,11 @@ func TestLedgerModel(t *testing.T) {
 	}
 }
 
-// frameKey names one frame across the model's lifetime. A journaled
-// spool's sequence space survives restarts, so its frames are keyed by
-// sequence alone; an in-memory spool restarts at 1 under every epoch.
-type frameKey struct{ epoch, seq uint64 }
+// frameKey names one frame across the model's lifetime: the sequence
+// space it was cut in, and its sequence. A journaled spool's sequence
+// space survives restarts until the journal is wiped; an in-memory
+// spool starts a new one on every restart.
+type frameKey struct{ space, seq uint64 }
 
 // modelCollector is one collector: an address, the limits it decodes
 // frames under, and the real dedup state for the one farm.
@@ -63,6 +68,7 @@ type modelCollector struct {
 type modelConn struct {
 	coll   *modelCollector
 	epoch  uint64
+	space  uint64
 	frames [][]byte
 	acks   []uint64
 }
@@ -76,7 +82,7 @@ type ledgerModel struct {
 	log     *wal.Log
 	spool   *flakySpool
 	l       *ledger
-	epoch   uint64
+	space   uint64 // the current sequence space; see frameKey
 	now     time.Time
 
 	colls []*modelCollector
@@ -123,8 +129,8 @@ func newLedgerModel(t *testing.T, seed int64, durable bool) *ledgerModel {
 	return m
 }
 
-// start runs a fresh farm process: a new epoch and a new ledger, which
-// reloads the journal when there is one.
+// start runs a fresh farm process: a new ledger, which reloads the
+// journal when there is one and settles the epoch.
 func (m *ledgerModel) start() {
 	m.opts.SpoolWAL = nil
 	if m.durable {
@@ -136,19 +142,11 @@ func (m *ledgerModel) start() {
 		m.spool = &flakySpool{Log: l}
 		m.opts.SpoolWAL = m.spool
 	}
-	m.epoch = uint64(m.rng.Int63()) | 1
 	m.l = newLedger(m.opts, func(string, ...any) {})
-	if err := m.l.reload(); err != nil {
+	if err := m.l.reload(uint64(m.rng.Int63()) | 1); err != nil {
 		m.t.Fatal(err)
 	}
 	m.offered, m.reloaded = 0, int(m.l.enqueued)
-}
-
-func (m *ledgerModel) key(epoch, seq uint64) frameKey {
-	if m.durable {
-		epoch = 0
-	}
-	return frameKey{epoch, seq}
 }
 
 func (m *ledgerModel) step() {
@@ -164,14 +162,14 @@ func (m *ledgerModel) step() {
 		m.deliver(m.conn)
 	case r < 72:
 		m.deliver(m.stale)
-	case r < 96:
-		m.ack(m.durable && m.rng.Intn(4) == 0)
 	case r < 94:
+		m.ack(m.durable && m.rng.Intn(4) == 0)
+	case r < 96:
 		m.conn = nil
 	case r < 99:
 		m.rerank()
 	default:
-		m.crash(m.rng.Intn(2) == 0)
+		m.crash(m.rng.Intn(2) == 0, m.rng.Intn(4) == 0)
 	}
 }
 
@@ -193,9 +191,9 @@ func (m *ledgerModel) connect(c *modelCollector) {
 	if m.conn != nil {
 		return
 	}
-	m.conn = &modelConn{coll: c, epoch: m.epoch}
+	m.conn = &modelConn{coll: c, epoch: m.l.epoch, space: m.space}
 	m.l.rewind()
-	c.fs.hello(m.epoch, m.durable)
+	c.fs.hello(m.l.epoch)
 }
 
 // write hands the connection its next frame; a failed write cuts the
@@ -217,7 +215,7 @@ func (m *ledgerModel) write(fail bool) {
 	if fr == nil {
 		return
 	}
-	k := m.key(m.epoch, fr.seq)
+	k := frameKey{m.space, fr.seq}
 	if prev, ok := m.handedTo[k]; ok && prev != addr {
 		m.t.Fatalf("frame seq %d handed to %s after %s", fr.seq, addr, prev)
 	}
@@ -263,7 +261,7 @@ func (m *ledgerModel) deliver(conn *modelConn) {
 		cut()
 		return
 	case admitFresh:
-		k := m.key(conn.epoch, seq)
+		k := frameKey{conn.space, seq}
 		if by, ok := m.ingestedBy[k]; ok {
 			m.t.Fatalf("frame seq %d ingested by %s and by %s", seq, by, c.addr)
 		}
@@ -332,18 +330,21 @@ func (m *ledgerModel) rerank() {
 // crash ends the farm process and starts a new one. A clean crash is
 // Close: on a journaled spool it cuts the pending tail first. A hard
 // crash loses the pending tail; without a journal, either loses the
-// spool too. The connection is left draining into its collector.
-func (m *ledgerModel) crash(clean bool) {
+// spool too, and so does a wiped journal. The connection is left
+// draining into its collector.
+func (m *ledgerModel) crash(clean, wipe bool) {
+	wipe = wipe && m.durable
 	if clean && m.durable {
 		m.l.cut()
 	}
 	for _, e := range m.l.pending {
 		m.fate[eventID(m.t, e.User)] = "lost"
 	}
-	if !m.durable {
+	if !m.durable || wipe {
 		for _, fr := range m.l.spool {
 			m.setFate(fr.body, "lost")
 		}
+		m.space++
 	}
 	m.stale, m.conn = m.conn, nil
 	old := m.l
@@ -352,12 +353,22 @@ func (m *ledgerModel) crash(clean bool) {
 			m.t.Fatal(err)
 		}
 	}
+	if wipe {
+		if err := os.RemoveAll(m.dir); err != nil {
+			m.t.Fatal(err)
+		}
+	}
 	m.start()
-	if !m.durable {
-		if !m.l.idle() {
-			m.t.Fatal("an in-memory spool survived a crash")
+	if !m.durable || wipe {
+		if !m.l.idle() || m.l.nextSeq != 0 {
+			m.t.Fatal("a lost spool survived a crash")
 		}
 		return
+	}
+	// A restart with frames to replay keeps the epoch they were cut
+	// under, so every collector keeps its dedup mark for them.
+	if len(m.l.spool) > 0 && m.l.epoch != old.epoch {
+		m.t.Fatalf("reload of %d frames changed the epoch %#x -> %#x", len(m.l.spool), old.epoch, m.l.epoch)
 	}
 	// The reload restores every spooled frame with the owner it was
 	// first handed to. Frames the old process had acked but not yet
@@ -366,7 +377,7 @@ func (m *ledgerModel) crash(clean bool) {
 	reloaded := map[uint64]*spoolFrame{}
 	for _, fr := range m.l.spool {
 		reloaded[fr.seq] = fr
-		owner, handed := m.handedTo[m.key(0, fr.seq)]
+		owner, handed := m.handedTo[frameKey{m.space, fr.seq}]
 		if fr.owner != owner {
 			m.t.Fatalf("reload pinned frame seq %d to %q, first handed to %q", fr.seq, fr.owner, owner)
 		}

@@ -77,7 +77,7 @@ func (m *memSink) snapshot() []core.Event {
 
 func TestBatchRoundTrip(t *testing.T) {
 	in := testEvents(100)
-	body, rawLen, err := EncodeBatch(42, in, 0)
+	body, rawLen, err := EncodeBatch(42, in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestBatchRoundTrip(t *testing.T) {
 }
 
 func TestBatchRejectsCorruption(t *testing.T) {
-	body, _, err := EncodeBatch(1, testEvents(10), 0)
+	body, _, err := EncodeBatch(1, testEvents(10))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +144,7 @@ func TestBatchRejectsCorruption(t *testing.T) {
 }
 
 func TestBatchHonoursLimits(t *testing.T) {
-	body, _, err := EncodeBatch(1, testEvents(100), 0)
+	body, _, err := EncodeBatch(1, testEvents(100))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,7 +284,7 @@ func TestCollectorRejectsBadToken(t *testing.T) {
 // HELLO and is cut at once, without the collector allocating the
 // declared length or waiting DefaultHelloTimeout for the bytes.
 func TestCollectorCapsHelloRead(t *testing.T) {
-	if got := len(encodeHello(strings.Repeat("t", MaxName), strings.Repeat("f", MaxName), 1, true)); got != maxHelloFrame {
+	if got := len(encodeHello(strings.Repeat("t", MaxName), strings.Repeat("f", MaxName), 1)); got != maxHelloFrame {
 		t.Fatalf("largest HELLO is %d bytes, cap is %d", got, maxHelloFrame)
 	}
 	if got := len(encodeAck(1)); got != maxAckFrame {
@@ -323,7 +323,7 @@ func TestForwardShedsWhenDown(t *testing.T) {
 	// No collector at all: a spool with room for two frames must fill,
 	// then shed with per-source attribution, without ever blocking
 	// RecordBatch.
-	body, _, err := EncodeBatch(1, testEvents(8), 0)
+	body, _, err := EncodeBatch(1, testEvents(8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -540,11 +540,10 @@ func TestCollectorRestartDedups(t *testing.T) {
 }
 
 func TestFarmRestartResumesIngest(t *testing.T) {
-	// A restarted farm process restarts its sequence numbering at 1. The
-	// collector keys dedup on the session epoch announced in HELLO, so
-	// the new session's batches must be ingested — not classified as
-	// duplicates of the old session's high-water mark and silently
-	// dropped.
+	// A restarted farm process without a spool restarts its sequence
+	// numbering at 1 under a fresh epoch, announced in HELLO, so the new
+	// process's batches must be ingested — not classified as duplicates
+	// of the old process's high-water mark and silently dropped.
 	sink := &memSink{}
 	coll, err := NewCollector(CollectorOptions{Token: "tok"}, sink)
 	if err != nil {
@@ -553,29 +552,8 @@ func TestFarmRestartResumesIngest(t *testing.T) {
 	addr, stop := startCollector(t, coll)
 	defer stop()
 
-	run := func(n, off int) {
-		t.Helper()
-		fwd, err := NewForwardSink(ForwardOptions{Addrs: []string{addr}, Token: "tok", Farm: "farm-x", FrameEvents: 8})
-		if err != nil {
-			t.Fatal(err)
-		}
-		evs := make([]core.Event, n)
-		for i := range evs {
-			evs[i] = testEvent(off + i)
-		}
-		if err := fwd.RecordBatch(evs); err != nil {
-			t.Fatal(err)
-		}
-		fwd.Flush()
-		if err := fwd.Close(); err != nil {
-			t.Fatal(err)
-		}
-		if st := fwd.Stats(); st.EventsAcked != uint64(n) {
-			t.Fatalf("acked %d of %d events: %+v", st.EventsAcked, n, st)
-		}
-	}
-	run(100, 0)   // first process, sequences 1..13
-	run(60, 1000) // restarted process, sequences restart at 1
+	forwardAll(t, addr, "", 0, 100)   // first process, sequences 1..25
+	forwardAll(t, addr, "", 1000, 60) // restarted process, sequences restart at 1
 	if got := sink.len(); got != 160 {
 		t.Fatalf("collector ingested %d events across restart, want 160", got)
 	}

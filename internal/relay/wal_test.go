@@ -2,17 +2,20 @@ package relay
 
 import (
 	"net"
+	"os"
 	"path/filepath"
 	"testing"
 	"time"
 
+	"decoydb/internal/core"
 	"decoydb/internal/wal"
 )
 
 // These tests cover the durable spool: a forwarder whose retransmission
 // buffer is backed by internal/wal survives being torn down and rebuilt
-// over the same directory, and the collector's cross-epoch dedup keeps
-// the replay from ever double-counting.
+// over the same directory, and because the replay keeps the epoch the
+// spool journaled, the collector's dedup keeps it from ever
+// double-counting.
 
 func openSpool(t testing.TB, dir string) *wal.Log {
 	t.Helper()
@@ -106,8 +109,8 @@ func TestSpoolWALRestartResumes(t *testing.T) {
 	if cst.DupEvents != 0 {
 		t.Fatalf("clean restart produced %d duplicate events", cst.DupEvents)
 	}
-	if len(cst.Farms) != 1 || !cst.Farms[0].Durable {
-		t.Fatalf("farm not marked durable: %+v", cst.Farms)
+	if len(cst.Farms) != 1 || cst.Farms[0].Epoch != fwd1.led.epoch {
+		t.Fatalf("farm state %+v: the restart must keep the epoch its spool journaled (%#x)", cst.Farms, fwd1.led.epoch)
 	}
 	// Acks were persisted: the spool is fully marked, so a third process
 	// would replay nothing.
@@ -118,27 +121,27 @@ func TestSpoolWALRestartResumes(t *testing.T) {
 
 // TestDurableCrossEpochDedup is the crash-window drill: frames the
 // collector ingested but whose ack never reached the old farm process
-// are replayed by the new process under a fresh epoch. Because the farm
-// is durable, the collector must keep its sequence high-water mark
-// across the epoch change and classify the replay as duplicates — then
-// accept the next fresh sequence.
+// are replayed by a new process. The new process draws a fresh epoch
+// but adopts the one its spool journaled, so the collector keeps its
+// sequence high-water mark and classifies the replay as duplicates —
+// then accepts the next fresh sequence.
 func TestDurableCrossEpochDedup(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "spool")
 
-	// Fabricate the crashed farm's spool: two journaled frames, no mark
-	// (the acks never made it back).
+	// Fabricate the crashed farm's spool: two frames journaled under its
+	// epoch, no mark (the acks never made it back).
 	w1 := openSpool(t, dir)
-	if _, err := w1.Append(testEvents(8), nil); err != nil {
+	if _, err := w1.Append(testEvents(8), spoolTag(0xABCD)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := w1.Append(testEvents(8)[4:], nil); err != nil {
+	if _, err := w1.Append(testEvents(8)[4:], spoolTag(0xABCD)); err != nil {
 		t.Fatal(err)
 	}
 	if err := w1.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	// The collector already ingested seq 1..2 under the old session; its
+	// The collector already ingested seq 1..2 under that epoch; its
 	// restored mark says so (CollectorOptions.Farms is exactly what
 	// dbcollect rebuilds from its own journal on reopen).
 	sink := &memSink{}
@@ -186,8 +189,106 @@ func TestDurableCrossEpochDedup(t *testing.T) {
 	if cst.Events != 5 {
 		t.Fatalf("ingested %d events, want 5", cst.Events)
 	}
-	if len(cst.Farms) != 1 || cst.Farms[0].LastSeq != 3 || !cst.Farms[0].Durable {
+	if len(cst.Farms) != 1 || cst.Farms[0].LastSeq != 3 || cst.Farms[0].Epoch != 0xABCD {
 		t.Fatalf("farm state after replay: %+v", cst.Farms)
+	}
+}
+
+// forwardAll runs one farm process against addr: it forwards events
+// off..off+n-1 in 4-event frames, journaling them into a spool WAL in
+// spoolDir unless that is empty, and returns once every event is acked.
+func forwardAll(t *testing.T, addr, spoolDir string, off, n int) {
+	t.Helper()
+	opts := ForwardOptions{
+		Addrs: []string{addr}, Token: "tok", Farm: "f", FrameEvents: 4,
+		MinBackoff: time.Millisecond, MaxBackoff: 5 * time.Millisecond,
+	}
+	if spoolDir != "" {
+		w := openSpool(t, spoolDir)
+		defer w.Close()
+		opts.SpoolWAL = w
+	}
+	fwd, err := NewForwardSink(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	evs := make([]core.Event, n)
+	for i := range evs {
+		evs[i] = testEvent(off + i)
+	}
+	if err := fwd.RecordBatch(evs); err != nil {
+		t.Fatal(err)
+	}
+	fwd.Flush()
+	if err := fwd.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if st := fwd.Stats(); st.EventsAcked != uint64(n) {
+		t.Fatalf("acked %d of %d events: %+v", st.EventsAcked, n, st)
+	}
+}
+
+// TestNewSpoolAfterRestartIngestsAll is the restart matrix's "spool new
+// or lost" row: farm f forwards, then restarts over a spool directory
+// that is new — -store added to a farm that forwarded without it, or
+// its disk wiped. The new sequence space starts at 1 with nothing to
+// replay, so it must come under a fresh epoch: one collector sees both
+// processes and must ingest every event, none of the second process's
+// frames acked as duplicates of the first's mark.
+func TestNewSpoolAfterRestartIngestsAll(t *testing.T) {
+	for _, first := range []string{"no spool", "wiped spool"} {
+		t.Run(first, func(t *testing.T) {
+			sink := &memSink{}
+			coll, err := NewCollector(CollectorOptions{Token: "tok"}, sink)
+			if err != nil {
+				t.Fatal(err)
+			}
+			addr, stop := startCollector(t, coll)
+			defer stop()
+
+			firstDir := ""
+			if first == "wiped spool" {
+				firstDir = filepath.Join(t.TempDir(), "spool")
+			}
+			forwardAll(t, addr, firstDir, 0, 20)
+			if firstDir != "" {
+				if err := os.RemoveAll(firstDir); err != nil {
+					t.Fatal(err)
+				}
+			}
+			forwardAll(t, addr, filepath.Join(t.TempDir(), "spool"), 1000, 12)
+
+			cst := coll.Stats()
+			if got := sink.len(); got != 32 || cst.Events != 32 || cst.DupEvents != 0 {
+				t.Fatalf("collector ingested %d events (stats %d, %d duplicates), want 32 and 0", got, cst.Events, cst.DupEvents)
+			}
+		})
+	}
+}
+
+// TestRestoredMarkMeetsNewSpool: a collector restarts with the mark
+// dbcollect rebuilds from its journal, and farm f comes back over an
+// empty spool. Its three frames reuse sequences 1..3, at or below the
+// restored mark, under a fresh epoch; all 12 events must be ingested.
+func TestRestoredMarkMeetsNewSpool(t *testing.T) {
+	sink := &memSink{}
+	coll, err := NewCollector(CollectorOptions{
+		Token: "tok",
+		Farms: map[string]FarmMark{"f": {Epoch: 0xABCD, LastSeq: 5}},
+	}, sink)
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr, stop := startCollector(t, coll)
+	defer stop()
+
+	forwardAll(t, addr, filepath.Join(t.TempDir(), "spool"), 0, 12)
+	cst := coll.Stats()
+	if got := sink.len(); got != 12 || cst.DupEvents != 0 {
+		t.Fatalf("collector ingested %d of 12 events, %d as duplicates", got, cst.DupEvents)
+	}
+	if len(cst.Farms) != 1 || cst.Farms[0].Epoch == 0xABCD || cst.Farms[0].LastSeq != 3 {
+		t.Fatalf("farm state %+v: want a fresh epoch at seq 3", cst.Farms)
 	}
 }
 

@@ -40,12 +40,10 @@ type Config struct {
 	Deployment *core.Deployment
 	// Geo defaults to geoip.Default().
 	Geo *geoip.DB
-	// BusShards overrides the event-bus shard count (0 = GOMAXPROCS).
-	BusShards int
-	// Bus overrides the full event-bus configuration (queue sizes,
-	// policy, adaptive water marks). The zero value keeps the historic
-	// behaviour: default sizes, Block policy. Shards falls back to
-	// BusShards when unset. Note that any policy other than Block makes
+	// Bus overrides the full event-bus configuration (shard count, queue
+	// sizes, policy, adaptive water marks). The zero value keeps the
+	// historic behaviour: GOMAXPROCS shards, default sizes, Block policy.
+	// Note that any policy other than Block makes
 	// the dataset lossy under load and therefore no longer a pure
 	// function of the seed.
 	Bus bus.Options
@@ -115,11 +113,7 @@ func Run(ctx context.Context, cfg Config, sinks ...core.Sink) (*Result, error) {
 	// Default Block, never drop: the dataset must be a lossless function
 	// of the seed for the paper's tables to reproduce. Config.Bus lets
 	// robustness scenarios (see flood.go) opt into other policies.
-	busOpts := cfg.Bus
-	if busOpts.Shards <= 0 {
-		busOpts.Shards = cfg.BusShards
-	}
-	evbus := bus.New(busOpts, sinks...)
+	evbus := bus.New(cfg.Bus, sinks...)
 	if cfg.OnBus != nil {
 		cfg.OnBus(evbus)
 	}

@@ -27,6 +27,11 @@ import (
 	"decoydb/internal/core"
 )
 
+// maxActionsPerSource caps how many action tokens count into one
+// source's vector, mirroring evstore's per-activity action bound so a
+// chatty bot cannot grow state without limit.
+const maxActionsPerSource = 512
+
 // Options configures an Analyzer. The zero value is usable: every field
 // has a sensible default.
 type Options struct {
@@ -35,10 +40,6 @@ type Options struct {
 	MaxSources int
 	// AlertRing bounds the retained alert history. Default 1024.
 	AlertRing int
-	// MaxActionsPerSource caps how many action tokens count into one
-	// source's vector, mirroring evstore's per-activity action bound so
-	// a chatty bot cannot grow state without limit. Default 512.
-	MaxActionsPerSource int
 	// MaxVocab bounds the action vocabulary; later distinct actions
 	// share one overflow dimension. Default 4096.
 	MaxVocab int
@@ -59,9 +60,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.AlertRing <= 0 {
 		o.AlertRing = 1024
-	}
-	if o.MaxActionsPerSource <= 0 {
-		o.MaxActionsPerSource = 512
 	}
 	if o.MaxVocab <= 0 {
 		o.MaxVocab = 4096
@@ -209,7 +207,7 @@ func (a *Analyzer) ingest(e core.Event) {
 				})
 			}
 		}
-		if s.total < a.opts.MaxActionsPerSource {
+		if s.total < maxActionsPerSource {
 			if s.counts == nil {
 				s.counts = make(map[int]int, 4)
 			}

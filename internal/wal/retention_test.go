@@ -1,6 +1,8 @@
 package wal
 
 import (
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 )
@@ -95,6 +97,57 @@ func TestCompactBeforeFutureCutoffKeepsActive(t *testing.T) {
 	}
 	if seq != 4 {
 		t.Fatalf("sequence after expiry = %d, want 4", seq)
+	}
+}
+
+// TestRemovalKeepsUnremovableSegment: Compact and CompactBefore share
+// one removal loop, which counts each removed segment and keeps one
+// whose file cannot be removed in the index, with the error noted,
+// instead of forgetting data that is still on disk.
+func TestRemovalKeepsUnremovableSegment(t *testing.T) {
+	dir := t.TempDir()
+	l := mustOpen(t, Options{Dir: dir, SegmentBytes: 256, Sync: SyncBatch})
+	defer l.Close()
+	for i := 0; i < 4; i++ {
+		if _, err := l.Append(testEvents(8), nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// A non-empty directory in place of the first segment file makes
+	// os.Remove fail.
+	first := filepath.Join(dir, segName(1))
+	if err := os.Remove(first); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.MkdirAll(filepath.Join(first, "pinned"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	compacted := 0
+	for _, pass := range []struct {
+		name    string
+		compact func() (int, error)
+	}{
+		{"Compact", func() (int, error) { return l.Compact(l.LastSeq()) }},
+		{"CompactBefore", func() (int, error) { return l.CompactBefore(time.Now().Add(time.Hour)) }},
+	} {
+		removed, err := pass.compact()
+		if err != nil {
+			t.Fatalf("%s: %v", pass.name, err)
+		}
+		compacted += removed
+		st := l.Stats()
+		if st.Compacted != uint64(compacted) {
+			t.Fatalf("after %s: Stats.Compacted = %d, removals returned %d", pass.name, st.Compacted, compacted)
+		}
+		if len(l.segs) != 2 || l.segs[0].path != first {
+			t.Fatalf("after %s: %d segments indexed; want the unremovable one and the active one", pass.name, len(l.segs))
+		}
+	}
+	if compacted == 0 {
+		t.Fatal("nothing was removed")
+	}
+	if l.Err() == nil {
+		t.Fatal("the failed removal was not noted")
 	}
 }
 

@@ -24,17 +24,21 @@
 //	│ record: ...                                          │
 //	└──────────────────────────────────────────────────────┘
 //
-// The batch body is the shared internal/evcodec encoding — the exact
-// bytes the relay puts on the wire (sequence number, event count,
-// uncompressed size, payload CRC, flate-compressed events) — so the
-// segment format and the wire format cannot drift. The record-level
-// CRC covers the whole body, so a bit flip anywhere (not just in the
-// compressed payload) is detected before parsing. Mark records persist
-// the consumer's high-water mark (collector acks, for the spool);
-// Compact drops whole segments at or below it. Owner records persist
-// which collector endpoint a spooled batch is pinned to (the shared
-// evcodec owner encoding), so a restarted forwarder retransmits each
-// unacked frame only to the collector that may already hold it.
+// The batch body is the shared internal/evcodec encoding — the bytes
+// the relay puts on the wire (sequence number, event count,
+// uncompressed size, payload CRC, flate payload) — so the segment
+// format and the wire format cannot drift. Segments always hold the
+// payload as flate stored blocks: appends sit on the ingest hot path,
+// and local disk is cheaper than the CPU to shrink them. Replay
+// inflates any flate level, so segments earlier builds compressed
+// still read. The record-level CRC covers the whole body, so a bit
+// flip anywhere (not just in the compressed payload) is detected
+// before parsing. Mark records persist the consumer's high-water mark
+// (collector acks, for the spool); Compact drops whole segments at or
+// below it. Owner records persist which collector endpoint a spooled
+// batch is pinned to (the shared evcodec owner encoding), so a
+// restarted forwarder retransmits each unacked frame only to the
+// collector that may already hold it.
 //
 // Recovery treats the directory as hostile — a crash can tear the tail
 // of the last segment at any byte, and disks corrupt silently: every
@@ -141,10 +145,6 @@ type Options struct {
 	// SegmentBytes rotates the active segment once it exceeds this many
 	// bytes. 0 means DefaultSegmentBytes.
 	SegmentBytes int64
-	// SegmentAge rotates the active segment once it is older than this,
-	// even if small — so Compact can reclaim a slow trickle. 0 disables
-	// age rotation.
-	SegmentAge time.Duration
 	// Sync is the fsync policy; SyncEvery is the SyncInterval cadence
 	// (0 means DefaultSyncEvery).
 	Sync      SyncPolicy
@@ -155,13 +155,6 @@ type Options struct {
 	// Limits bound per-batch decode allocations during recovery and
 	// replay. Zero fields mean the evcodec defaults.
 	Limits evcodec.Limits
-	// CompressionLevel is the evcodec compression level for batch
-	// payloads. 0 means evcodec.LevelStored: segment appends sit on the
-	// ingest hot path, and stored flate blocks make the journal cost a
-	// copy instead of a compression pass while staying decodable by the
-	// same codec. Pass a compress/flate level (e.g. flate.BestSpeed) to
-	// trade append CPU for disk.
-	CompressionLevel int
 	// Logf, when non-nil, receives operational diagnostics (recovered
 	// segments, truncated tails, compactions).
 	Logf func(format string, args ...any)
@@ -176,9 +169,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MaxRecordBytes <= 0 {
 		o.MaxRecordBytes = DefaultMaxRecordBytes
-	}
-	if o.CompressionLevel == 0 {
-		o.CompressionLevel = evcodec.LevelStored
 	}
 	o.Limits = o.Limits.WithDefaults()
 	return o
@@ -330,16 +320,14 @@ func (l *Log) newSegment() error {
 }
 
 // rotateIfNeededLocked rotates the active segment before a write of
-// recLen bytes if size or age demands it. A single record larger than
-// SegmentBytes still gets a segment of its own.
+// recLen bytes would take it past SegmentBytes. A single record larger
+// than SegmentBytes still gets a segment of its own.
 func (l *Log) rotateIfNeededLocked(recLen int) error {
 	seg := l.segs[len(l.segs)-1]
-	over := seg.size > headerSize && seg.size+int64(recLen) > l.opts.SegmentBytes
-	old := l.opts.SegmentAge > 0 && seg.size > headerSize && time.Since(seg.created) > l.opts.SegmentAge
-	if !over && !old {
-		return nil
+	if seg.size > headerSize && seg.size+int64(recLen) > l.opts.SegmentBytes {
+		return l.newSegment()
 	}
-	return l.newSegment()
+	return nil
 }
 
 // writeRecordLocked frames body (crc + length prefix) and appends it to
@@ -409,10 +397,10 @@ func (l *Log) Append(events []core.Event, tag []byte) (seq uint64, err error) {
 		return 0, fmt.Errorf("wal: %d-byte tag exceeds limit %d", len(tag), MaxTag)
 	}
 	began := time.Now()
-	// Compress before taking the lock: the payload carries no sequence
-	// number, so concurrent appenders overlap the expensive part and only
-	// serialise the framed write.
-	payload, err := evcodec.Compress(events, l.opts.CompressionLevel)
+	// Encode before taking the lock: the payload carries no sequence
+	// number, so concurrent appenders overlap the encoding and the CRC
+	// and only serialise the framed write.
+	payload, err := evcodec.Compress(events, evcodec.Stored)
 	if err != nil {
 		return 0, err
 	}
@@ -557,25 +545,9 @@ func (l *Log) Compact(seq uint64) (removed int, err error) {
 	if err := l.appendMarkLocked(seq); err != nil {
 		return 0, err
 	}
-	kept := l.segs[:0]
-	for i, seg := range l.segs {
-		sealed := i < len(l.segs)-1
-		if sealed && (seg.batches == 0 || seg.maxSeq <= l.mark) {
-			if err := os.Remove(seg.path); err != nil {
-				l.noteErrLocked(err)
-				kept = append(kept, seg)
-				continue
-			}
-			removed++
-			l.compacted++
-			l.compactedBytes += uint64(seg.size)
-			l.logf("wal: compacted %s (%d batches, seq<=%d)", filepath.Base(seg.path), seg.batches, l.mark)
-			continue
-		}
-		kept = append(kept, seg)
-	}
-	l.segs = kept
-	return removed, nil
+	return l.removeSegsLocked("compacted", func(_ int, seg *segment) bool {
+		return seg.batches == 0 || seg.maxSeq <= l.mark
+	}), nil
 }
 
 // CompactBefore is the age-based retention policy: it deletes every
@@ -614,25 +586,35 @@ func (l *Log) CompactBefore(cutoff time.Time) (removed int, err error) {
 			return 0, err
 		}
 	}
+	return l.removeSegsLocked("expired", func(i int, _ *segment) bool {
+		return i < expired
+	}), nil
+}
+
+// removeSegsLocked deletes every sealed segment drop selects (by index
+// and segment), counting each removal and logging it as verb. A
+// segment whose file cannot be removed stays in the index, with the
+// error noted. The active segment is never deleted. It returns the
+// number of segments removed.
+func (l *Log) removeSegsLocked(verb string, drop func(i int, seg *segment) bool) (removed int) {
+	active := len(l.segs) - 1
 	kept := l.segs[:0]
 	for i, seg := range l.segs {
-		if i < expired {
-			if err := os.Remove(seg.path); err != nil {
-				l.noteErrLocked(err)
-				kept = append(kept, seg)
+		if i < active && drop(i, seg) {
+			err := os.Remove(seg.path)
+			if err == nil {
+				removed++
+				l.compacted++
+				l.compactedBytes += uint64(seg.size)
+				l.logf("wal: %s %s (%d batches, seq<=%d)", verb, filepath.Base(seg.path), seg.batches, seg.maxSeq)
 				continue
 			}
-			removed++
-			l.compacted++
-			l.compactedBytes += uint64(seg.size)
-			l.logf("wal: expired %s (%d batches, sealed before %s)",
-				filepath.Base(seg.path), seg.batches, cutoff.Format(time.RFC3339))
-			continue
+			l.noteErrLocked(err)
 		}
 		kept = append(kept, seg)
 	}
 	l.segs = kept
-	return removed, nil
+	return removed
 }
 
 // Sync forces unsynced appends to stable storage.

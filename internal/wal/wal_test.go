@@ -382,22 +382,6 @@ func TestSeqSurvivesFullCompaction(t *testing.T) {
 	}
 }
 
-func TestSegmentAgeRotation(t *testing.T) {
-	dir := t.TempDir()
-	l := mustOpen(t, Options{Dir: dir, SegmentAge: time.Millisecond, Sync: SyncBatch})
-	defer l.Close()
-	if _, err := l.Append(testEvents(1), nil); err != nil {
-		t.Fatal(err)
-	}
-	time.Sleep(5 * time.Millisecond)
-	if _, err := l.Append(testEvents(1), nil); err != nil {
-		t.Fatal(err)
-	}
-	if st := l.Stats(); st.Segments != 2 || st.Rotations != 1 {
-		t.Fatalf("age rotation: %d segments, %d rotations, want 2/1", st.Segments, st.Rotations)
-	}
-}
-
 func TestClosedLog(t *testing.T) {
 	l := mustOpen(t, Options{Dir: t.TempDir()})
 	if err := l.Close(); err != nil {
