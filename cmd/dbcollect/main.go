@@ -13,10 +13,10 @@
 // counted.
 //
 // On SIGINT/SIGTERM (or after -runfor, or if the listener dies) it
-// stops serving, flushes every buffering sink, and dumps a
-// dbreport-style snapshot — event totals, unique sources and top
-// credentials — so a collection session always ends with the same
-// artefact format the offline report tool produces, even on an error
+// stops serving, flushes every buffering sink, and dumps the capture
+// summary dbreport prints for -store and -live — farms, event totals,
+// unique sources and top credentials — so a collection session always
+// ends with the artefact the report tool produces, even on an error
 // path.
 //
 // In a multi-collector tier (farms spread by rendezvous hashing over
@@ -49,7 +49,6 @@ import (
 	"decoydb/internal/geoip"
 	"decoydb/internal/obs"
 	"decoydb/internal/relay"
-	"decoydb/internal/report"
 )
 
 func main() {
@@ -61,7 +60,6 @@ func main() {
 		days      = flag.Int("days", core.ExperimentDays, "capture window length in days for the event store")
 		runFor    = flag.Duration("runfor", 0, "stop after this long (0 = until signal)")
 		statsEach = flag.Duration("statsevery", time.Minute, "interval between stats log lines (0 = off)")
-		topCreds  = flag.Int("topcreds", 10, "credential rows in the final snapshot dump")
 		retain    = flag.Duration("retain", 0, "journal retention: expire -store segments older than this, and compact acknowledged batches after the final snapshot dump (0 = keep everything)")
 	)
 	storeFlag := cliflags.RegisterStore(flag.CommandLine)
@@ -252,8 +250,13 @@ func main() {
 			f.Flush()
 		}
 	}
-	log.Printf("final %s", coll.Stats())
-	dump(os.Stdout, coll.Stats(), store, *topCreds)
+	cst := coll.Stats()
+	log.Printf("final %s", cst)
+	// The zero tier always parses, so Respond cannot fail here.
+	q, _ := obs.NewQueryHandler(obs.QueryOptions{Store: store}).Respond(obs.QueryRequest{Creds: 10})
+	for _, t := range obs.CaptureTables(&cst, &q) {
+		fmt.Printf("=== Collector — %s ===\n%s\n", t.Title, t)
+	}
 	if journal != nil {
 		// The snapshot dump above is the session's durable artefact; with
 		// -retain the journal batches it covers are now compactable, so a
@@ -272,42 +275,5 @@ func main() {
 	}
 	if serveErr != nil {
 		os.Exit(1)
-	}
-}
-
-// dump renders the end-of-session snapshot in the dbreport artefact
-// format: "=== title — subtitle ===" headers over aligned tables.
-func dump(w *os.File, cst relay.CollectorStats, store *evstore.Store, topCreds int) {
-	farms := &report.Table{
-		Title:  "Farms",
-		Header: []string{"farm", "last seq", "frames", "events", "dup frames", "dup events"},
-	}
-	for _, f := range cst.Farms {
-		farms.AddRow(f.Name, f.LastSeq, f.Frames, f.Events, f.DupFrames, f.DupEvents)
-	}
-	farms.Note = fmt.Sprintf("transport: %d conns, %d auth failures, %.2fx compression",
-		cst.Conns, cst.AuthFailures, cst.CompressionRatio())
-
-	totals := &report.Table{
-		Title:  "Capture",
-		Header: []string{"metric", "value"},
-	}
-	snap := store.Snapshot()
-	totals.AddRow("events ingested", snap.Events())
-	totals.AddRow("unique sources", snap.UniqueIPs(evstore.Query{}))
-	totals.AddRow("total logins", snap.Logins(evstore.Query{}))
-
-	creds := &report.Table{
-		Title:  "Top credentials",
-		Header: []string{"dbms", "user", "pass", "count"},
-	}
-	if topCreds > 0 { // Creds reads n <= 0 as "all"
-		for _, c := range snap.Creds(evstore.Query{}, topCreds) {
-			creds.AddRow(c.DBMS, c.User, c.Pass, c.Count)
-		}
-	}
-
-	for _, t := range []*report.Table{farms, totals, creds} {
-		fmt.Fprintf(w, "=== Collector — %s ===\n%s\n", t.Title, t)
 	}
 }

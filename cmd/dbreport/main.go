@@ -153,10 +153,8 @@ func reportStore(w io.Writer, storeFlag *cliflags.Store) error {
 	fmt.Fprintf(w, "decoydb capture report — %s (replayed %d events in %v)\n\n",
 		st.Dir, replayed, time.Since(began).Round(time.Millisecond))
 
-	capture := &report.Table{Title: "Capture", Header: []string{"metric", "value"}}
-	capture.AddRow("events", store.Events())
-	capture.AddRow("unique sources", store.UniqueIPs(evstore.Query{}))
-	capture.AddRow("total logins", store.Logins(evstore.Query{}))
+	// The zero tier always parses, so Respond cannot fail here.
+	q, _ := obs.NewQueryHandler(obs.QueryOptions{Store: store}).Respond(obs.QueryRequest{Creds: 10})
 
 	durability := &report.Table{Title: "Durability", Header: []string{"metric", "value"}}
 	durability.AddRow("segments", st.Segments)
@@ -169,7 +167,7 @@ func reportStore(w io.Writer, storeFlag *cliflags.Store) error {
 		durability.Note = "a torn tail was cut at the last valid record; everything above survived the crash"
 	}
 
-	tables := []*report.Table{capture, durability}
+	tables := append(obs.CaptureTables(nil, &q), durability)
 	if len(farms) > 0 {
 		ft := &report.Table{
 			Title:  "Farm marks",
@@ -215,80 +213,20 @@ func reportLive(w io.Writer, addr string) error {
 	}
 	fmt.Fprintf(w, "decoydb live report — %s\n\n", client.Base())
 
-	var tables []*report.Table
-	if cst, ok, err := obs.CollectorFromStatus(status); err != nil {
+	var cst *relay.CollectorStats
+	if st, ok, err := obs.CollectorFromStatus(status); err != nil {
 		return err
 	} else if ok {
-		farms := &report.Table{
-			Title:  "Farms",
-			Header: []string{"farm", "last seq", "frames", "events", "dup frames", "dup events"},
-		}
-		for _, f := range cst.Farms {
-			farms.AddRow(f.Name, f.LastSeq, f.Frames, f.Events, f.DupFrames, f.DupEvents)
-		}
-		farms.Note = fmt.Sprintf("transport: %d conns (%d open), %d auth failures, %.2fx compression",
-			cst.Conns, cst.Active, cst.AuthFailures, cst.CompressionRatio())
-		tables = append(tables, farms)
+		cst = &st
 	}
-
-	qr, err := client.Query(ctx, obs.QueryRequest{Creds: 10, Limit: liveLimit})
+	q, err := client.Query(ctx, obs.QueryRequest{Creds: 10, Limit: liveLimit})
+	tables := obs.CaptureTables(cst, q)
 	if err != nil {
 		tables = append(tables, &report.Table{
 			Title:  "Capture",
 			Header: []string{"metric", "value"},
 			Note:   fmt.Sprintf("no /query endpoint here (%v) — farms serve metrics only; point -live at a dbcollect admin address", err),
 		})
-	} else {
-		q := *qr
-		if q.Tier != nil {
-			tier := &report.Table{
-				Title:  "Collector tier",
-				Header: []string{"collector", "ok", "events", "error"},
-			}
-			tier.AddRow(client.Base(), true, "(local)", "")
-			for _, p := range q.Tier.Peers {
-				errStr := p.Error
-				if len(errStr) > 60 {
-					errStr = errStr[:57] + "..."
-				}
-				tier.AddRow(p.Addr, p.OK, p.Events, errStr)
-			}
-			tier.Note = fmt.Sprintf("merged view: %d of %d collectors responded", q.Tier.Responded, q.Tier.Collectors)
-			if q.Tier.Approx {
-				tier.Note += " — unique/total counts are an upper bound (record pages truncated or a peer missing)"
-			}
-			tables = append(tables, tier)
-		}
-		capture := &report.Table{Title: "Capture", Header: []string{"metric", "value"}}
-		capture.AddRow("events", q.Events)
-		uniq := fmt.Sprint(q.UniqueIPs)
-		if q.Tier != nil && q.Tier.Approx {
-			uniq = "≤ " + uniq
-		}
-		capture.AddRow("unique sources", uniq)
-		capture.AddRow("total logins", q.Logins)
-		capture.AddRow("capture day", q.Days)
-		capture.Note = fmt.Sprintf("snapshot age %s at %s", q.SnapshotAge, q.Now.Format(time.RFC3339))
-
-		creds := &report.Table{
-			Title:  "Top credentials",
-			Header: []string{"dbms", "user", "pass", "count"},
-		}
-		for _, c := range q.Creds {
-			creds.AddRow(c.DBMS, c.User, c.Pass, c.Count)
-		}
-
-		sources := &report.Table{
-			Title:  "Top sources",
-			Header: []string{"addr", "country", "sessions", "logins", "ok", "commands", "days", "verdict"},
-		}
-		for _, r := range q.Records {
-			sources.AddRow(r.Addr, r.Country, r.Sessions, r.Logins, r.LoginOK, r.Commands, r.ActiveDays, r.Verdict)
-		}
-		if q.Total > len(q.Records) {
-			sources.Note = fmt.Sprintf("first %d of %d sources (address order; use /query directly to page)", len(q.Records), q.Total)
-		}
-		tables = append(tables, capture, creds, sources)
 	}
 
 	// Streaming analysis, when the plane runs with -stream: recent

@@ -9,9 +9,8 @@
 //	dbsim [-seed N] [-scale N] [-logs DIR] [-bus-policy block|drop|adaptive] [-forward SPEC]
 //
 // The default block policy is lossless and keeps the dataset a pure
-// function of the seed; -bus-policy adaptive (with -bus-highwater,
-// -bus-lowwater, -bus-source-budget, -bus-source-window) exercises the
-// per-source shedding a live farm would use under a hostile flood.
+// function of the seed; -bus-policy adaptive exercises the per-source
+// shedding a live farm would use under a hostile flood.
 //
 // With -forward "addrs=a:7100|b:7100,token=SECRET[,farm=NAME]" the
 // captured events also stream to a dbcollect collector tier over the
@@ -178,7 +177,8 @@ func main() {
 		log.Printf("warning: institutional list (%d addresses) does not overlap the capture",
 			len(res.Population.Institutional))
 	}
+	snap := store.Snapshot()
 	fmt.Printf("pipeline reload: %d events, %d unique sources, %d total logins\n",
-		store.Events(), store.UniqueIPs(evstore.Query{}), store.Logins(evstore.Query{}))
+		snap.Events(), snap.UniqueIPs(evstore.Query{}), snap.Logins(evstore.Query{}))
 	fmt.Printf("logs written to %s (run dbreport for the full table/figure report)\n", *dir)
 }

@@ -71,19 +71,21 @@ func main() {
 
 	// Wait for the async farm sessions to drain into the store.
 	deadline := time.Now().Add(2 * time.Second)
-	for store.Logins(evstore.Query{}) < int64(len(creds)) && time.Now().Before(deadline) {
+	snap := store.Snapshot()
+	for snap.Logins(evstore.Query{}) < int64(len(creds)) && time.Now().Before(deadline) {
 		time.Sleep(10 * time.Millisecond)
+		snap = store.Snapshot()
 	}
 
 	fmt.Println("\nharvested credentials (by frequency):")
-	for _, cc := range store.Creds(evstore.Query{DBMS: core.MSSQL}, 0) {
+	for _, cc := range snap.Creds(evstore.Query{DBMS: core.MSSQL}, 0) {
 		fmt.Printf("  %-8s %-10s x%d\n", cc.User, cc.Pass, cc.Count)
 	}
 
 	// Cross-reference the attacking source against intel feeds, as the
 	// paper did with GreyNoise/AbuseIPDB/Team Cymru.
 	var sources []netip.Addr
-	for _, r := range store.IPs() {
+	for _, r := range snap.Recs() {
 		sources = append(sources, r.Addr)
 	}
 	feed := intel.BuildFeed(intel.GreyNoise, sources, intel.Coverage{

@@ -22,7 +22,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("captured %d events from %d sources\n\n", ds.Store.Events(), len(ds.Recs))
+	fmt.Printf("captured %d events from %d sources\n\n", ds.Snap.Events(), len(ds.Recs))
 
 	for _, dbms := range []string{core.Redis, core.Postgres, core.Elastic, core.MongoDB} {
 		res, raws := ds.ClusterFor(dbms)

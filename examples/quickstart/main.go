@@ -67,7 +67,7 @@ func main() {
 
 	// 3. The events are already in the store; classify the attacker.
 	deadline := time.Now().Add(2 * time.Second)
-	for store.UniqueIPs(evstore.Query{}) == 0 && time.Now().Before(deadline) {
+	for store.Sources() == 0 && time.Now().Before(deadline) {
 		time.Sleep(10 * time.Millisecond)
 	}
 	fmt.Println()

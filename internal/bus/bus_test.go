@@ -92,7 +92,7 @@ func TestPerSourceOrderPreserved(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 8; i++ {
-		rec := store.IP(netip.AddrFrom4([4]byte{198, 51, 0, byte(i)}))
+		rec := store.Snapshot().IP(netip.AddrFrom4([4]byte{198, 51, 0, byte(i)}))
 		if rec == nil {
 			t.Fatalf("source %d missing", i)
 		}
@@ -203,7 +203,7 @@ func TestConcurrentIngestBlockNoLoss(t *testing.T) {
 	if reloaded.Events() != total {
 		t.Fatalf("log round trip has %d events, want %d", reloaded.Events(), total)
 	}
-	if got := reloaded.Logins(evstore.Query{DBMS: core.MSSQL}); got != total {
+	if got := reloaded.Snapshot().Logins(evstore.Query{DBMS: core.MSSQL}); got != total {
 		t.Fatalf("logins after round trip = %d, want %d", got, total)
 	}
 }

@@ -12,7 +12,6 @@ import (
 	"strconv"
 	"strings"
 	"syscall"
-	"time"
 
 	"decoydb/internal/bus"
 	"decoydb/internal/relay"
@@ -20,12 +19,8 @@ import (
 
 // Bus carries the shared event-bus flag values after flag parsing.
 type Bus struct {
-	Shards       *int
-	Policy       *string
-	HighWater    *int
-	LowWater     *int
-	SourceBudget *int
-	SourceWindow *time.Duration
+	Shards *int
+	Policy *string
 }
 
 // RegisterBus registers the event-bus backpressure flags on fs.
@@ -34,12 +29,8 @@ type Bus struct {
 // "adaptive" (a live farm sheds a hostile flood instead of stalling).
 func RegisterBus(fs *flag.FlagSet, defaultPolicy string) *Bus {
 	return &Bus{
-		Shards:       fs.Int("bus-shards", 0, "event bus shard count (0 = GOMAXPROCS)"),
-		Policy:       fs.String("bus-policy", defaultPolicy, "event bus backpressure policy under load: block, drop or adaptive"),
-		HighWater:    fs.Int("bus-highwater", 0, "adaptive: queue depth that starts per-source shedding (0 = 3/4 of queue)"),
-		LowWater:     fs.Int("bus-lowwater", 0, "adaptive: queue depth that stops shedding (0 = 1/4 of queue)"),
-		SourceBudget: fs.Int("bus-source-budget", 0, "adaptive: events each source keeps per window while shedding (0 = default)"),
-		SourceWindow: fs.Duration("bus-source-window", 0, "adaptive: per-source budget window (0 = default)"),
+		Shards: fs.Int("bus-shards", 0, "event bus shard count (0 = GOMAXPROCS)"),
+		Policy: fs.String("bus-policy", defaultPolicy, "event bus backpressure policy under load: block, drop or adaptive"),
 	}
 }
 
@@ -49,11 +40,7 @@ func (b *Bus) Options() (bus.Options, error) {
 	if err != nil {
 		return bus.Options{}, fmt.Errorf("-bus-policy: %w", err)
 	}
-	return bus.Options{
-		Shards: *b.Shards, Policy: policy,
-		HighWater: *b.HighWater, LowWater: *b.LowWater,
-		SourceBudget: *b.SourceBudget, SourceWindow: *b.SourceWindow,
-	}, nil
+	return bus.Options{Shards: *b.Shards, Policy: policy}, nil
 }
 
 // Forward carries the -forward flag values after flag parsing.

@@ -7,29 +7,19 @@ import (
 	"decoydb/internal/stream"
 )
 
-// Stream carries the -stream flag group after flag parsing. One flag
-// attaches the online classification/clustering analyzer to the event
-// path; the rest tune its bounds. Every event-handling binary (decoydb,
-// dbsim, dbcollect) registers the same group, so the streaming knobs
-// cannot drift between the live farm, the simulator and the collector.
+// Stream carries the -stream flag after flag parsing. It attaches the
+// online classification/clustering analyzer, with its default bounds,
+// to the event path. Every event-handling binary (decoydb, dbsim,
+// dbcollect) registers it, so the live farm, the simulator and the
+// collector build the same analyzer.
 type Stream struct {
-	Enable      *bool
-	MaxSources  *int
-	AlertRing   *int
-	Radius      *float64
-	RefitEvery  *int
-	MaxClusters *int
+	Enable *bool
 }
 
-// RegisterStream registers the -stream flags on fs.
+// RegisterStream registers the -stream flag on fs.
 func RegisterStream(fs *flag.FlagSet) *Stream {
 	return &Stream{
-		Enable:      fs.Bool("stream", false, "attach the online behaviour analyzer: live classification, centroid clustering and transition alerts (/alerts, /clusters on -admin)"),
-		MaxSources:  fs.Int("stream-sources", 0, "streaming: max sources tracked before LRU eviction (0 = default 65536)"),
-		AlertRing:   fs.Int("stream-alerts", 0, "streaming: transition alerts retained for /alerts (0 = default 1024)"),
-		Radius:      fs.Float64("stream-radius", 0, "streaming: distance beyond which a behaviour vector seeds a new cluster (0 = default 0.5)"),
-		RefitEvery:  fs.Int("stream-refit", 0, "streaming: batches between mini Ward re-fits of the centroid set (0 = default 256)"),
-		MaxClusters: fs.Int("stream-clusters", 0, "streaming: max live behaviour clusters (0 = default 64)"),
+		Enable: fs.Bool("stream", false, "attach the online behaviour analyzer: live classification, centroid clustering and transition alerts (/alerts, /clusters on -admin)"),
 	}
 }
 
@@ -42,13 +32,7 @@ func (s *Stream) Analyzer() *stream.Analyzer {
 	if !s.Enabled() {
 		return nil
 	}
-	return stream.New(stream.Options{
-		MaxSources:       *s.MaxSources,
-		AlertRing:        *s.AlertRing,
-		NewClusterRadius: *s.Radius,
-		RefitEvery:       *s.RefitEvery,
-		MaxClusters:      *s.MaxClusters,
-	})
+	return stream.New(stream.Options{})
 }
 
 // TraceVerdicts adapts an analyzer into the obs.TraceOptions.Verdicts

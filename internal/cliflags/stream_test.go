@@ -29,7 +29,7 @@ func TestStreamFlagDisabledByDefault(t *testing.T) {
 func TestStreamFlagBuildsAnalyzer(t *testing.T) {
 	fs := flag.NewFlagSet("t", flag.ContinueOnError)
 	sf := RegisterStream(fs)
-	err := fs.Parse([]string{"-stream", "-stream-sources", "4", "-stream-alerts", "8"})
+	err := fs.Parse([]string{"-stream"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,10 +15,10 @@
 // uses (core.ShardOf). Each shard owns its own mutex and maps, so when
 // the store's shard count matches the bus's, every delivery batch a bus
 // worker commits lands in exactly one shard and ingest never contends
-// across workers. Reads merge shards at query time; sharding by source
-// makes the shards disjoint address sets, so unique-count merges are
-// plain sums. All reads go through the Query options struct (see
-// query.go) or through an immutable point-in-time Snapshot (snapshot.go).
+// across workers. Every read goes through an immutable point-in-time
+// Snapshot (snapshot.go), which merges the shards, selected with the
+// Query options struct (query.go); sharding by source makes the shards
+// disjoint address sets, so unique-count merges are plain sums.
 //
 // Snapshots are copy-on-write. Each shard carries a generation that
 // Snapshot bumps; the snapshot takes the shard's records and hourly sets
@@ -496,31 +496,21 @@ func (s *Store) MarkInstitutional(addrs []netip.Addr) int {
 	return applied
 }
 
-// IPs returns all IP records sorted by address. The records are the live
-// aggregates, and only until the next Snapshot: the first write after it
-// replaces a record with a copy, and the pointer keeps the old version.
-// Callers that read while ingest continues should use Snapshot instead.
-func (s *Store) IPs() []*IPRecord {
-	var out []*IPRecord
+// IPs returns all IP records sorted by address, as a fresh Snapshot
+// holds them: later writes do not change them.
+func (s *Store) IPs() []*IPRecord { return s.Snapshot().Recs() }
+
+// Sources returns the number of distinct source addresses recorded. It
+// counts each shard's records under its lock and copies nothing, so a
+// metrics scrape costs O(shards).
+func (s *Store) Sources() int {
+	n := 0
 	for _, sh := range s.shards {
 		sh.mu.Lock()
-		out = append(out, sh.recs...)
+		n += len(sh.recs)
 		sh.mu.Unlock()
 	}
-	sortByAddr(out)
-	return out
-}
-
-// IP returns the record for addr, or nil. Like IPs, it returns the live
-// record, which the first write after the next Snapshot replaces.
-func (s *Store) IP(addr netip.Addr) *IPRecord {
-	sh := s.shardFor(addr)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if i, ok := sh.index[addr]; ok {
-		return sh.recs[i]
-	}
-	return nil
+	return n
 }
 
 // sortByAddr sorts records by address.

@@ -3,6 +3,7 @@ package evstore
 import (
 	"hash/maphash"
 	"net/netip"
+	"reflect"
 	"testing"
 	"testing/quick"
 	"time"
@@ -33,18 +34,18 @@ func TestConnectTracking(t *testing.T) {
 	s.Record(ev("198.51.100.2", lowInfo(core.MySQL), core.EventConnect, 1))
 	s.Record(ev("198.51.100.3", lowInfo(core.MSSQL), core.EventConnect, 25))
 
-	if got := s.UniqueIPs(Query{}); got != 3 {
+	if got := s.Snapshot().UniqueIPs(Query{}); got != 3 {
 		t.Fatalf("unique IPs = %d", got)
 	}
-	hourly := s.HourlyUnique(Query{})
+	hourly := s.Snapshot().HourlyUnique(Query{})
 	if hourly[0] != 1 || hourly[1] != 2 || hourly[25] != 1 {
 		t.Fatalf("hourly = %v", hourly[:26])
 	}
-	mssql := s.HourlyUnique(Query{DBMS: core.MSSQL})
+	mssql := s.Snapshot().HourlyUnique(Query{DBMS: core.MSSQL})
 	if mssql[1] != 1 || mssql[25] != 1 {
 		t.Fatalf("mssql hourly = %v", mssql[:26])
 	}
-	cum := s.CumulativeNew(Query{})
+	cum := s.Snapshot().CumulativeNew(Query{})
 	if cum[0] != 1 || cum[1] != 2 || cum[24] != 2 || cum[25] != 3 || cum[479] != 3 {
 		t.Fatalf("cumulative = [0]=%d [1]=%d [25]=%d [479]=%d", cum[0], cum[1], cum[25], cum[479])
 	}
@@ -62,20 +63,20 @@ func TestLoginAggregation(t *testing.T) {
 	e.User, e.Pass = "sa", "password"
 	s.Record(e)
 
-	creds := s.Creds(Query{DBMS: core.MSSQL}, 0)
+	creds := s.Snapshot().Creds(Query{DBMS: core.MSSQL}, 0)
 	if len(creds) != 2 {
 		t.Fatalf("creds = %v", creds)
 	}
 	if creds[0].User != "sa" || creds[0].Pass != "123" || creds[0].Count != 5 {
 		t.Fatalf("top cred = %+v", creds[0])
 	}
-	if s.Logins(Query{DBMS: core.MSSQL}) != 6 {
-		t.Fatalf("total logins = %d", s.Logins(Query{DBMS: core.MSSQL}))
+	if s.Snapshot().Logins(Query{DBMS: core.MSSQL}) != 6 {
+		t.Fatalf("total logins = %d", s.Snapshot().Logins(Query{DBMS: core.MSSQL}))
 	}
-	if s.Logins(Query{DBMS: core.MySQL}) != 0 {
+	if s.Snapshot().Logins(Query{DBMS: core.MySQL}) != 0 {
 		t.Fatal("mysql logins non-zero")
 	}
-	rec := s.IP(netip.MustParseAddr("198.51.100.9"))
+	rec := s.Snapshot().IP(netip.MustParseAddr("198.51.100.9"))
 	if rec.TotalLogins() != 6 {
 		t.Fatalf("per-IP logins = %d", rec.TotalLogins())
 	}
@@ -87,7 +88,7 @@ func TestActiveDaysBitmask(t *testing.T) {
 	for _, day := range []int{0, 0, 3, 19} {
 		s.Record(ev("203.0.113.5", hp, core.EventConnect, day*24+2))
 	}
-	rec := s.IP(netip.MustParseAddr("203.0.113.5"))
+	rec := s.Snapshot().IP(netip.MustParseAddr("203.0.113.5"))
 	key := PerKey{DBMS: core.Redis, Level: core.Low, Config: core.ConfigDefault, Group: core.GroupMulti}
 	act := rec.Per[key]
 	if act.DayCount() != 3 {
@@ -98,7 +99,7 @@ func TestActiveDaysBitmask(t *testing.T) {
 	}
 	// Events outside the window are ignored for day tracking.
 	s.Record(ev("203.0.113.5", hp, core.EventConnect, 21*24))
-	if rec.Per[key].DayCount() != 3 {
+	if s.Snapshot().IP(rec.Addr).Per[key].DayCount() != 3 {
 		t.Fatal("out-of-window day counted")
 	}
 }
@@ -109,7 +110,7 @@ func TestGeoEnrichment(t *testing.T) {
 	alloc := db.ByASN(4134)[0] // Chinanet
 	addr := netip.AddrFrom4([4]byte{alloc.Prefix.Addr().As4()[0], alloc.Prefix.Addr().As4()[1], 1, 1})
 	s.Record(core.Event{Time: start, Src: netip.AddrPortFrom(addr, 9), Honeypot: lowInfo(core.MSSQL), Kind: core.EventConnect})
-	rec := s.IP(addr)
+	rec := s.Snapshot().IP(addr)
 	if rec.Country != "CN" || rec.ASN != 4134 || rec.ASName != "Chinanet" {
 		t.Fatalf("enrichment = %+v", rec)
 	}
@@ -117,7 +118,7 @@ func TestGeoEnrichment(t *testing.T) {
 	censys := db.ByASN(398324)[0]
 	caddr := geoipAddr(censys)
 	s.Record(core.Event{Time: start, Src: netip.AddrPortFrom(caddr, 9), Honeypot: lowInfo(core.MSSQL), Kind: core.EventConnect})
-	if !s.IP(caddr).Institutional {
+	if !s.Snapshot().IP(caddr).Institutional {
 		t.Fatal("censys IP not institutional")
 	}
 }
@@ -135,7 +136,7 @@ func TestCommandBounding(t *testing.T) {
 		e.Command = "GET"
 		s.Record(e)
 	}
-	rec := s.IP(netip.MustParseAddr("192.0.2.8"))
+	rec := s.Snapshot().IP(netip.MustParseAddr("192.0.2.8"))
 	act := rec.Per[PerKey{DBMS: core.Redis, Level: core.Medium, Config: core.ConfigDefault, Group: core.GroupMedium}]
 	if len(act.Actions) != MaxActionsPerActivity {
 		t.Fatalf("actions = %d", len(act.Actions))
@@ -151,7 +152,7 @@ func TestFirstLastSeen(t *testing.T) {
 	s.Record(ev("192.0.2.1", hp, core.EventConnect, 10))
 	s.Record(ev("192.0.2.1", hp, core.EventConnect, 2))
 	s.Record(ev("192.0.2.1", hp, core.EventConnect, 30))
-	rec := s.IP(netip.MustParseAddr("192.0.2.1"))
+	rec := s.Snapshot().IP(netip.MustParseAddr("192.0.2.1"))
 	if rec.FirstSeen != start.Add(2*time.Hour) || rec.LastSeen != start.Add(30*time.Hour) {
 		t.Fatalf("first/last = %v / %v", rec.FirstSeen, rec.LastSeen)
 	}
@@ -176,7 +177,7 @@ func TestAggregationCommutesQuick(t *testing.T) {
 				s.Record(e)
 			}
 			out := map[Cred]int64{}
-			for _, c := range s.Creds(Query{}, 0) {
+			for _, c := range s.Snapshot().Creds(Query{}, 0) {
 				out[c.Cred] = c.Count
 			}
 			return out
@@ -202,18 +203,6 @@ func TestAggregationCommutesQuick(t *testing.T) {
 	}
 }
 
-func TestUniqueIPsFilter(t *testing.T) {
-	s := New(start, 20, nil)
-	s.Record(ev("192.0.2.1", lowInfo(core.MySQL), core.EventConnect, 0))
-	e := ev("192.0.2.2", lowInfo(core.MySQL), core.EventLogin, 0)
-	e.User = "root"
-	s.Record(e)
-	n := s.UniqueIPs(Query{Where: func(r *IPRecord) bool { return r.TotalLogins() > 0 }})
-	if n != 1 {
-		t.Fatalf("filtered = %d", n)
-	}
-}
-
 func TestAccessors(t *testing.T) {
 	s := New(start, 20, nil)
 	if !s.Start().Equal(start) || s.Days() != 20 {
@@ -232,13 +221,13 @@ func TestAccessors(t *testing.T) {
 	if applied := s.MarkInstitutional([]netip.Addr{netip.MustParseAddr("192.0.2.1"), netip.MustParseAddr("192.0.2.99")}); applied != 1 {
 		t.Fatalf("MarkInstitutional applied = %d, want 1", applied)
 	}
-	if !s.IP(netip.MustParseAddr("192.0.2.1")).Institutional {
+	if !s.Snapshot().IP(netip.MustParseAddr("192.0.2.1")).Institutional {
 		t.Fatal("institutional not marked")
 	}
-	if s.IP(netip.MustParseAddr("192.0.2.2")).Institutional {
+	if s.Snapshot().IP(netip.MustParseAddr("192.0.2.2")).Institutional {
 		t.Fatal("wrong record marked")
 	}
-	if s.IP(netip.MustParseAddr("192.0.2.99")) != nil {
+	if s.Snapshot().IP(netip.MustParseAddr("192.0.2.99")) != nil {
 		t.Fatal("phantom record created")
 	}
 }
@@ -246,6 +235,30 @@ func TestAccessors(t *testing.T) {
 // TestCredRowsHashClash: two credentials whose index hashes collide keep
 // separate rows and tallies. A 64-bit collision is too rare to meet by
 // chance, so the test plants one: b's hash is pointed at a's row.
+// TestIPsRecordsStayPut: IPs returns a snapshot's records, so events
+// recorded after the call leave them as they were.
+func TestIPsRecordsStayPut(t *testing.T) {
+	s := New(start, 20, nil)
+	hp := lowInfo(core.MSSQL)
+	s.Record(ev("192.0.2.1", hp, core.EventConnect, 0))
+	recs := s.IPs()
+	frozen := deepCopy(recs)
+
+	login := ev("192.0.2.1", hp, core.EventLogin, 30)
+	login.User, login.Pass = "sa", "x"
+	s.Record(login)
+	s.Record(ev("192.0.2.1", hp, core.EventConnect, 50))
+	s.Record(ev("192.0.2.2", hp, core.EventConnect, 50))
+	s.MarkInstitutional([]netip.Addr{netip.MustParseAddr("192.0.2.1")})
+
+	if got := s.Snapshot().IP(recs[0].Addr); got.TotalLogins() != 1 || !got.Institutional {
+		t.Fatalf("the writes did not reach the store: %+v", got)
+	}
+	if len(recs) != 1 || !reflect.DeepEqual(*recs[0], frozen[0]) {
+		t.Fatalf("record changed by later writes:\nbefore %+v\nafter  %+v", frozen[0], *recs[0])
+	}
+}
+
 func TestCredRowsHashClash(t *testing.T) {
 	rows := &newShard().creds
 	a := Cred{DBMS: core.MSSQL, User: "sa", Pass: "a"}
@@ -280,21 +293,21 @@ func TestCredTiers(t *testing.T) {
 	s.Record(mk(med, "postgres"))
 	s.Record(mk(med, "admin"))
 
-	if got := s.Logins(Query{DBMS: core.Postgres, Tier: LowTier}); got != 1 {
+	if got := s.Snapshot().Logins(Query{DBMS: core.Postgres, Tier: LowTier}); got != 1 {
 		t.Fatalf("low logins = %d", got)
 	}
-	if got := s.Logins(Query{DBMS: core.Postgres, Tier: MediumHighTier}); got != 2 {
+	if got := s.Snapshot().Logins(Query{DBMS: core.Postgres, Tier: MediumHighTier}); got != 2 {
 		t.Fatalf("med logins = %d", got)
 	}
-	if got := s.Logins(Query{DBMS: core.Postgres}); got != 3 {
+	if got := s.Snapshot().Logins(Query{DBMS: core.Postgres}); got != 3 {
 		t.Fatalf("all logins = %d", got)
 	}
-	lowCreds := s.Creds(Query{DBMS: core.Postgres, Tier: LowTier}, 0)
+	lowCreds := s.Snapshot().Creds(Query{DBMS: core.Postgres, Tier: LowTier}, 0)
 	if len(lowCreds) != 1 || lowCreds[0].Count != 1 {
 		t.Fatalf("low creds = %v", lowCreds)
 	}
 	// AllTiers merges the tiers: postgres/pw appears once with count 2.
-	all := s.Creds(Query{DBMS: core.Postgres}, 0)
+	all := s.Snapshot().Creds(Query{DBMS: core.Postgres}, 0)
 	if len(all) != 2 || all[0].User != "postgres" || all[0].Count != 2 {
 		t.Fatalf("merged creds = %v", all)
 	}
@@ -306,7 +319,7 @@ func TestActiveDaysMaskFilter(t *testing.T) {
 	med := core.Info{DBMS: core.Redis, Level: core.Medium, Config: core.ConfigDefault, Group: core.GroupMedium}
 	s.Record(ev("192.0.2.50", low, core.EventConnect, 0))
 	s.Record(ev("192.0.2.50", med, core.EventConnect, 24*3))
-	rec := s.IP(netip.MustParseAddr("192.0.2.50"))
+	rec := s.Snapshot().IP(netip.MustParseAddr("192.0.2.50"))
 	if got := rec.ActiveDaysMask(Query{}); got != 0b1001 {
 		t.Fatalf("all mask = %b", got)
 	}
@@ -330,7 +343,7 @@ func TestDayMask33DayWindow(t *testing.T) {
 	for _, day := range []int{0, 31, 32} {
 		s.Record(ev("203.0.113.40", hp, core.EventConnect, day*24))
 	}
-	rec := s.IP(netip.MustParseAddr("203.0.113.40"))
+	rec := s.Snapshot().IP(netip.MustParseAddr("203.0.113.40"))
 	key := PerKey{DBMS: core.Redis, Level: core.Low, Config: core.ConfigDefault, Group: core.GroupMulti}
 	if got := rec.Per[key].DayCount(); got != 3 {
 		t.Fatalf("day count = %d, want 3 (day 32 lost past a 32-bit mask)", got)
@@ -349,7 +362,7 @@ func TestDayMask64DayWindow(t *testing.T) {
 	for _, day := range []int{0, 63} {
 		s.Record(ev("203.0.113.41", hp, core.EventConnect, day*24))
 	}
-	rec := s.IP(netip.MustParseAddr("203.0.113.41"))
+	rec := s.Snapshot().IP(netip.MustParseAddr("203.0.113.41"))
 	key := PerKey{DBMS: core.Redis, Level: core.Low, Config: core.ConfigDefault, Group: core.GroupMulti}
 	if got := rec.Per[key].DayCount(); got != 2 {
 		t.Fatalf("day count = %d, want 2", got)

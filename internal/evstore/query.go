@@ -78,16 +78,14 @@ func (d DayRange) Mask(days int) uint64 {
 }
 
 // Query selects a slice of the capture. The zero value selects
-// everything. It replaces the old per-dimension method family
-// (Creds/CredsTier, TotalLogins/TotalLoginsTier, bare predicate
-// arguments): one options struct feeds every read path.
+// everything. One options struct feeds every Snapshot read.
 //
 // Field applicability per method:
 //
 //   - Creds, Logins: DBMS and Tier. Credential observations are
-//     whole-window aggregates, so Days and Where do not apply.
-//   - UniqueIPs: all four fields. A record matches when Where accepts it
-//     and some activity matches DBMS/Tier with an active day inside Days.
+//     whole-window aggregates, so Days does not apply.
+//   - Select, UniqueIPs: all three fields. A record matches when some
+//     activity matches DBMS/Tier with an active day inside Days.
 //   - HourlyUnique, CumulativeNew: DBMS and Days. The hourly series
 //     exist for the low tier only (Figure 2), so Tier is implicit.
 //   - classify and ActiveDaysMask use MatchKey: DBMS and Tier.
@@ -95,14 +93,11 @@ type Query struct {
 	DBMS string // "" = all DBMS
 	Tier Tier
 	Days DayRange
-	// Where is an optional record-level predicate, applied on top of the
-	// structured fields (UniqueIPs only).
-	Where func(*IPRecord) bool
 }
 
 // MatchKey reports whether a honeypot grouping matches the query's DBMS
-// and Tier. Days and Where do not participate: they are record- and
-// time-scoped, not key-scoped.
+// and Tier. Days does not participate: it is time-scoped, not
+// key-scoped.
 func (q Query) MatchKey(k PerKey) bool {
 	if q.DBMS != "" && k.DBMS != q.DBMS {
 		return false
@@ -112,9 +107,6 @@ func (q Query) MatchKey(k PerKey) bool {
 
 // matchRecord reports whether a record matches the full query.
 func (q Query) matchRecord(r *IPRecord, days int) bool {
-	if q.Where != nil && !q.Where(r) {
-		return false
-	}
 	if q.DBMS == "" && q.Tier == AllTiers && q.Days.IsZero() {
 		return true
 	}
@@ -141,8 +133,8 @@ type CredCount struct {
 
 // CompareCreds orders credentials by descending count, then by dbms,
 // user and pass: a total order, so equal counts on different DBMSes come
-// back in the same order every time. Store, Snapshot and the collector
-// tier's /query merge all rank credentials with it.
+// back in the same order every time. Snapshot and the collector tier's
+// /query merge both rank credentials with it.
 func CompareCreds(a, b CredCount) int {
 	if c := cmp.Compare(b.Count, a.Count); c != 0 {
 		return c
@@ -156,78 +148,10 @@ func CompareCreds(a, b CredCount) int {
 	return cmp.Compare(a.Pass, b.Pass)
 }
 
-// Creds returns the first n credentials matching q (DBMS, Tier) in
-// CompareCreds order; n <= 0 returns them all. It reads through a fresh
-// Snapshot.
-func (s *Store) Creds(q Query, n int) []CredCount {
-	return s.Snapshot().Creds(q, n)
-}
-
-// Logins sums the login attempts matching q (DBMS, Tier). It reads
-// through a fresh Snapshot.
-func (s *Store) Logins(q Query) int64 {
-	return s.Snapshot().Logins(q)
-}
-
-// UniqueIPs reports the number of sources matching q. The zero Query
-// counts every source seen.
-func (s *Store) UniqueIPs(q Query) int {
-	n := 0
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-		for _, r := range sh.recs {
-			if q.matchRecord(r, s.days) {
-				n++
-			}
-		}
-		sh.mu.Unlock()
-	}
-	return n
-}
-
 // hourSpan converts the query's day range into hour bounds.
 func hourSpan(q Query, days int) (lo, hi int) {
 	dlo, dhi := q.Days.bounds(days)
 	return dlo * 24, dhi * 24
-}
-
-// HourlyUnique returns the per-hour unique-client counts on the low tier
-// for q.DBMS ("" = all), over q.Days (zero = whole window). Shards
-// partition by source address, so per-hour counts sum across shards.
-func (s *Store) HourlyUnique(q Query) []int {
-	lo, hi := hourSpan(q, s.days)
-	out := make([]int, hi-lo)
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-		sh.series(q.DBMS).addCounts(out, lo)
-		sh.mu.Unlock()
-	}
-	return out
-}
-
-// CumulativeNew returns, per hour over q.Days, the cumulative number of
-// distinct clients first seen up to that hour on the low tier for q.DBMS
-// ("" = all). With a restricted day range the count starts from zero at
-// the range start. Disjoint shard address sets make the per-shard
-// cumulative counts sum exactly.
-func (s *Store) CumulativeNew(q Query) []int {
-	lo, hi := hourSpan(q, s.days)
-	out := make([]int, hi-lo)
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-		sh.series(q.DBMS).addCumulative(out, lo)
-		sh.mu.Unlock()
-	}
-	return out
-}
-
-// series returns the shard's hourly sets for dbms ("" = all), or nil.
-// The caller holds sh.mu.
-func (sh *storeShard) series(dbms string) hourSets {
-	if se := sh.hourly[dbms]; se != nil {
-		return se.sets
-	}
-	return nil
 }
 
 // addCounts adds the unique-source count of each hour from lo on to out.

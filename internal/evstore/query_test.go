@@ -91,10 +91,10 @@ func TestQueryEquivalence(t *testing.T) {
 				wantLogins++
 				wantCreds[Cred{DBMS: e.Honeypot.DBMS, User: e.User, Pass: e.Pass}]++
 			}
-			if got := s.Logins(c.q); got != wantLogins {
+			if got := s.Snapshot().Logins(c.q); got != wantLogins {
 				t.Fatalf("Logins = %d, want %d", got, wantLogins)
 			}
-			got := s.Creds(c.q, 0)
+			got := s.Snapshot().Creds(c.q, 0)
 			if len(got) != len(wantCreds) {
 				t.Fatalf("Creds len = %d, want %d", len(got), len(wantCreds))
 			}
@@ -121,7 +121,7 @@ func TestCredOrderIsTotal(t *testing.T) {
 		s.Record(e)
 	}
 	for i := 0; i < 200; i++ {
-		got := s.Creds(Query{}, 0)
+		got := s.Snapshot().Creds(Query{}, 0)
 		if len(got) != 2 || got[0].DBMS != core.MSSQL || got[1].DBMS != core.MySQL {
 			t.Fatalf("call %d: creds = %+v, want mssql before mysql", i, got)
 		}
@@ -144,28 +144,28 @@ func TestQueryShardInvariance(t *testing.T) {
 			{DBMS: core.MySQL, Days: DayRange{From: 0, To: 5}},
 		}
 		for _, q := range queries {
-			if a, b := one.Logins(q), many.Logins(q); a != b {
+			if a, b := one.Snapshot().Logins(q), many.Snapshot().Logins(q); a != b {
 				t.Fatalf("shards=%d %+v: Logins %d != %d", shards, q, b, a)
 			}
-			if a, b := one.UniqueIPs(q), many.UniqueIPs(q); a != b {
+			if a, b := one.Snapshot().UniqueIPs(q), many.Snapshot().UniqueIPs(q); a != b {
 				t.Fatalf("shards=%d %+v: UniqueIPs %d != %d", shards, q, b, a)
 			}
-			ha, hb := one.HourlyUnique(q), many.HourlyUnique(q)
-			ca, cb := one.CumulativeNew(q), many.CumulativeNew(q)
+			ha, hb := one.Snapshot().HourlyUnique(q), many.Snapshot().HourlyUnique(q)
+			ca, cb := one.Snapshot().CumulativeNew(q), many.Snapshot().CumulativeNew(q)
 			for h := range ha {
 				if ha[h] != hb[h] || ca[h] != cb[h] {
 					t.Fatalf("shards=%d %+v: hourly series diverge at hour %d", shards, q, h)
 				}
 			}
-			all := one.Creds(q, 0)
-			if !slices.Equal(many.Creds(q, 0), all) {
-				t.Fatalf("shards=%d %+v: creds %+v != %+v", shards, q, many.Creds(q, 0), all)
+			all := one.Snapshot().Creds(q, 0)
+			if !slices.Equal(many.Snapshot().Creds(q, 0), all) {
+				t.Fatalf("shards=%d %+v: creds %+v != %+v", shards, q, many.Snapshot().Creds(q, 0), all)
 			}
 			// Creds(q, n) is exactly the first n of Creds(q, 0).
 			for _, n := range []int{1, 3, 10, len(all) + 1} {
 				want := all[:min(n, len(all))]
 				for _, s := range []*Store{one, many} {
-					if got := s.Creds(q, n); !slices.Equal(got, want) {
+					if got := s.Snapshot().Creds(q, n); !slices.Equal(got, want) {
 						t.Fatalf("shards=%d %+v n=%d: creds %+v, want %+v", s.Shards(), q, n, got, want)
 					}
 				}
@@ -186,30 +186,30 @@ func TestQueryDayRange(t *testing.T) {
 	s.Record(ev("192.0.2.2", lowInfo(core.MSSQL), core.EventConnect, 5*24))  // day 5
 	s.Record(ev("192.0.2.3", lowInfo(core.MSSQL), core.EventConnect, 19*24)) // day 19
 
-	if got := s.UniqueIPs(Query{Days: DayRange{From: 0, To: 1}}); got != 1 {
+	if got := s.Snapshot().UniqueIPs(Query{Days: DayRange{From: 0, To: 1}}); got != 1 {
 		t.Fatalf("day 0 IPs = %d", got)
 	}
-	if got := s.UniqueIPs(Query{Days: DayRange{From: 5, To: 20}}); got != 2 {
+	if got := s.Snapshot().UniqueIPs(Query{Days: DayRange{From: 5, To: 20}}); got != 2 {
 		t.Fatalf("day 5+ IPs = %d", got)
 	}
-	if got := s.UniqueIPs(Query{}); got != 3 {
+	if got := s.Snapshot().UniqueIPs(Query{}); got != 3 {
 		t.Fatalf("all IPs = %d", got)
 	}
 
-	h := s.HourlyUnique(Query{Days: DayRange{From: 5, To: 6}})
+	h := s.Snapshot().HourlyUnique(Query{Days: DayRange{From: 5, To: 6}})
 	if len(h) != 24 {
 		t.Fatalf("ranged hourly len = %d", len(h))
 	}
 	if h[0] != 1 {
 		t.Fatalf("hour 5*24 count = %d", h[0])
 	}
-	c := s.CumulativeNew(Query{Days: DayRange{From: 5, To: 6}})
+	c := s.Snapshot().CumulativeNew(Query{Days: DayRange{From: 5, To: 6}})
 	if c[0] != 1 || c[23] != 1 {
 		t.Fatalf("ranged cumulative = %v", c)
 	}
 
 	// Out-of-range To clamps to the window end.
-	if got := len(s.HourlyUnique(Query{Days: DayRange{From: 0, To: 99}})); got != 20*24 {
+	if got := len(s.Snapshot().HourlyUnique(Query{Days: DayRange{From: 0, To: 99}})); got != 20*24 {
 		t.Fatalf("clamped hourly len = %d", got)
 	}
 }
@@ -225,14 +225,7 @@ var snapQueries = []Query{
 
 // snapAnswers renders every query answer a reader can get from v, for
 // comparing two points in time.
-func snapAnswers(v interface {
-	Logins(Query) int64
-	Creds(Query, int) []CredCount
-	UniqueIPs(Query) int
-	HourlyUnique(Query) []int
-	CumulativeNew(Query) []int
-	Events() int64
-}) string {
+func snapAnswers(v *Snapshot) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "events=%d\n", v.Events())
 	for _, q := range snapQueries {
@@ -259,16 +252,16 @@ func deepCopy(recs []*IPRecord) []IPRecord {
 	return out
 }
 
-// TestSnapshotMatchesStore: a quiesced store and its snapshot must agree
-// on every query, and the snapshot must be immune to every kind of later
+// TestSnapshotMatchesStore: two snapshots of a quiesced store must agree
+// on every query, and a snapshot must be immune to every kind of later
 // write — its answers and its records stay what they were when it was
 // taken, although it shares records and hourly sets with the store.
 func TestSnapshotMatchesStore(t *testing.T) {
 	s := seedStore(t, 4)
 	snap := s.Snapshot()
 
-	if a, b := snapAnswers(s), snapAnswers(snap); a != b {
-		t.Fatalf("store and snapshot disagree:\nstore:\n%s\nsnapshot:\n%s", a, b)
+	if a, b := snapAnswers(s.Snapshot()), snapAnswers(snap); a != b {
+		t.Fatalf("snapshots of a quiesced store disagree:\nfresh:\n%s\nfirst:\n%s", a, b)
 	}
 	recs, live := snap.Recs(), s.IPs()
 	if len(recs) != len(live) {
@@ -332,7 +325,7 @@ func TestSnapshotMatchesStore(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if got := snapAnswers(s); got == answers {
+	if got := snapAnswers(s.Snapshot()); got == answers {
 		t.Fatal("the writes did not reach the store")
 	}
 	if got := snapAnswers(snap); got != answers {
@@ -344,10 +337,10 @@ func TestSnapshotMatchesStore(t *testing.T) {
 		}
 	}
 	// And the store holds what the writes made of each record.
-	if !s.IP(netip.MustParseAddr(addr(7))).Institutional {
+	if !s.Snapshot().IP(netip.MustParseAddr(addr(7))).Institutional {
 		t.Fatal("MarkInstitutional did not reach the store")
 	}
-	act := s.IP(netip.MustParseAddr(addr(5))).Per[PerKey{DBMS: core.Redis, Level: core.Medium, Config: core.ConfigDefault, Group: core.GroupMedium}]
+	act := s.Snapshot().IP(netip.MustParseAddr(addr(5))).Per[PerKey{DBMS: core.Redis, Level: core.Medium, Config: core.ConfigDefault, Group: core.GroupMedium}]
 	if n := len(act.Actions); n != 4 || act.Actions[3].Name != "FLUSHALL" {
 		t.Fatalf("store actions = %+v", act.Actions)
 	}
@@ -430,7 +423,7 @@ func TestConcurrentRecordBatchSnapshot(t *testing.T) {
 			snaps = append(snaps, taken{snap, logins})
 			recheck()
 			_ = snap.UniqueIPs(Query{Tier: LowTier})
-			_ = s.Logins(Query{})
+			_ = s.Snapshot().Logins(Query{})
 			_ = s.IPs()
 		}
 	}()
@@ -440,7 +433,7 @@ func TestConcurrentRecordBatchSnapshot(t *testing.T) {
 	recheck()
 
 	want := int64(1024 * 20)
-	if got := s.Logins(Query{}); got != want {
+	if got := s.Snapshot().Logins(Query{}); got != want {
 		t.Fatalf("final logins = %d, want %d", got, want)
 	}
 	if got := s.Events(); got != want {

@@ -8,10 +8,9 @@ import (
 	"decoydb/internal/core"
 )
 
-// Snapshot is an immutable point-in-time view of the whole store. The
-// analysis/report layer queries a Snapshot instead of the live Store: one
-// pass over the shards at construction, then every Table 1–12 experiment
-// reads lock-free from the same dataset. A Snapshot stays valid and
+// Snapshot is an immutable point-in-time view of the whole store, and
+// the only way to query it: one pass over the shards at construction,
+// then every Table 1–12 experiment reads lock-free from the same dataset. A Snapshot stays valid and
 // race-free while ingest continues: it shares records and hourly sets
 // with the store, which copies each one before writing it again.
 type Snapshot struct {

@@ -36,8 +36,8 @@ func TestWALRecovery(t *testing.T) {
 	// The per-event path must journal too.
 	s.Record(ev("203.0.113.9", lowInfo(core.MySQL), core.EventCommand, 3))
 	wantEvents := s.Events()
-	wantUnique := s.UniqueIPs(Query{})
-	wantHourly := s.HourlyUnique(Query{})
+	wantUnique := s.Snapshot().UniqueIPs(Query{})
+	wantHourly := s.Snapshot().HourlyUnique(Query{})
 	s.Flush()
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
@@ -59,10 +59,10 @@ func TestWALRecovery(t *testing.T) {
 	if got := s2.Events(); got != wantEvents {
 		t.Fatalf("Events after recovery = %d, want %d", got, wantEvents)
 	}
-	if got := s2.UniqueIPs(Query{}); got != wantUnique {
+	if got := s2.Snapshot().UniqueIPs(Query{}); got != wantUnique {
 		t.Fatalf("UniqueIPs after recovery = %d, want %d", got, wantUnique)
 	}
-	gotHourly := s2.HourlyUnique(Query{})
+	gotHourly := s2.Snapshot().HourlyUnique(Query{})
 	for h := range wantHourly {
 		if gotHourly[h] != wantHourly[h] {
 			t.Fatalf("hourly[%d] = %d, want %d", h, gotHourly[h], wantHourly[h])

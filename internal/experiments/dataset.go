@@ -23,7 +23,6 @@ import (
 type Dataset struct {
 	Seed  int64
 	Scale int
-	Store *evstore.Store
 	// Snap is the immutable post-collection view every experiment reads:
 	// one merge across store shards at build time, lock-free thereafter.
 	Snap *evstore.Snapshot
@@ -64,7 +63,6 @@ func Build(ctx context.Context, seed int64, scale int) (*Dataset, error) {
 	ds := &Dataset{
 		Seed:        seed,
 		Scale:       scale,
-		Store:       store,
 		Snap:        snap,
 		Recs:        snap.Recs(),
 		Pop:         res.Population,

@@ -201,7 +201,7 @@ func TestLiveFarmAllProtocols(t *testing.T) {
 			if rec.TotalLogins() != 3 { // mysql + mssql + postgres
 				t.Fatalf("logins = %d, want 3", rec.TotalLogins())
 			}
-			creds := store.Creds(evstore.Query{DBMS: core.MSSQL}, 0)
+			creds := store.Snapshot().Creds(evstore.Query{DBMS: core.MSSQL}, 0)
 			if len(creds) != 1 || creds[0].User != "sa" {
 				t.Fatalf("mssql creds = %v", creds)
 			}

@@ -227,7 +227,7 @@ func (s storeSource) Status() any {
 	snaps := s.s.SnapshotStats()
 	return storeStatus{
 		Events:        s.s.Events(),
-		Sources:       s.s.UniqueIPs(evstore.Query{}),
+		Sources:       s.s.Sources(),
 		Shards:        s.s.Shards(),
 		Days:          s.s.Days(),
 		SnapshotBuild: snaps.Build,
@@ -237,7 +237,7 @@ func (s storeSource) Status() any {
 
 func (s storeSource) Collect(e *Emitter) {
 	e.Counter("decoydb_store_events_total", "Events ingested into the store.", float64(s.s.Events()))
-	e.Gauge("decoydb_store_sources", "Distinct source addresses recorded.", float64(s.s.UniqueIPs(evstore.Query{})))
+	e.Gauge("decoydb_store_sources", "Distinct source addresses recorded.", float64(s.s.Sources()))
 	e.Gauge("decoydb_store_shards", "Store shard count.", float64(s.s.Shards()))
 	snaps := s.s.SnapshotStats()
 	e.Durations("decoydb_store_snapshot_seconds", "Snapshot build time.", snaps.Build)

@@ -106,35 +106,21 @@ func (f *FanIn) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, resp)
 		return
 	}
-	local, err := f.opts.Local.Respond(req)
+
+	// Every collector, this one included, is asked for its LOCAL capture
+	// (peers run fan-ins too; scope=local is the recursion breaker) and
+	// for the merged page's worth of records from offset zero: a record
+	// on page two locally may be page one tier-wide, and vice versa.
+	limit, offset, nCreds := req.page(f.opts.Local.opts.MaxLimit)
+	wide := req
+	wide.Scope = ScopeLocal
+	wide.Limit, wide.Offset = limit+offset, 0
+	local, err := f.opts.Local.Respond(wide)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
 	f.queries.Add(1)
-
-	// Each peer is asked for its LOCAL capture (peers run fan-ins too;
-	// scope=local is the recursion breaker) and for the merged page's
-	// worth of records from offset zero: a record on page two locally
-	// may be page one tier-wide, and vice versa.
-	peerReq := req
-	peerReq.Scope = ScopeLocal
-	if peerReq.Limit < 0 {
-		peerReq.Limit = 0
-	}
-	if peerReq.Offset > 0 {
-		peerReq.Limit += peerReq.Offset
-		peerReq.Offset = 0
-	}
-	// And the local page must span the same range for the same reason.
-	if req.Offset > 0 {
-		wide := req
-		wide.Limit, wide.Offset = peerReq.Limit, 0
-		if local, err = f.opts.Local.Respond(wide); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-	}
 
 	type fetched struct {
 		addr string
@@ -150,7 +136,7 @@ func (f *FanIn) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			ctx, cancel := context.WithTimeout(r.Context(), f.opts.Timeout)
 			defer cancel()
 			f.peerFetches.Add(1)
-			resp, err := cl.Query(ctx, peerReq)
+			resp, err := cl.Query(ctx, wide)
 			results[i] = fetched{addr: cl.Base(), resp: resp, err: err}
 		}(i, cl)
 	}
@@ -264,21 +250,10 @@ func (f *FanIn) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	for _, a := range order {
 		records = append(records, *byAddr[a])
 	}
-	offset := req.Offset
-	if offset < 0 {
-		offset = 0
-	}
 	if offset > len(records) {
 		records = nil
 	} else {
 		records = records[offset:]
-	}
-	limit := req.Limit
-	if limit < 0 {
-		limit = 0
-	}
-	if limit > f.opts.Local.opts.MaxLimit {
-		limit = f.opts.Local.opts.MaxLimit
 	}
 	if len(records) > limit {
 		records = records[:limit]
@@ -291,11 +266,6 @@ func (f *FanIn) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		ranked = append(ranked, evstore.CredCount{Cred: c, Count: n})
 	}
 	slices.SortFunc(ranked, evstore.CompareCreds)
-	nCreds := req.Creds
-	if nCreds < 0 {
-		nCreds = 0
-	}
-	nCreds = min(nCreds, maxCreds)
 	if len(ranked) > nCreds {
 		ranked = ranked[:nCreds]
 	}

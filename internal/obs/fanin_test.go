@@ -157,8 +157,8 @@ func TestFanInMerge(t *testing.T) {
 	if len(page.Records) != 3 || page.Offset != 3 {
 		t.Fatalf("page: %d records at offset %d, want 3 at 3", len(page.Records), page.Offset)
 	}
-	if page.Records[0].Addr != q.Records[3].Addr {
-		t.Fatalf("page 2 starts at %s, want %s", page.Records[0].Addr, q.Records[3].Addr)
+	if !reflect.DeepEqual(page.Records, q.Records[3:6]) {
+		t.Fatalf("page 2 = %+v, want %+v", page.Records, q.Records[3:6])
 	}
 
 	st := fi.Status().(map[string]any)

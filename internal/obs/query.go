@@ -25,8 +25,9 @@ import (
 // its record.
 //
 // The request/response types double as the wire schema for the
-// collector tier: Client fetches them, FanIn merges them, and dbreport
-// renders them — one decoder, one schema.
+// collector tier: Client fetches them, FanIn merges them, and
+// CaptureTables renders them for dbcollect and dbreport — one decoder,
+// one schema.
 
 // QueryOptions configures a QueryHandler.
 type QueryOptions struct {
@@ -99,6 +100,14 @@ type QueryRequest struct {
 // ScopeLocal asks a collector for its own capture only, bypassing any
 // tier fan-in mounted on its /query.
 const ScopeLocal = "local"
+
+// page clamps the request's paging to what one response carries: the
+// record page size to [0, maxLimit], the offset to >= 0 and the
+// credential rows to [0, maxCreds]. Respond and FanIn cut their pages
+// with it.
+func (q QueryRequest) page(maxLimit int) (limit, offset, creds int) {
+	return min(max(q.Limit, 0), maxLimit), max(q.Offset, 0), min(max(q.Creds, 0), maxCreds)
+}
 
 // ParseQueryRequest decodes the URL parameters of a /query request.
 // Errors are client errors (http.StatusBadRequest).
@@ -271,21 +280,7 @@ func (h *QueryHandler) Respond(req QueryRequest) (QueryResponse, error) {
 	if err != nil {
 		return QueryResponse{}, err
 	}
-	limit, offset, creds := req.Limit, req.Offset, req.Creds
-	if limit < 0 {
-		limit = 0
-	}
-	if limit > h.opts.MaxLimit {
-		limit = h.opts.MaxLimit
-	}
-	if offset < 0 {
-		offset = 0
-	}
-	if creds < 0 {
-		creds = 0
-	}
-	creds = min(creds, maxCreds)
-
+	limit, offset, creds := req.page(h.opts.MaxLimit)
 	q := evstore.Query{
 		DBMS: req.DBMS,
 		Tier: tier,

@@ -72,7 +72,7 @@ func TestRoundTrip(t *testing.T) {
 	if store.Events() != 6 {
 		t.Fatalf("events = %d", store.Events())
 	}
-	rec := store.IP(netip.MustParseAddr(cnAddr))
+	rec := store.Snapshot().IP(netip.MustParseAddr(cnAddr))
 	if rec == nil {
 		t.Fatal("low-tier source missing")
 	}
@@ -82,12 +82,12 @@ func TestRoundTrip(t *testing.T) {
 	if rec.TotalLogins() != 1 {
 		t.Fatalf("logins = %d", rec.TotalLogins())
 	}
-	creds := store.Creds(evstore.Query{DBMS: core.MSSQL}, 0)
+	creds := store.Snapshot().Creds(evstore.Query{DBMS: core.MSSQL}, 0)
 	if len(creds) != 1 || creds[0].User != "sa" || creds[0].Pass != "123" {
 		t.Fatalf("creds = %v", creds)
 	}
 
-	med := store.IP(netip.MustParseAddr("20.0.77.1"))
+	med := store.Snapshot().IP(netip.MustParseAddr("20.0.77.1"))
 	if med == nil {
 		t.Fatal("medium-tier source missing")
 	}
@@ -205,7 +205,7 @@ func TestLogWriterAllLevelsRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := store.IP(netip.MustParseAddr("20.1.2.3"))
+	rec := store.Snapshot().IP(netip.MustParseAddr("20.1.2.3"))
 	if rec == nil {
 		t.Fatal("record missing")
 	}

@@ -8,6 +8,7 @@ package redis
 
 import (
 	"bufio"
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -17,10 +18,15 @@ import (
 
 // Protocol limits. Real Redis allows 512 MB bulk strings; a honeypot has no
 // reason to buffer anywhere near that from an unauthenticated stranger.
+// MaxInlineLen bounds a line without its terminator. MaxDepth bounds how
+// deep arrays nest: a client command is one flat array and the deepest
+// reply (SCAN) nests two, while unbounded nesting would let a few bytes
+// per level grow the decoder's stack until the process dies.
 const (
 	MaxBulkLen   = 1 << 20 // 1 MiB
 	MaxArrayLen  = 1024
 	MaxInlineLen = 1 << 16
+	MaxDepth     = 8
 )
 
 // ErrProtocol reports malformed RESP input.
@@ -106,28 +112,49 @@ func WriteValue(w io.Writer, v Value) error {
 	return err
 }
 
+// readLine reads one line and returns it without its terminator. It
+// stops reading once the line cannot fit MaxInlineLen, so a line that
+// never ends costs no more memory than the longest one accepted.
 func readLine(r *bufio.Reader) (string, error) {
-	line, err := r.ReadString('\n')
-	if err != nil {
-		// A final unterminated line still carries signal: JDWP
-		// handshakes and similar cross-protocol probes arrive without a
-		// trailing newline before the client disconnects.
-		if (errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF)) && len(line) > 0 {
-			return line, nil
+	var long []byte // the fragments of a line longer than r's buffer
+	for {
+		frag, err := r.ReadSlice('\n')
+		if len(long)+len(frag) > MaxInlineLen+2 {
+			return "", fmt.Errorf("%w: line too long", ErrProtocol)
 		}
-		return "", err
+		if errors.Is(err, bufio.ErrBufferFull) {
+			long = append(long, frag...)
+			continue
+		}
+		line := frag
+		if long != nil {
+			line = append(long, frag...)
+		}
+		switch {
+		case err == nil:
+			line = bytes.TrimSuffix(line[:len(line)-1], []byte{'\r'})
+		case (errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF)) && len(line) > 0:
+			// A final unterminated line still carries signal: JDWP
+			// handshakes and similar cross-protocol probes arrive
+			// without a trailing newline before the client disconnects.
+		default:
+			return "", err
+		}
+		if len(line) > MaxInlineLen {
+			return "", fmt.Errorf("%w: line too long", ErrProtocol)
+		}
+		return string(line), nil
 	}
-	if len(line) > MaxInlineLen {
-		return "", fmt.Errorf("%w: line too long", ErrProtocol)
-	}
-	line = strings.TrimSuffix(line, "\n")
-	line = strings.TrimSuffix(line, "\r")
-	return line, nil
 }
 
 // ReadValue parses one RESP value from r. It is used both by the honeypot
 // (client commands) and by simulated attackers (server replies).
 func ReadValue(r *bufio.Reader) (Value, error) {
+	return readValue(r, 0)
+}
+
+// readValue parses one value inside depth enclosing arrays.
+func readValue(r *bufio.Reader, depth int) (Value, error) {
 	t, err := r.ReadByte()
 	if err != nil {
 		return Value{}, err
@@ -187,12 +214,14 @@ func ReadValue(r *bufio.Reader) (Value, error) {
 		if n < 0 || n > MaxArrayLen {
 			return Value{}, fmt.Errorf("%w: array length %d out of range", ErrProtocol, n)
 		}
-		if n == 0 {
-			return Value{Kind: Array}, nil
+		if depth >= MaxDepth {
+			return Value{}, fmt.Errorf("%w: arrays nested deeper than %d", ErrProtocol, MaxDepth)
 		}
-		vs := make([]Value, 0, n)
+		// The slice grows as elements arrive: a declared length costs
+		// nothing until the peer sends the elements.
+		var vs []Value
 		for i := int64(0); i < n; i++ {
-			e, err := ReadValue(r)
+			e, err := readValue(r, depth+1)
 			if err != nil {
 				return Value{}, err
 			}
@@ -209,10 +238,9 @@ func ReadValue(r *bufio.Reader) (Value, error) {
 		if err != nil {
 			return Value{}, err
 		}
-		fields := strings.Fields(line)
-		vs := make([]Value, len(fields))
-		for i, f := range fields {
-			vs[i] = Bulk(f)
+		var vs []Value
+		for _, f := range strings.Fields(line) {
+			vs = append(vs, Bulk(f))
 		}
 		return Value{Kind: Array, Array: vs}, nil
 	}

@@ -4,8 +4,10 @@ import (
 	"bufio"
 	"bytes"
 	"errors"
+	"io"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -77,6 +79,85 @@ func TestBulkMissingCRLF(t *testing.T) {
 	_, err := ReadValue(bufio.NewReader(strings.NewReader("$3\r\nabcXY")))
 	if !errors.Is(err, ErrProtocol) {
 		t.Fatalf("bulk without CRLF: %v", err)
+	}
+}
+
+// allocated reports the bytes the heap allocated while fn ran.
+func allocated(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestNestingBounded: arrays nest at most MaxDepth deep. A reply nests
+// two deep at most, while a peer nesting *1 a hundred thousand times
+// would otherwise recurse until the stack overflowed, a fatal error no
+// recover catches.
+func TestNestingBounded(t *testing.T) {
+	nest := func(depth int) []byte {
+		v := Bulk("x")
+		for i := 0; i < depth; i++ {
+			v = Arr(v)
+		}
+		return Encode(nil, v)
+	}
+	parse(t, nest(MaxDepth))
+	if _, err := ReadValue(bufio.NewReader(bytes.NewReader(nest(MaxDepth + 1)))); !errors.Is(err, ErrProtocol) {
+		t.Fatalf("%d-deep arrays: %v, want ErrProtocol", MaxDepth+1, err)
+	}
+	deep := strings.Repeat("*1\r\n", 150_000)
+	if _, err := ReadValue(bufio.NewReader(strings.NewReader(deep))); !errors.Is(err, ErrProtocol) {
+		t.Fatalf("150,000-deep arrays: %v, want ErrProtocol", err)
+	}
+}
+
+// TestDeclaredLengthsCostNothing: an array's declared length allocates
+// nothing until its elements arrive. 28 KB of nested *1024 headers once
+// made the decoder hold 262 MB of empty element slots.
+func TestDeclaredLengthsCostNothing(t *testing.T) {
+	in := strings.Repeat("*1024\r\n", 4001)
+	var err error
+	n := allocated(func() { _, err = ReadValue(bufio.NewReader(strings.NewReader(in))) })
+	if !errors.Is(err, ErrProtocol) {
+		t.Fatalf("nested *1024 headers: %v, want ErrProtocol", err)
+	}
+	if n > 4<<20 {
+		t.Fatalf("%d bytes of headers allocated %d bytes, want under 4 MiB", len(in), n)
+	}
+}
+
+// repeatReader yields its byte forever.
+type repeatReader byte
+
+func (b repeatReader) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = byte(b)
+	}
+	return len(p), nil
+}
+
+// TestLongLineRejected: a line longer than MaxInlineLen is refused once
+// MaxInlineLen bytes are read, whether the newline comes later or the
+// peer hangs up first, and the longest line allowed still parses.
+func TestLongLineRejected(t *testing.T) {
+	line := func(tail string) io.Reader {
+		return io.MultiReader(strings.NewReader("+"), io.LimitReader(repeatReader('a'), 32<<20), strings.NewReader(tail))
+	}
+	for _, tail := range []string{"\r\n", ""} {
+		var err error
+		n := allocated(func() { _, err = ReadValue(bufio.NewReader(line(tail))) })
+		if !errors.Is(err, ErrProtocol) {
+			t.Fatalf("32 MiB line ending %q: %v, want ErrProtocol", tail, err)
+		}
+		if n > 4<<20 {
+			t.Fatalf("32 MiB line ending %q allocated %d bytes, want under 4 MiB", tail, n)
+		}
+	}
+	longest := "+" + strings.Repeat("a", MaxInlineLen) + "\r\n"
+	if v := parse(t, []byte(longest)); len(v.Str) != MaxInlineLen {
+		t.Fatalf("longest line read back %d bytes, want %d", len(v.Str), MaxInlineLen)
 	}
 }
 

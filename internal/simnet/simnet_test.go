@@ -256,17 +256,17 @@ func TestRunSmall(t *testing.T) {
 	}
 
 	// MSSQL dominates logins; Redis sees none (paper Section 5).
-	if store.Logins(evstore.Query{DBMS: core.Redis, Tier: evstore.LowTier}) != 0 {
+	if store.Snapshot().Logins(evstore.Query{DBMS: core.Redis, Tier: evstore.LowTier}) != 0 {
 		t.Error("redis logins observed on low tier")
 	}
-	mssql := store.Logins(evstore.Query{DBMS: core.MSSQL, Tier: evstore.LowTier})
-	total := store.Logins(evstore.Query{Tier: evstore.LowTier})
+	mssql := store.Snapshot().Logins(evstore.Query{DBMS: core.MSSQL, Tier: evstore.LowTier})
+	total := store.Snapshot().Logins(evstore.Query{Tier: evstore.LowTier})
 	if float64(mssql)/float64(total) < 0.9 {
 		t.Errorf("MSSQL login share = %d/%d", mssql, total)
 	}
 
 	// Top credential is sa/123 (Table 12).
-	creds := store.Creds(evstore.Query{DBMS: core.MSSQL, Tier: evstore.LowTier}, 0)
+	creds := store.Snapshot().Creds(evstore.Query{DBMS: core.MSSQL, Tier: evstore.LowTier}, 0)
 	if len(creds) == 0 || creds[0].User != "sa" || creds[0].Pass != "123" {
 		t.Errorf("top credential = %+v", creds[0])
 	}
@@ -289,7 +289,7 @@ func TestRunDeterministicDataset(t *testing.T) {
 	if a.Events() != b.Events() {
 		t.Fatalf("event counts differ: %d vs %d", a.Events(), b.Events())
 	}
-	if a.Logins(evstore.Query{}) != b.Logins(evstore.Query{}) {
+	if a.Snapshot().Logins(evstore.Query{}) != b.Snapshot().Logins(evstore.Query{}) {
 		t.Fatalf("login totals differ")
 	}
 	ra, rb := a.IPs(), b.IPs()
