@@ -11,8 +11,8 @@
 //
 // With -forward "addrs=a:7100|b:7100,token=SECRET" the farm also
 // streams every event to a dbcollect collector tier over the relay
-// protocol: batched, compressed, acknowledged, spooled across collector
-// outages, and shed with per-source accounting when the spool fills — a
+// protocol: batched, acknowledged, spooled across collector outages,
+// and shed with per-source accounting when the spool fills — a
 // collector outage costs bounded memory, never a stalled honeypot
 // session. With several collector addresses the farm picks one by
 // rendezvous hash of its farm name and fails over down the ranking when

@@ -1,10 +1,10 @@
 // Package evcodec is the one binary encoding of an event batch, shared
 // by the relay wire protocol (internal/relay) and the on-disk WAL
 // segment format (internal/wal). Both wrap the same body — a sequence
-// number, an event count, the uncompressed size, a CRC-32 over the
-// compressed payload, and the flate-compressed event encoding — behind
-// their own headers, so the farm→collector frames and the durable
-// segments literally cannot drift apart.
+// number, an event count, the raw size, a CRC-32 over the payload, and
+// the event encoding as a flate stream — behind their own headers, so
+// the farm→collector frames and the durable segments literally cannot
+// drift apart: a relay frame and its spool record carry the same bytes.
 //
 // Like everything downstream of a honeypot, the decoder treats its
 // input as hostile: every declared size is validated against Limits
@@ -12,19 +12,22 @@
 // decompressor is capped at the declared size so a zip bomb cannot
 // inflate past its declaration.
 //
-// There are two encodings (see Encoding): stored blocks for WAL
-// segments and flate.BestSpeed for relay frames. The decoder reads any
-// flate stream, so segments an earlier build compressed at another
-// level still replay.
+// Compress writes one encoding, flate stored blocks: a connected farm's
+// batch is mostly two or three brute-force events, too few to compress,
+// and a stored block costs a copy where deflating costs a compressor.
+// The price falls in a collector outage, when the relay cuts frames of
+// 512 events, which deflated about 8.7x: its byte-bounded spool holds
+// that many times fewer events (DESIGN §9). The decoder reads any flate
+// stream, so frames and segments that earlier builds deflated still
+// decode.
 //
 // Both directions are allocation-free per batch once warm, because
-// batches are small (a brute-force session yields two or three events)
-// and per-batch set-up would otherwise dwarf the per-event work.
-// Compress keeps one pool of BestSpeed writers, and writes stored
-// blocks itself, byte-for-byte as flate.NewWriter(w, flate.NoCompression)
-// would. ReadBatch reuses pooled decompressors and inflate buffers. The
-// only per-batch allocations left are the decoded events and their
-// strings, which the caller keeps.
+// per-batch set-up would otherwise dwarf the per-event work. Compress
+// writes the stored blocks itself, byte-for-byte as
+// flate.NewWriter(w, flate.NoCompression) would, into pooled buffers.
+// ReadBatch reuses pooled decompressors and inflate buffers. The only
+// per-batch allocations left are the decoded events and their strings,
+// which the caller keeps.
 package evcodec
 
 import (
@@ -59,21 +62,6 @@ const (
 	MaxOwnerAddr = 256
 )
 
-// Encoding selects how Compress writes a payload. Both are flate
-// streams, so ReadBatch decodes either.
-type Encoding int
-
-const (
-	// Stored writes flate stored (uncompressed) blocks: encoding is a
-	// plain copy, done without a flate.Writer. WAL segments use it —
-	// appends sit on the ingest hot path and local disk is cheaper than
-	// the CPU to shrink them.
-	Stored Encoding = iota
-	// Deflated compresses at flate.BestSpeed, for relay frames on the
-	// wire.
-	Deflated
-)
-
 // maxStoredBlock is the largest stored block flate can express (its
 // LEN field is 16 bits), and the size compress/flate cuts them at.
 const maxStoredBlock = 1<<16 - 1
@@ -104,21 +92,21 @@ func (l Limits) WithDefaults() Limits {
 	return l
 }
 
-// Payload is a compressed event payload, ready to be framed into a
-// batch body. It carries no sequence number, so it can be built outside
-// whatever lock assigns sequences — the WAL compresses concurrently and
+// Payload is an encoded event payload, ready to be framed into a batch
+// body. It carries no sequence number, so it can be built outside
+// whatever lock assigns sequences — the WAL encodes concurrently and
 // only serialises the (cheap) framed write. Callers that consume Comp
 // before returning should call Release to recycle the buffer.
 type Payload struct {
-	Comp   []byte // flate-compressed event encoding
-	RawLen int    // uncompressed size
+	Comp   []byte // the event encoding as a flate stream
+	RawLen int    // event encoding size
 	Count  int    // events encoded
 	CRC    uint32 // CRC-32 (IEEE) over Comp
 
 	buf *bytes.Buffer // pooled backing store for Comp, nil if unpooled
 }
 
-// compBufs recycles compression output buffers between batches.
+// compBufs recycles payload buffers between batches.
 var compBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
 // Release recycles the payload's backing buffer. The caller must be
@@ -131,10 +119,13 @@ func (p *Payload) Release() {
 	}
 }
 
-// AppendHead appends the batch-body framing that precedes the
-// compressed payload — sequence number, event count, uncompressed size,
-// payload CRC — and returns the extended buffer. AppendHead followed by
-// the Comp bytes is exactly what AppendPayload emits.
+// HeadLen is the size of the batch-body framing AppendHead writes.
+const HeadLen = 20
+
+// AppendHead appends the HeadLen bytes of batch-body framing that
+// precede the payload — sequence number, event count, raw size, payload
+// CRC — and returns the extended buffer. AppendHead followed by the
+// Comp bytes is exactly what AppendPayload emits.
 func (p Payload) AppendHead(buf []byte, seq uint64) []byte {
 	buf = binary.LittleEndian.AppendUint64(buf, seq)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(p.Count))
@@ -142,19 +133,13 @@ func (p Payload) AppendHead(buf []byte, seq uint64) []byte {
 	return binary.LittleEndian.AppendUint32(buf, p.CRC)
 }
 
-// flateWriters recycles BestSpeed compressors: flate.NewWriter
-// allocates up to ~1MB of window and hash-table state.
-var flateWriters = sync.Pool{New: func() any {
-	fw, _ := flate.NewWriter(nil, flate.BestSpeed) // a valid level cannot fail
-	return fw
-}}
-
-// rawBufs recycles the pre-compression encode buffer; it never escapes
-// Compress, so pooling it removes a ~32KB alloc+clear per batch.
+// rawBufs recycles the event encode buffer; it never escapes Compress,
+// so pooling it removes a ~32KB alloc+clear per batch.
 var rawBufs = sync.Pool{New: func() any { b := make([]byte, 0, 32<<10); return &b }}
 
-// Compress encodes events and writes them as a Payload in enc.
-func Compress(events []core.Event, enc Encoding) (Payload, error) {
+// Compress encodes events and writes them as a Payload of flate stored
+// blocks. It cannot fail: it only copies into memory.
+func Compress(events []core.Event) Payload {
 	// Encode into a local slice: appending through a pointer field would
 	// pay a GC write barrier on every field write, which profiles as half
 	// the cost of encoding a batch.
@@ -165,20 +150,14 @@ func Compress(events []core.Event, enc Encoding) (Payload, error) {
 	}
 	defer func() { *rawp = raw[:0]; rawBufs.Put(rawp) }()
 	comp := compBufs.Get().(*bytes.Buffer)
-	if enc == Stored {
-		writeStored(comp, raw)
-	} else if err := deflate(comp, raw); err != nil {
-		comp.Reset()
-		compBufs.Put(comp)
-		return Payload{}, err
-	}
+	writeStored(comp, raw)
 	return Payload{
 		Comp:   comp.Bytes(),
 		RawLen: len(raw),
 		Count:  len(events),
 		CRC:    crc32.ChecksumIEEE(comp.Bytes()),
 		buf:    comp,
-	}, nil
+	}
 }
 
 // writeStored writes raw to w as flate stored blocks, byte-for-byte the
@@ -198,40 +177,11 @@ func writeStored(w *bytes.Buffer, raw []byte) {
 	w.Write([]byte{1, 0, 0, 0xff, 0xff})
 }
 
-// deflate compresses raw to w at flate.BestSpeed, with a pooled writer.
-func deflate(w *bytes.Buffer, raw []byte) error {
-	fw := flateWriters.Get().(*flate.Writer)
-	fw.Reset(w)
-	if _, err := fw.Write(raw); err != nil {
-		return fmt.Errorf("evcodec: compress batch: %w", err)
-	}
-	if err := fw.Close(); err != nil {
-		return fmt.Errorf("evcodec: compress batch: %w", err)
-	}
-	flateWriters.Put(fw)
-	return nil
-}
-
-// AppendPayload frames a compressed payload as one batch body onto w:
-// sequence number, event count, uncompressed size, payload CRC, then
-// the compressed payload itself.
+// AppendPayload frames a payload as one batch body onto w: sequence
+// number, event count, raw size, payload CRC, then the payload itself.
 func AppendPayload(w *wire.Writer, seq uint64, p Payload) {
 	w.Raw(p.AppendHead(nil, seq))
 	w.Raw(p.Comp)
-}
-
-// AppendBatch encodes events as one batch body onto w — Compress and
-// AppendPayload in one step, for callers that already hold seq. It
-// returns the uncompressed payload size (the numerator of the
-// compression ratio).
-func AppendBatch(w *wire.Writer, seq uint64, events []core.Event, enc Encoding) (rawLen int, err error) {
-	p, err := Compress(events, enc)
-	if err != nil {
-		return 0, err
-	}
-	AppendPayload(w, seq, p)
-	p.Release()
-	return p.RawLen, nil
 }
 
 // maxPooledInflate caps the inflate buffer an inflater keeps when it
@@ -274,12 +224,11 @@ func (inf *inflater) release() {
 	inflaters.Put(inf)
 }
 
-// ReadBatch is the symmetric inverse of AppendBatch: it consumes one
-// batch body from r (through to the end of the buffer — the compressed
-// payload is whatever remains). It inflates a payload written at any
-// flate level, so segments earlier builds compressed at other levels
-// still replay. Every declared size is validated
-// against lim before allocation, the CRC is verified before
+// ReadBatch is the symmetric inverse of AppendPayload: it consumes one
+// batch body from r (through to the end of the buffer — the payload is
+// whatever remains). It inflates a payload written at any flate level,
+// so frames and segments earlier builds deflated still decode. Every
+// declared size is validated against lim before allocation, the CRC is verified before
 // decompression, and the decompressed payload must parse into exactly
 // the declared event count with no bytes left over.
 func ReadBatch(r *wire.Reader, lim Limits) (seq uint64, events []core.Event, rawLen int, err error) {

@@ -83,19 +83,17 @@ func randomEvent(rng *rand.Rand) core.Event {
 	}
 }
 
-// encode frames events as one batch body in enc.
-func encode(t testing.TB, seq uint64, events []core.Event, enc Encoding) (body []byte, rawLen int) {
-	t.Helper()
+// encode frames events as one batch body, as the relay and the WAL do.
+func encode(seq uint64, events []core.Event) (body []byte, rawLen int) {
+	p := Compress(events)
+	defer p.Release()
 	w := wire.NewWriter(0)
-	rawLen, err := AppendBatch(w, seq, events, enc)
-	if err != nil {
-		t.Fatalf("AppendBatch(encoding %d): %v", enc, err)
-	}
-	return w.Bytes(), rawLen
+	AppendPayload(w, seq, p)
+	return w.Bytes(), p.RawLen
 }
 
 // frame builds a batch body around comp with arbitrary declared fields,
-// for bodies AppendBatch would never emit.
+// for bodies Compress would never emit.
 func frame(seq uint64, count, rawLen int, comp []byte, crc uint32) []byte {
 	p := Payload{Comp: comp, RawLen: rawLen, Count: count, CRC: crc}
 	return append(p.AppendHead(nil, seq), comp...)
@@ -124,36 +122,20 @@ func reference(t testing.TB, raw []byte, level int) []byte {
 	return buf.Bytes()
 }
 
-// encodings lists both encodings Compress writes.
-var encodings = []struct {
-	name string
-	enc  Encoding
-}{
-	{"stored", Stored},
-	{"deflated", Deflated},
-}
-
-// roundTrips lists every way a batch body reaches ReadBatch: both
-// encodings AppendBatch writes ("default" is the relay's), and payloads
-// the stdlib flate writer produced at other levels, as WAL segments
-// written by earlier builds with -store compress=speed|best hold them.
+// roundTrips lists every way a batch body reaches ReadBatch: the stored
+// blocks Compress writes, and payloads the stdlib flate writer produced
+// at other levels — BestSpeed is what relay frames from earlier builds
+// carry, and the rest are what WAL segments written with -store
+// compress=speed|best hold.
 var roundTrips = []struct {
 	name   string
 	encode func(t testing.TB, seq uint64, events []core.Event) (body []byte, rawLen int)
 }{
-	{"stored", appended(Stored)},
-	{"default", appended(Deflated)},
+	{"stored", func(_ testing.TB, seq uint64, events []core.Event) ([]byte, int) { return encode(seq, events) }},
 	{"huffman", stdlib(flate.HuffmanOnly)},
 	{"speed", stdlib(flate.BestSpeed)},
 	{"flate-default", stdlib(flate.DefaultCompression)},
 	{"best", stdlib(flate.BestCompression)},
-}
-
-// appended encodes with AppendBatch in enc.
-func appended(enc Encoding) func(testing.TB, uint64, []core.Event) ([]byte, int) {
-	return func(t testing.TB, seq uint64, events []core.Event) ([]byte, int) {
-		return encode(t, seq, events, enc)
-	}
 }
 
 // stdlib frames a payload a fresh stdlib flate writer compressed at
@@ -205,7 +187,7 @@ func TestRoundTrip(t *testing.T) {
 	}
 }
 
-// TestConcurrentRoundTrip shares the writer and inflater pools between
+// TestConcurrentRoundTrip shares the buffer and inflater pools between
 // goroutines, as the relay and the WAL appenders do; run it with -race.
 func TestConcurrentRoundTrip(t *testing.T) {
 	var wg sync.WaitGroup
@@ -215,15 +197,8 @@ func TestConcurrentRoundTrip(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
 				evs := testEvents(1 + (g+i)%5)
-				p, err := Compress(evs, Encoding(i%2))
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				w := wire.NewWriter(0)
-				AppendPayload(w, uint64(i), p)
-				p.Release()
-				_, got, _, err := ReadBatch(wire.NewReader(w.Bytes()), Limits{})
+				body, _ := encode(uint64(i), evs)
+				_, got, _, err := ReadBatch(wire.NewReader(body), Limits{})
 				if err != nil || !reflect.DeepEqual(got, evs) {
 					t.Errorf("goroutine %d, batch %d: round trip failed: %v", g, i, err)
 					return
@@ -254,16 +229,9 @@ func TestStoredMatchesFlate(t *testing.T) {
 }
 
 // TestCompressMatchesFreshWriter checks that Compress, with its pooled
-// writers and its own stored blocks, emits exactly what a fresh flate
-// writer emits over the same encoding, whichever encoding ran before.
+// buffers, emits exactly what a fresh NoCompression flate writer emits
+// over the same encoding, whatever batch ran before.
 func TestCompressMatchesFreshWriter(t *testing.T) {
-	levels := []struct {
-		enc        Encoding
-		flateLevel int
-	}{
-		{Stored, flate.NoCompression},
-		{Deflated, flate.BestSpeed},
-	}
 	for round := 0; round < 2; round++ {
 		for _, n := range []int{1, 3, 300} {
 			evs := testEvents(n)
@@ -271,17 +239,12 @@ func TestCompressMatchesFreshWriter(t *testing.T) {
 			for _, e := range evs {
 				raw = appendEvent(raw, e)
 			}
-			for _, lv := range levels {
-				p, err := Compress(evs, lv.enc)
-				if err != nil {
-					t.Fatal(err)
-				}
-				want := reference(t, raw, lv.flateLevel)
-				if !bytes.Equal(p.Comp, want) || p.CRC != crc32.ChecksumIEEE(want) || p.RawLen != len(raw) || p.Count != n {
-					t.Errorf("round %d, %d events, flate level %d: payload differs from a fresh flate writer's", round, n, lv.flateLevel)
-				}
-				p.Release()
+			p := Compress(evs)
+			want := stored(t, raw)
+			if !bytes.Equal(p.Comp, want) || p.CRC != crc32.ChecksumIEEE(want) || p.RawLen != len(raw) || p.Count != n {
+				t.Errorf("round %d, %d events: payload differs from a fresh flate writer's", round, n)
 			}
+			p.Release()
 		}
 	}
 }
@@ -340,7 +303,7 @@ func TestReadBatchRejects(t *testing.T) {
 func TestReadBatchDropsLargeBuffers(t *testing.T) {
 	evs := testEvents(1)
 	evs[0].Raw = strings.Repeat("x", maxPooledInflate)
-	body, _ := encode(t, 1, evs, Deflated)
+	body, _ := encode(1, evs)
 	if _, _, _, err := ReadBatch(wire.NewReader(body), Limits{}); err != nil {
 		t.Fatal(err)
 	}
@@ -351,9 +314,9 @@ func TestReadBatchDropsLargeBuffers(t *testing.T) {
 	}
 }
 
-// TestCompressAllocs alternates the relay's encoding and the WAL's, as
-// a farm does, and bounds what each Compress allocates. A compressor
-// that is not pooled costs ~1MB per call.
+// TestCompressAllocs bounds what each Compress allocates once its
+// buffers are pooled: a batch of three events must not cost a fresh
+// encode or payload buffer.
 func TestCompressAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector drops sync.Pool items at random")
@@ -361,20 +324,16 @@ func TestCompressAllocs(t *testing.T) {
 	const calls = 1000
 	const budget = 64 << 10 // bytes per call
 	evs := testEvents(3)
-	compress := func(i int) {
-		p, err := Compress(evs, Encoding(i%2))
-		if err != nil {
-			t.Fatal(err)
-		}
+	compress := func() {
+		p := Compress(evs)
 		p.Release()
 	}
-	compress(0)
-	compress(1)
+	compress()
 	runtime.GC()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for i := 0; i < calls; i++ {
-		compress(i)
+		compress()
 	}
 	runtime.ReadMemStats(&after)
 	if per := (after.TotalAlloc - before.TotalAlloc) / calls; per >= budget {
@@ -383,33 +342,25 @@ func TestCompressAllocs(t *testing.T) {
 }
 
 // BenchmarkCodec times one brute-force-sized batch (three events)
-// through each direction in the WAL's encoding and the relay's.
+// through each direction.
 func BenchmarkCodec(b *testing.B) {
 	evs := testEvents(3)
-	for _, lv := range []struct {
-		name string
-		enc  Encoding
-	}{{"stored", Stored}, {"speed", Deflated}} {
-		b.Run("op=encode/level="+lv.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for b.Loop() {
-				p, err := Compress(evs, lv.enc)
-				if err != nil {
-					b.Fatal(err)
-				}
-				p.Release()
+	b.Run("op=encode", func(b *testing.B) {
+		b.ReportAllocs()
+		for b.Loop() {
+			p := Compress(evs)
+			p.Release()
+		}
+		b.ReportMetric(float64(b.N)*float64(len(evs))/b.Elapsed().Seconds(), "events/s")
+	})
+	b.Run("op=decode", func(b *testing.B) {
+		body, _ := encode(1, evs)
+		b.ReportAllocs()
+		for b.Loop() {
+			if _, _, _, err := ReadBatch(wire.NewReader(body), Limits{}); err != nil {
+				b.Fatal(err)
 			}
-			b.ReportMetric(float64(b.N)*float64(len(evs))/b.Elapsed().Seconds(), "events/s")
-		})
-		b.Run("op=decode/level="+lv.name, func(b *testing.B) {
-			body, _ := encode(b, 1, evs, lv.enc)
-			b.ReportAllocs()
-			for b.Loop() {
-				if _, _, _, err := ReadBatch(wire.NewReader(body), Limits{}); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(b.N)*float64(len(evs))/b.Elapsed().Seconds(), "events/s")
-		})
-	}
+		}
+		b.ReportMetric(float64(b.N)*float64(len(evs))/b.Elapsed().Seconds(), "events/s")
+	})
 }

@@ -6,6 +6,7 @@ import (
 	"context"
 	"net"
 	"net/netip"
+	"runtime"
 	"testing"
 	"time"
 
@@ -78,4 +79,27 @@ func Logins(events []core.Event) [][2]string {
 		}
 	}
 	return out
+}
+
+// MaxBareHeaderAlloc bounds what a decoder may allocate for a header
+// that declares its largest body and is then followed by EOF: the body
+// must be read as it arrives, not allocated up front, or idle
+// connections pin a farm's heap.
+const MaxBareHeaderAlloc = 128 << 10
+
+// CheckBareHeader runs read, which decodes a bare header followed by
+// EOF, and fails t unless it returns an error after the heap grew by
+// less than MaxBareHeaderAlloc bytes (runtime.MemStats.TotalAlloc).
+func CheckBareHeader(t *testing.T, read func() error) {
+	t.Helper()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	err := read()
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("a bare header followed by EOF decoded without error")
+	}
+	if n := after.TotalAlloc - before.TotalAlloc; n >= MaxBareHeaderAlloc {
+		t.Fatalf("a bare header followed by EOF allocated %d bytes, budget %d", n, MaxBareHeaderAlloc)
+	}
 }

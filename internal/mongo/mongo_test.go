@@ -3,6 +3,7 @@ package mongo
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"io"
 	"net"
 	"reflect"
@@ -220,6 +221,19 @@ func TestWireRejectsOversized(t *testing.T) {
 	if _, err := ReadMessage(&buf); err == nil {
 		t.Fatal("oversized message accepted")
 	}
+}
+
+// TestBareHeaderBounded: a header that declares MaxMessage and is then
+// followed by EOF costs the reader its read-ahead, not the 2 MiB the
+// header declares.
+func TestBareHeaderBounded(t *testing.T) {
+	hdr := binary.LittleEndian.AppendUint32(nil, MaxMessage)
+	hdr = append(hdr, make([]byte, 8)...)
+	hdr = binary.LittleEndian.AppendUint32(hdr, OpMsg)
+	hptest.CheckBareHeader(t, func() error {
+		_, err := ReadMessage(bytes.NewReader(hdr))
+		return err
+	})
 }
 
 func TestUnknownCommand(t *testing.T) {

@@ -34,6 +34,18 @@ func TestPacketOversized(t *testing.T) {
 	}
 }
 
+// TestPacketBareHeaderBounded: a header that declares MaxPacket and is
+// then followed by EOF costs the reader its read-ahead, not the 1 MiB
+// the header declares.
+func TestPacketBareHeaderBounded(t *testing.T) {
+	n := MaxPacket
+	hdr := []byte{byte(n), byte(n >> 8), byte(n >> 16), 0}
+	hptest.CheckBareHeader(t, func() error {
+		_, err := ReadPacket(bytes.NewReader(hdr))
+		return err
+	})
+}
+
 func TestHandshakeRoundTrip(t *testing.T) {
 	want := Handshake{Version: ServerVersion, ThreadID: 1234, AuthPlugin: "mysql_native_password"}
 	for i := range want.Salt {

@@ -106,8 +106,8 @@ func (s forwardSource) Collect(e *Emitter) {
 	e.Counter("decoydb_relay_frames_total", "Frames encoded.", float64(st.Frames), l)
 	e.Counter("decoydb_relay_frames_sent_total", "Frame writes completed, retransmits included.", float64(st.FramesSent), l)
 	e.Counter("decoydb_relay_frames_acked_total", "Frames acknowledged.", float64(st.FramesAcked), l)
-	e.Counter("decoydb_relay_wire_bytes_total", "Compressed frame bytes produced.", float64(st.WireBytes), l)
-	e.Counter("decoydb_relay_raw_bytes_total", "Uncompressed payload bytes framed.", float64(st.RawBytes), l)
+	e.Counter("decoydb_relay_wire_bytes_total", "Frame bytes produced, length prefixes included.", float64(st.WireBytes), l)
+	e.Counter("decoydb_relay_raw_bytes_total", "Raw event-encoding bytes framed.", float64(st.RawBytes), l)
 	e.Counter("decoydb_relay_dials_total", "Dial attempts.", float64(st.Dials), l)
 	e.Counter("decoydb_relay_dial_errors_total", "Failed dials.", float64(st.DialErrors), l)
 	e.Counter("decoydb_relay_reconnects_total", "Successful dials after the first.", float64(st.Reconnects), l)
@@ -158,8 +158,8 @@ func (s collectorSource) Collect(e *Emitter) {
 	e.Counter("decoydb_collector_events_total", "Deduplicated events ingested.", float64(st.Events))
 	e.Counter("decoydb_collector_dup_frames_total", "Retransmitted frames discarded by dedup.", float64(st.DupFrames))
 	e.Counter("decoydb_collector_dup_events_total", "Events inside duplicate frames.", float64(st.DupEvents))
-	e.Counter("decoydb_collector_wire_bytes_total", "Compressed bytes received.", float64(st.WireBytes))
-	e.Counter("decoydb_collector_raw_bytes_total", "Uncompressed bytes received.", float64(st.RawBytes))
+	e.Counter("decoydb_collector_wire_bytes_total", "Frame bytes received, length prefixes included.", float64(st.WireBytes))
+	e.Counter("decoydb_collector_raw_bytes_total", "Raw event-encoding bytes received.", float64(st.RawBytes))
 	e.Counter("decoydb_collector_sink_errors_total", "Downstream sink errors.", float64(st.SinkErrors))
 	e.Gauge("decoydb_collector_active_conns", "Currently open connections.", float64(st.Active))
 	e.Gauge("decoydb_collector_listeners", "Listeners registered by Serve.", float64(st.Listeners))
@@ -202,7 +202,7 @@ func (s walSource) Collect(e *Emitter) {
 	e.Gauge("decoydb_wal_last_seq", "Highest batch sequence.", float64(st.LastSeq), l)
 	e.Gauge("decoydb_wal_mark", "Highest consumer mark.", float64(st.Mark), l)
 	e.Gauge("decoydb_wal_active_bytes", "Size of the active segment.", float64(st.ActiveBytes), l)
-	e.Durations("decoydb_wal_append_seconds", "Append call duration, compression included.", st.AppendLatency, l)
+	e.Durations("decoydb_wal_append_seconds", "Append call duration, encoding included.", st.AppendLatency, l)
 }
 
 // storeStatus is the /statusz snapshot for an event store.

@@ -24,8 +24,8 @@ func CaptureTables(cst *relay.CollectorStats, q *QueryResponse) []*report.Table 
 		for _, f := range cst.Farms {
 			farms.AddRow(f.Name, f.LastSeq, f.Frames, f.Events, f.DupFrames, f.DupEvents)
 		}
-		farms.Note = fmt.Sprintf("transport: %d conns (%d open), %d auth failures, %.2fx compression",
-			cst.Conns, cst.Active, cst.AuthFailures, cst.CompressionRatio())
+		farms.Note = fmt.Sprintf("transport: %d conns (%d open), %d auth failures",
+			cst.Conns, cst.Active, cst.AuthFailures)
 		tables = append(tables, farms)
 	}
 	if q == nil {

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"context"
+	"fmt"
 	"net/http"
 	"net/netip"
 	"slices"
@@ -37,9 +38,13 @@ import (
 //     the tail, as with any distributed top-K.
 //
 // Peers are asked for limit+offset records from zero so the merged page
-// is correct at any offset. A peer that fails to answer degrades the
-// response, not the request: its slot is reported in Tier.Peers and the
-// rest of the tier is merged as usual.
+// is correct at any offset. Each collector caps that wide page at its
+// MaxLimit, so the merged order ends there: a query with offset+limit
+// past the local MaxLimit (collectors in a tier share one) is refused
+// with 400 rather than answered cut short, shifted or empty. A peer
+// that fails to answer degrades the response, not the request: its
+// slot is reported in Tier.Peers and the rest of the tier is merged as
+// usual.
 type FanInOptions struct {
 	// Local answers for this collector's own store. Required.
 	Local *QueryHandler
@@ -111,7 +116,13 @@ func (f *FanIn) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	// (peers run fan-ins too; scope=local is the recursion breaker) and
 	// for the merged page's worth of records from offset zero: a record
 	// on page two locally may be page one tier-wide, and vice versa.
-	limit, offset, nCreds := req.page(f.opts.Local.opts.MaxLimit)
+	maxLimit := f.opts.Local.opts.MaxLimit
+	limit, offset, nCreds := req.page(maxLimit)
+	if offset > maxLimit-limit {
+		http.Error(w, fmt.Sprintf("offset+limit exceeds %d: a tier query cannot page deeper than one collector's page", maxLimit),
+			http.StatusBadRequest)
+		return
+	}
 	wide := req
 	wide.Scope = ScopeLocal
 	wide.Limit, wide.Offset = limit+offset, 0

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"context"
+	"net/http"
 	"net/http/httptest"
 	"net/netip"
 	"net/url"
@@ -164,6 +165,25 @@ func TestFanInMerge(t *testing.T) {
 	st := fi.Status().(map[string]any)
 	if st["queries"].(uint64) == 0 || st["peer_errors"].(uint64) != 0 {
 		t.Fatalf("fanin status: %v", st)
+	}
+}
+
+// TestFanInRefusesPagesPastMaxLimit: every collector caps the wide page
+// at MaxLimit, so the merged order is only known that deep. A page
+// within it is exact; a deeper one is refused, not answered shifted.
+func TestFanInRefusesPagesPastMaxLimit(t *testing.T) {
+	local := NewQueryHandler(QueryOptions{Store: evstoreWith(t, 0, 4), MaxLimit: 2})
+	fi := NewFanIn(FanInOptions{Local: local, Peers: []string{startPeer(t, 0, 3, 8)}, Logf: t.Logf})
+	ts := httptest.NewServer(NewServer(ServerOptions{Registry: NewRegistry(), Query: fi}).Handler())
+	defer ts.Close()
+
+	first := queryJSON(t, ts, "limit=2")
+	page := queryJSON(t, ts, "offset=1&limit=1")
+	if len(first.Records) != 2 || !reflect.DeepEqual(page.Records, first.Records[1:]) {
+		t.Fatalf("offset=1&limit=1 = %+v, want record 1 of %+v", page.Records, first.Records)
+	}
+	if code, body := get(t, ts, "/query?offset=2&limit=1"); code != http.StatusBadRequest {
+		t.Fatalf("offset=2&limit=1 past MaxLimit 2: %d %s, want 400", code, body)
 	}
 }
 

@@ -3,6 +3,7 @@ package postgres
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"net"
 	"testing"
 	"testing/quick"
@@ -34,6 +35,27 @@ func TestStartupBounds(t *testing.T) {
 	if _, err := ReadStartup(bytes.NewReader([]byte{0x7f, 0xff, 0xff, 0xff})); err == nil {
 		t.Fatal("oversized startup accepted")
 	}
+}
+
+// TestStartupBareHeaderBounded: a startup length of MaxMessage followed
+// by EOF costs the reader its read-ahead, not the 1 MiB it declares.
+func TestStartupBareHeaderBounded(t *testing.T) {
+	hdr := binary.BigEndian.AppendUint32(nil, MaxMessage)
+	hptest.CheckBareHeader(t, func() error {
+		_, err := ReadStartup(bytes.NewReader(hdr))
+		return err
+	})
+}
+
+// TestMsgBareHeaderBounded: a typed message header declaring MaxMessage
+// followed by EOF costs the reader its read-ahead, not the 1 MiB it
+// declares.
+func TestMsgBareHeaderBounded(t *testing.T) {
+	hdr := binary.BigEndian.AppendUint32([]byte{'Q'}, MaxMessage)
+	hptest.CheckBareHeader(t, func() error {
+		_, err := ReadMsg(bytes.NewReader(hdr))
+		return err
+	})
 }
 
 func TestMsgRoundTrip(t *testing.T) {

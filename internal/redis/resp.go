@@ -14,6 +14,8 @@ import (
 	"io"
 	"strconv"
 	"strings"
+
+	"decoydb/internal/wire"
 )
 
 // Protocol limits. Real Redis allows 512 MB bulk strings; a honeypot has no
@@ -191,8 +193,8 @@ func readValue(r *bufio.Reader, depth int) (Value, error) {
 		if n < 0 || n > MaxBulkLen {
 			return Value{}, fmt.Errorf("%w: bulk length %d out of range", ErrProtocol, n)
 		}
-		buf := make([]byte, n+2)
-		if _, err := io.ReadFull(r, buf); err != nil {
+		buf, err := wire.ReadN(r, int(n)+2, MaxBulkLen+2)
+		if err != nil {
 			return Value{}, err
 		}
 		if buf[n] != '\r' || buf[n+1] != '\n' {

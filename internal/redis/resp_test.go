@@ -8,9 +8,12 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"decoydb/internal/hptest"
 )
 
 func parse(t *testing.T, b []byte) Value {
@@ -126,6 +129,17 @@ func TestDeclaredLengthsCostNothing(t *testing.T) {
 	if n > 4<<20 {
 		t.Fatalf("%d bytes of headers allocated %d bytes, want under 4 MiB", len(in), n)
 	}
+}
+
+// TestBulkBareHeaderBounded: a bulk string header declaring MaxBulkLen
+// followed by EOF costs the reader its read-ahead, not the 1 MiB it
+// declares. Seventeen bytes once pinned 1,061,008.
+func TestBulkBareHeaderBounded(t *testing.T) {
+	in := "$" + strconv.Itoa(MaxBulkLen) + "\r\n"
+	hptest.CheckBareHeader(t, func() error {
+		_, err := ReadValue(bufio.NewReader(strings.NewReader(in)))
+		return err
+	})
 }
 
 // repeatReader yields its byte forever.

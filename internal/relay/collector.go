@@ -497,7 +497,8 @@ type CollectorStats struct {
 	Farms      []FarmStats // sorted by name
 }
 
-// CompressionRatio is uncompressed/compressed bytes received.
+// CompressionRatio is RawBytes/WireBytes received: below 1 for frames
+// of stored blocks, above 1 for deflated frames from older farms.
 func (s CollectorStats) CompressionRatio() float64 {
 	if s.WireBytes == 0 {
 		return 0

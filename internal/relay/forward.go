@@ -43,10 +43,6 @@ type ForwardOptions struct {
 	// idle). 0 means DefaultFrameEvents; values above DefaultMaxBatchEvents
 	// are clamped — a default-configured collector rejects larger frames.
 	FrameEvents int
-	// MaxRaw caps a frame's uncompressed payload, and must not exceed
-	// the collector's Limits.MaxRaw; frames are also held to
-	// DefaultMaxFrame (see ledger.cut). 0 means DefaultMaxRaw.
-	MaxRaw int
 	// SpoolBytes caps the memory held by encoded frames buffered while
 	// unacked: their wire bytes plus spoolFrameOverhead per frame, so
 	// the one bound holds even when frames carry a single event. 0 means
@@ -126,9 +122,6 @@ func (o ForwardOptions) withDefaults() ForwardOptions {
 	}
 	if o.FrameEvents > DefaultMaxBatchEvents {
 		o.FrameEvents = DefaultMaxBatchEvents
-	}
-	if o.MaxRaw <= 0 {
-		o.MaxRaw = DefaultMaxRaw
 	}
 	if o.SpoolBytes <= 0 {
 		o.SpoolBytes = DefaultSpoolBytes
@@ -823,8 +816,8 @@ type Stats struct {
 	FramesSent  uint64 // frame writes completed (retransmits included)
 	FramesAcked uint64
 	EventsAcked uint64 // events the collector tier has acknowledged
-	WireBytes   uint64 // compressed frame bytes produced (incl. prefix)
-	RawBytes    uint64 // uncompressed payload bytes
+	WireBytes   uint64 // frame bytes produced (incl. prefix)
+	RawBytes    uint64 // raw event-encoding bytes framed
 
 	Dials      uint64
 	DialErrors uint64
@@ -867,8 +860,10 @@ type Stats struct {
 	AckRTT core.DurationHist
 }
 
-// CompressionRatio is uncompressed/compressed payload bytes (0 when
-// nothing has been framed).
+// CompressionRatio is RawBytes/WireBytes (0 when nothing has been
+// framed). Frames carry stored blocks, so it sits below 1: it is the
+// share of the wire bytes that is event encoding, the rest being
+// framing.
 func (s Stats) CompressionRatio() float64 {
 	if s.WireBytes == 0 {
 		return 0

@@ -5,14 +5,14 @@
 //
 // The wire protocol is deliberately small: length-prefixed frames (via
 // internal/wire, with hard size limits — the collector port is itself
-// Internet-facing), a magic/version header, flate-compressed event
-// payloads, a per-frame sequence number and a CRC over the compressed
-// bytes (the batch body is the shared internal/evcodec encoding, the
-// same bytes the durable WAL writes to disk). A connection opens with a
-// HELLO frame carrying a shared token, the farm's name and the epoch
-// that names its sequence space; the collector answers each BATCH frame
-// with a cumulative ACK once the batch has been handed to its local
-// sinks.
+// Internet-facing), a magic/version header, and a batch body that is
+// the shared internal/evcodec encoding: a per-frame sequence number, a
+// CRC over the payload, and the events as flate stored blocks — the
+// same bytes the durable spool WAL writes to disk for the frame. A
+// connection opens with a HELLO frame carrying a shared token, the
+// farm's name and the epoch that names its sequence space; the
+// collector answers each BATCH frame with a cumulative ACK once the
+// batch has been handed to its local sinks.
 //
 //	farm ──HELLO──▶ collector
 //	farm ──BATCH seq=1..n──▶ collector
@@ -61,10 +61,8 @@ const (
 // collector listens on a routable port, the forwarder dials an address
 // from its configuration). The batch-body limits are the shared codec's.
 const (
-	// DefaultMaxFrame caps one compressed frame on the wire.
+	// DefaultMaxFrame caps one frame on the wire.
 	DefaultMaxFrame = 4 << 20
-	// DefaultMaxRaw caps the decompressed payload of one batch frame.
-	DefaultMaxRaw = evcodec.DefaultMaxRaw
 	// DefaultMaxBatchEvents caps the events declared by one batch frame.
 	DefaultMaxBatchEvents = evcodec.DefaultMaxEvents
 	// MaxName caps the token and farm-name fields of a HELLO frame.
@@ -73,10 +71,10 @@ const (
 	MaxName = 256
 )
 
-// Read caps for the two control frames. wire.ReadFrame allocates the
-// declared length before reading it, so reading a HELLO — from a peer
-// not yet authenticated — under DefaultMaxFrame would let 4 bytes of
-// length prefix cost the collector 4 MiB for up to DefaultHelloTimeout.
+// Read caps for the two control frames. A HELLO comes from a peer not
+// yet authenticated: capping its read at the largest valid HELLO cuts a
+// peer that declares more at once, instead of holding the connection
+// open for up to DefaultHelloTimeout while the bytes trickle in.
 const (
 	// maxHelloFrame is the largest valid HELLO body: header, token and
 	// farm name with their uint16 length prefixes, and epoch.
@@ -198,23 +196,34 @@ func decodeAck(body []byte) (uint64, error) {
 }
 
 // EncodeBatch encodes events as one BATCH frame body: the relay header
-// followed by the shared evcodec batch body, deflated. It returns the
-// frame body and the uncompressed payload size (the numerator of the
-// compression ratio).
-func EncodeBatch(seq uint64, events []core.Event) (body []byte, rawLen int, err error) {
-	w := wire.NewWriter(64*len(events)/4 + 32)
-	header(w, frameBatch)
-	rawLen, err = evcodec.AppendBatch(w, seq, events, evcodec.Deflated)
-	if err != nil {
-		return nil, 0, err
-	}
-	return w.Bytes(), rawLen, nil
+// followed by the shared evcodec batch body. It returns the frame body
+// and the raw event-encoding size.
+func EncodeBatch(seq uint64, events []core.Event) (body []byte, rawLen int) {
+	p := evcodec.Compress(events)
+	defer p.Release()
+	return batchFrame(seq, p), p.RawLen
 }
 
-// DecodeBatch is the symmetric inverse of EncodeBatch. Every declared
-// size is validated against lim before allocation, the CRC is verified
-// before decompression, and the decompressed payload must parse into
-// exactly the declared event count with no bytes left over.
+// batchFrame frames payload p under seq as a BATCH frame body.
+func batchFrame(seq uint64, p evcodec.Payload) []byte {
+	w := wire.NewWriter(batchFrameLen(p))
+	header(w, frameBatch)
+	evcodec.AppendPayload(w, seq, p)
+	return w.Bytes()
+}
+
+// batchFrameLen is the length of the BATCH frame body batchFrame builds
+// around p: the 6-byte relay header, the batch-body head and p.
+func batchFrameLen(p evcodec.Payload) int {
+	return 6 + evcodec.HeadLen + len(p.Comp)
+}
+
+// DecodeBatch is the symmetric inverse of EncodeBatch, and also reads
+// the deflated payloads of farms built before frames carried stored
+// blocks. Every declared size is validated against lim before
+// allocation, the CRC is verified before inflating, and the payload
+// must parse into exactly the declared event count with no bytes left
+// over.
 func DecodeBatch(body []byte, lim Limits) (seq uint64, events []core.Event, rawLen int, err error) {
 	r := wire.NewReader(body)
 	typ, err := readHeader(r)

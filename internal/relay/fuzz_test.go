@@ -19,10 +19,7 @@ import (
 // accepted batch re-encodes with EncodeBatch to a frame that decodes to
 // the same sequence and events.
 func FuzzDecoders(f *testing.F) {
-	batch, _, err := EncodeBatch(3, testEvents(4))
-	if err != nil {
-		f.Fatal(err)
-	}
+	batch, _ := EncodeBatch(3, testEvents(4))
 	for _, valid := range [][]byte{
 		encodeHello("tok", "farm", 0xABCD),
 		encodeHello(strings.Repeat("t", MaxName), strings.Repeat("f", MaxName), 1),
@@ -86,10 +83,7 @@ func checkDecodeBatch(t *testing.T, body []byte, lim Limits) {
 		}
 		return
 	}
-	again, _, err := EncodeBatch(seq, events)
-	if err != nil {
-		t.Fatalf("accepted batch fails to re-encode: %v", err)
-	}
+	again, _ := EncodeBatch(seq, events)
 	seq2, events2, _, err := DecodeBatch(again, Limits{})
 	if err != nil {
 		t.Fatalf("re-encoded batch fails to decode: %v", err)

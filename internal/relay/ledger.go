@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"decoydb/internal/core"
+	"decoydb/internal/evcodec"
 )
 
 // spoolFrame is one encoded, unacked batch. attempts counts the
@@ -75,9 +76,10 @@ func newLedger(opts ForwardOptions, logf func(format string, args ...any)) *ledg
 }
 
 // reload adopts the durable spool: the sequence space continues the
-// log's, and every frame past the ack mark is re-encoded into the spool
-// with the owner journaled for it — so a frame pinned to collector A
-// before the crash goes only to A, even while A is absent from Addrs.
+// log's, and every frame past the ack mark is framed again into the
+// spool with the owner journaled for it — so a frame pinned to
+// collector A before the crash goes only to A, even while A is absent
+// from Addrs.
 //
 // It also settles the epoch the collectors dedup the sequence space
 // under. Replayed frames keep the epoch they were journaled with, so
@@ -99,10 +101,7 @@ func (l *ledger) reload(fresh uint64) error {
 		if epoch, ok := spoolEpoch(tag); ok {
 			l.epoch = epoch
 		}
-		body, rawLen, err := EncodeBatch(seq, events)
-		if err != nil {
-			return fmt.Errorf("relay: re-encode spooled frame seq %d: %w", seq, err)
-		}
+		body, rawLen := EncodeBatch(seq, events)
 		l.enqueued += uint64(len(events))
 		l.push(&spoolFrame{seq: seq, events: len(events), body: body, owner: owners[seq]}, rawLen)
 		return nil
@@ -171,41 +170,31 @@ func (l *ledger) shedEvent(e core.Event) {
 	*n++
 }
 
-// cut encodes pending events into spool frames, validating every cut
-// frame against the wire limits the collector will enforce at decode
-// (DefaultMaxFrame and Options.MaxRaw). A batch that encodes past
-// either bound is split in half until it fits — spooling it would
-// poison the spool head: the collector rejects the frame and drops the
-// connection, and the retransmit loop would replay it forever. A single
-// event that cannot fit alone is shed with attribution instead.
+// cut encodes pending events into spool frames, each encoded once and
+// held to DefaultMaxFrame, the wire limit the collector enforces at
+// decode. A batch that encodes past it is split in half until it fits —
+// spooling it would poison the spool head: the collector rejects the
+// frame and drops the connection, and the retransmit loop would replay
+// it forever. A single event that cannot fit alone is shed with
+// attribution instead. The stored payload is never smaller than the
+// raw event bytes, so a frame within DefaultMaxFrame is always within
+// the collector's default evcodec.DefaultMaxRaw.
 func (l *ledger) cut() {
 	for len(l.pending) > 0 {
 		n := len(l.pending)
-		var body []byte
-		var rawLen int
-		for body == nil {
-			b, rl, err := EncodeBatch(l.nextSeq+1, l.pending[:n])
-			switch {
-			case err != nil:
-				// Encoding into memory cannot fail outside of a
-				// programming error; record it and shed the batch
-				// rather than wedging.
-				l.noteErr(err)
-				l.shedPending(n)
-			case len(b)+4 <= DefaultMaxFrame && rl <= l.opts.MaxRaw:
-				body, rawLen = b, rl
-			case n > 1:
-				n /= 2
-				continue
-			default:
-				l.noteErr(fmt.Errorf("relay: event exceeds frame limits (%d raw bytes, limit %d)", rl, l.opts.MaxRaw))
-				l.shedPending(1)
-			}
-			break
+		p := evcodec.Compress(l.pending[:n])
+		for batchFrameLen(p)+4 > DefaultMaxFrame && n > 1 {
+			p.Release()
+			n /= 2
+			p = evcodec.Compress(l.pending[:n])
 		}
-		if body == nil {
+		if batchFrameLen(p)+4 > DefaultMaxFrame {
+			l.noteErr(fmt.Errorf("relay: event exceeds the %d-byte frame limit (%d raw bytes)", DefaultMaxFrame, p.RawLen))
+			p.Release()
+			l.shedPending(1)
 			continue
 		}
+		seq := l.nextSeq + 1
 		if w := l.opts.SpoolWAL; w != nil {
 			// Journal before spooling: a frame the WAL did not accept must
 			// not enter the sequence space (its seq would be reused after a
@@ -213,28 +202,25 @@ func (l *ledger) cut() {
 			// batch). A failing disk degrades to accounted shedding, the
 			// same contract as a full spool. The tag carries the epoch to
 			// a restart that replays the batch.
-			seq, err := w.Append(l.pending[:n], l.tag)
+			got, err := w.Append(l.pending[:n], l.tag)
 			if err != nil {
 				l.noteErr(err)
 				l.logf("relay: spool WAL append: %v (shedding %d events)", err, n)
+				p.Release()
 				l.shedPending(n)
 				continue
 			}
-			if seq != l.nextSeq+1 {
+			if got != seq {
 				// Foreign writer on the log (ownership contract broken).
 				// Resync to the WAL's sequence space — it is authoritative —
-				// and re-encode under the right sequence number.
-				l.noteErr(fmt.Errorf("relay: spool WAL sequence skew: got %d, want %d", seq, l.nextSeq+1))
-				l.nextSeq = seq - 1
-				if body, rawLen, err = EncodeBatch(seq, l.pending[:n]); err != nil {
-					l.noteErr(err)
-					l.shedPending(n)
-					continue
-				}
+				// and frame the batch under the sequence it journaled.
+				l.noteErr(fmt.Errorf("relay: spool WAL sequence skew: got %d, want %d", got, seq))
+				seq = got
 			}
 		}
-		l.nextSeq++
-		l.push(&spoolFrame{seq: l.nextSeq, events: n, body: body}, rawLen)
+		l.nextSeq = seq
+		l.push(&spoolFrame{seq: seq, events: n, body: batchFrame(seq, p)}, p.RawLen)
+		p.Release()
 		l.consumePending(n)
 	}
 }
@@ -322,7 +308,7 @@ func (l *ledger) next(addr string) *spoolFrame {
 		if len(l.pending) == 0 {
 			return nil
 		}
-		l.cut() // may shed on encode failure; rescan
+		l.cut() // may shed an event too large for a frame; rescan
 	}
 }
 
@@ -330,7 +316,10 @@ func (l *ledger) next(addr string) *spoolFrame {
 // connections without an ack: the collector rejects it at decode
 // (limits skew, or corruption that survives TCP). Dropping it lets the
 // spool drain instead of replaying it forever; the loss is counted in
-// DroppedFrames and Shed and surfaces via Err.
+// DroppedFrames and Shed and surfaces via Err. Dropping may raise the
+// floor, so it compacts: otherwise the journal mark would stay below
+// the dropped frame until a later ack, and a restart in between would
+// reload it for another DefaultMaxFrameRetries attempts.
 func (l *ledger) drop(i int) {
 	fr := l.spool[i]
 	l.remove(i)
@@ -340,6 +329,7 @@ func (l *ledger) drop(i int) {
 	l.droppedFr++
 	l.noteErr(fmt.Errorf("relay: frame seq %d (%d events) dropped after %d unacked transmissions", fr.seq, fr.events, fr.attempts))
 	l.logf("relay: dropping frame seq=%d (%d events) after %d unacked transmissions", fr.seq, fr.events, fr.attempts)
+	l.compact()
 }
 
 // remove drops spool[i], keeping the connection's scan cursor pointing

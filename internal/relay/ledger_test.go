@@ -211,6 +211,13 @@ func (m *ledgerModel) write(fail bool) {
 				m.setFate(old.body, "dropped")
 			}
 		}
+		// A drop compacts, and the journal never fails it here: the mark
+		// must reach the floor, or a restart reloads the dropped frame.
+		if m.durable {
+			if mark, floor := m.log.Mark(), m.floor(); mark != floor {
+				m.t.Fatalf("a drop from %s left the journal mark at %d, floor %d", addr, mark, floor)
+			}
+		}
 	}
 	if fr == nil {
 		return

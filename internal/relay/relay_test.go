@@ -1,8 +1,13 @@
 package relay
 
 import (
+	"bytes"
+	"compress/flate"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
+	"io"
 	"net"
 	"net/netip"
 	"strings"
@@ -11,6 +16,8 @@ import (
 	"time"
 
 	"decoydb/internal/core"
+	"decoydb/internal/evcodec"
+	"decoydb/internal/hptest"
 	"decoydb/internal/wire"
 )
 
@@ -77,46 +84,73 @@ func (m *memSink) snapshot() []core.Event {
 
 func TestBatchRoundTrip(t *testing.T) {
 	in := testEvents(100)
-	body, rawLen, err := EncodeBatch(42, in)
-	if err != nil {
-		t.Fatal(err)
-	}
+	body, rawLen := EncodeBatch(42, in)
 	if rawLen <= 0 {
 		t.Fatalf("rawLen = %d, want > 0", rawLen)
 	}
-	seq, out, gotRaw, err := DecodeBatch(body, Limits{})
-	if err != nil {
-		t.Fatal(err)
+	// A farm built before frames carried stored blocks deflates them; a
+	// collector must still read its frames, or a mixed-version tier
+	// would need a wire-version bump.
+	deflated := deflatedBatch(t, 42, in)
+	if len(deflated) >= len(body) {
+		t.Fatalf("deflated frame is %d bytes, stored %d: it must be compressed", len(deflated), len(body))
 	}
-	if seq != 42 {
-		t.Fatalf("seq = %d, want 42", seq)
-	}
-	if gotRaw != rawLen {
-		t.Fatalf("rawLen = %d, want %d", gotRaw, rawLen)
-	}
-	if len(out) != len(in) {
-		t.Fatalf("decoded %d events, want %d", len(out), len(in))
-	}
-	for i := range in {
-		if !in[i].Time.Equal(out[i].Time) {
-			t.Fatalf("event %d time: %v != %v", i, out[i].Time, in[i].Time)
+	for name, body := range map[string][]byte{"stored": body, "deflated": deflated} {
+		seq, out, gotRaw, err := DecodeBatch(body, Limits{})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
 		}
-		a, b := in[i], out[i]
-		a.Time, b.Time = time.Time{}, time.Time{}
-		if a != b {
-			t.Fatalf("event %d round trip mismatch:\n in: %+v\nout: %+v", i, in[i], out[i])
+		if seq != 42 {
+			t.Fatalf("%s: seq = %d, want 42", name, seq)
+		}
+		if gotRaw != rawLen {
+			t.Fatalf("%s: rawLen = %d, want %d", name, gotRaw, rawLen)
+		}
+		if len(out) != len(in) {
+			t.Fatalf("%s: decoded %d events, want %d", name, len(out), len(in))
+		}
+		for i := range in {
+			if !in[i].Time.Equal(out[i].Time) {
+				t.Fatalf("%s: event %d time: %v != %v", name, i, out[i].Time, in[i].Time)
+			}
+			a, b := in[i], out[i]
+			a.Time, b.Time = time.Time{}, time.Time{}
+			if a != b {
+				t.Fatalf("%s: event %d round trip mismatch:\n in: %+v\nout: %+v", name, i, in[i], out[i])
+			}
 		}
 	}
 }
 
-func TestBatchRejectsCorruption(t *testing.T) {
-	body, _, err := EncodeBatch(1, testEvents(10))
+// deflatedBatch frames events as a farm built before frames carried
+// stored blocks did: the payload a fresh flate.BestSpeed writer wrote.
+func deflatedBatch(t *testing.T, seq uint64, events []core.Event) []byte {
+	t.Helper()
+	p := evcodec.Compress(events)
+	defer p.Release()
+	raw, err := io.ReadAll(flate.NewReader(bytes.NewReader(p.Comp)))
 	if err != nil {
 		t.Fatal(err)
 	}
+	var comp bytes.Buffer
+	fw, err := flate.NewWriter(&comp, flate.BestSpeed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fw.Write(raw); err != nil {
+		t.Fatal(err)
+	}
+	if err := fw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return batchFrame(seq, evcodec.Payload{Comp: comp.Bytes(), RawLen: len(raw), Count: len(events), CRC: crc32.ChecksumIEEE(comp.Bytes())})
+}
 
-	// Flip one byte in the compressed payload: the CRC must catch it
-	// before inflation.
+func TestBatchRejectsCorruption(t *testing.T) {
+	body, _ := EncodeBatch(1, testEvents(10))
+
+	// Flip one byte in the payload: the CRC must catch it before
+	// inflation.
 	bad := append([]byte(nil), body...)
 	bad[len(bad)-1] ^= 0xff
 	if _, _, _, err := DecodeBatch(bad, Limits{}); !errors.Is(err, ErrChecksum) {
@@ -144,10 +178,7 @@ func TestBatchRejectsCorruption(t *testing.T) {
 }
 
 func TestBatchHonoursLimits(t *testing.T) {
-	body, _, err := EncodeBatch(1, testEvents(100))
-	if err != nil {
-		t.Fatal(err)
-	}
+	body, _ := EncodeBatch(1, testEvents(100))
 	if _, _, _, err := DecodeBatch(body, Limits{MaxEvents: 10}); !errors.Is(err, ErrBadFrame) {
 		t.Fatalf("over MaxEvents: err = %v, want ErrBadFrame", err)
 	}
@@ -236,8 +267,9 @@ func TestForwardDelivery(t *testing.T) {
 	if cst.Events != uint64(len(in)) || cst.AuthFailures != 0 {
 		t.Fatalf("collector stats: %+v", cst)
 	}
-	if cst.CompressionRatio() <= 1 {
-		t.Fatalf("compression ratio %.2f, want > 1 for repetitive events", cst.CompressionRatio())
+	if cst.WireBytes != fst.WireBytes || cst.RawBytes != fst.RawBytes {
+		t.Fatalf("collector read %d wire / %d raw bytes, forwarder framed %d / %d",
+			cst.WireBytes, cst.RawBytes, fst.WireBytes, fst.RawBytes)
 	}
 	if len(cst.Farms) != 1 || cst.Farms[0].Name != "farm-a" {
 		t.Fatalf("farms: %+v", cst.Farms)
@@ -319,14 +351,47 @@ func TestCollectorCapsHelloRead(t *testing.T) {
 	}
 }
 
+// TestCollectorBoundsBatchRead: an authenticated peer that declares a
+// DefaultMaxFrame batch and then hangs up costs the collector the wire
+// reader's read-ahead, not the 4 MiB the prefix declares.
+func TestCollectorBoundsBatchRead(t *testing.T) {
+	coll, err := NewCollector(CollectorOptions{Token: "tok"}, &memSink{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr, stop := startCollector(t, coll)
+	defer stop()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if err := wire.WriteFrame(conn, encodeHello("tok", "farm", 1)); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, 2*time.Second, func() bool { return coll.Stats().Auths == 1 }, "hello accepted")
+	_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	hptest.CheckBareHeader(t, func() error {
+		if _, err := conn.Write(binary.BigEndian.AppendUint32(nil, DefaultMaxFrame)); err != nil {
+			t.Fatal(err)
+		}
+		if err := conn.(*net.TCPConn).CloseWrite(); err != nil {
+			t.Fatal(err)
+		}
+		// The collector hangs up once its read of the batch fails.
+		_, err := conn.Read(make([]byte, 1))
+		if !errors.Is(err, io.EOF) {
+			t.Fatalf("collector answered a bare batch prefix: %v, want EOF", err)
+		}
+		return err
+	})
+}
+
 func TestForwardShedsWhenDown(t *testing.T) {
 	// No collector at all: a spool with room for two frames must fill,
 	// then shed with per-source attribution, without ever blocking
 	// RecordBatch.
-	body, _, err := EncodeBatch(1, testEvents(8))
-	if err != nil {
-		t.Fatal(err)
-	}
+	body, _ := EncodeBatch(1, testEvents(8))
 	fwd, err := NewForwardSink(ForwardOptions{
 		Addrs: []string{"127.0.0.1:1"}, Token: "t", Farm: "dark",
 		FrameEvents: 8, SpoolBytes: 2 * (int64(len(body)) + 4 + spoolFrameOverhead),
@@ -581,7 +646,7 @@ func TestRejectsOverlongNames(t *testing.T) {
 
 func TestOversizedBatchSplitAndShed(t *testing.T) {
 	sink := &memSink{}
-	coll, err := NewCollector(CollectorOptions{Token: "tok", Limits: Limits{MaxRaw: 4096}}, sink)
+	coll, err := NewCollector(CollectorOptions{Token: "tok"}, sink)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -590,28 +655,31 @@ func TestOversizedBatchSplitAndShed(t *testing.T) {
 
 	fwd, err := NewForwardSink(ForwardOptions{
 		Addrs: []string{addr}, Token: "tok", Farm: "big",
-		FrameEvents: 16, MaxRaw: 4096,
-		MinBackoff: time.Millisecond, MaxBackoff: 5 * time.Millisecond,
+		FrameEvents: 16,
+		MinBackoff:  time.Millisecond, MaxBackoff: 5 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	// 16 events of ~600 raw bytes encode past MaxRaw in one cut: the
-	// forwarder must split the batch rather than spool a frame the
-	// collector would reject.
+	// 16 events of 512 KiB encode to 8 MiB in one cut, past
+	// DefaultMaxFrame: the forwarder must split the batch rather than
+	// spool a frame the collector would reject.
 	big := make([]core.Event, 16)
+	raw := strings.Repeat("x", 512<<10)
 	for i := range big {
 		big[i] = testEvent(i)
-		big[i].Raw = strings.Repeat("x", 512)
+		big[i].Raw = raw
 	}
 	if err := fwd.RecordBatch(big); err != nil {
 		t.Fatal(err)
 	}
-	// One event that cannot fit alone is shed with attribution instead
-	// of poisoning the spool head.
+	// One event that cannot fit a frame alone — four strings of
+	// evcodec.MaxString — is shed with attribution instead of poisoning
+	// the spool head.
 	huge := testEvent(99)
-	huge.Raw = strings.Repeat("y", 8192)
+	long := strings.Repeat("y", evcodec.MaxString)
+	huge.User, huge.Pass, huge.Command, huge.Raw = long, long, long, long
 	if err := fwd.RecordBatch([]core.Event{huge}); err != nil {
 		t.Fatal(err)
 	}

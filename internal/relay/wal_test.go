@@ -1,9 +1,11 @@
 package relay
 
 import (
+	"bytes"
 	"net"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -24,6 +26,102 @@ func openSpool(t testing.TB, dir string) *wal.Log {
 		t.Fatalf("open spool WAL: %v", err)
 	}
 	return l
+}
+
+// TestBatchFrameMatchesSpoolRecord: a frame and its spool record carry
+// the same batch body, byte for byte, so the spool journals its exact
+// wire frames (DESIGN §12).
+func TestBatchFrameMatchesSpoolRecord(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "spool")
+	w := openSpool(t, dir)
+	fwd, err := NewForwardSink(ForwardOptions{
+		Addrs: []string{"127.0.0.1:1"}, Token: "tok", Farm: "same",
+		SpoolWAL: w, FrameEvents: 3,
+		MinBackoff: time.Millisecond, MaxBackoff: 5 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fwd.RecordBatch(testEvents(3)); err != nil {
+		t.Fatal(err)
+	}
+	fwd.mu.Lock()
+	if n := len(fwd.led.spool); n != 1 {
+		fwd.mu.Unlock()
+		t.Fatalf("%d frames spooled, want 1", n)
+	}
+	body := fwd.led.spool[0].body
+	fwd.mu.Unlock()
+	if err := fwd.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	segs, err := filepath.Glob(filepath.Join(dir, "*.seg"))
+	if err != nil || len(segs) != 1 {
+		t.Fatalf("spool segments %v (%v), want one", segs, err)
+	}
+	seg, err := os.ReadFile(segs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if batch := body[6:]; !bytes.Contains(seg, batch) {
+		t.Fatalf("the spool segment (%d bytes) does not hold the frame's %d-byte batch body", len(seg), len(batch))
+	}
+}
+
+// TestDroppedFrameStaysDroppedAcrossRestart: a frame dropped at the
+// retry cap raises the ack floor, so the spool's mark passes it and a
+// restart over the spool does not reload it for another
+// DefaultMaxFrameRetries rejections.
+func TestDroppedFrameStaysDroppedAcrossRestart(t *testing.T) {
+	coll, err := NewCollector(CollectorOptions{Token: "tok", Limits: Limits{MaxRaw: 2048}}, &memSink{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr, stop := startCollector(t, coll)
+	defer stop()
+	dir := filepath.Join(t.TempDir(), "spool")
+	opts := ForwardOptions{
+		Addrs: []string{addr}, Token: "tok", Farm: "poisoned",
+		FrameEvents: 4,
+		MinBackoff:  time.Millisecond, MaxBackoff: 5 * time.Millisecond,
+	}
+
+	w1 := openSpool(t, dir)
+	opts.SpoolWAL = w1
+	fwd1, err := NewForwardSink(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	poison := make([]core.Event, 4)
+	for i := range poison {
+		poison[i] = testEvent(i)
+		poison[i].Raw = strings.Repeat("p", 700) // ~2900 raw bytes > the collector's 2048
+	}
+	if err := fwd1.RecordBatch(poison); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, 10*time.Second, func() bool { return fwd1.Stats().DroppedFrames == 1 }, "poison frame dropped at the retry cap")
+	if err := fwd1.Close(); err == nil {
+		t.Fatal("dropping a frame must surface via Err/Close")
+	}
+	if err := w1.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	w2 := openSpool(t, dir)
+	defer w2.Close()
+	opts.SpoolWAL = w2
+	fwd2, err := NewForwardSink(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fwd2.Close()
+	if st := fwd2.Stats(); st.SpoolFrames != 0 || st.Enqueued != 0 {
+		t.Fatalf("restart reloaded %d frames (%d events); the dropped frame must stay dropped", st.SpoolFrames, st.Enqueued)
+	}
 }
 
 // TestSpoolWALRestartResumes is the farm-crash drill: a forwarder that

@@ -25,20 +25,18 @@
 //	└──────────────────────────────────────────────────────┘
 //
 // The batch body is the shared internal/evcodec encoding — the bytes
-// the relay puts on the wire (sequence number, event count,
-// uncompressed size, payload CRC, flate payload) — so the segment
-// format and the wire format cannot drift. Segments always hold the
-// payload as flate stored blocks: appends sit on the ingest hot path,
-// and local disk is cheaper than the CPU to shrink them. Replay
-// inflates any flate level, so segments earlier builds compressed
-// still read. The record-level CRC covers the whole body, so a bit
-// flip anywhere (not just in the compressed payload) is detected
-// before parsing. Mark records persist the consumer's high-water mark
-// (collector acks, for the spool); Compact drops whole segments at or
-// below it. Owner records persist which collector endpoint a spooled
-// batch is pinned to (the shared evcodec owner encoding), so a
-// restarted forwarder retransmits each unacked frame only to the
-// collector that may already hold it.
+// the relay puts on the wire (sequence number, event count, raw size,
+// payload CRC, the events as flate stored blocks) — so the segment
+// format and the wire format cannot drift, and a spooled frame's
+// record holds its exact wire body. Replay inflates any flate level, so
+// segments earlier builds compressed still read. The record-level CRC
+// covers the whole body, so a bit flip anywhere (not just in the
+// payload) is detected before parsing. Mark records persist the
+// consumer's high-water mark (collector acks, for the spool); Compact
+// drops whole segments at or below it. Owner records persist which
+// collector endpoint a spooled batch is pinned to (the shared evcodec
+// owner encoding), so a restarted forwarder retransmits each unacked
+// frame only to the collector that may already hold it.
 //
 // Recovery treats the directory as hostile — a crash can tear the tail
 // of the last segment at any byte, and disks corrupt silently: every
@@ -339,8 +337,8 @@ var recBufs = sync.Pool{New: func() any { b := make([]byte, 0, 32<<10); return &
 // writeRecordLocked frames the concatenation of parts as one record —
 // length prefix, CRC over the body, body — and appends it to the active
 // segment with a single write. Taking the body in parts lets Append
-// pass its small framing head and the (large) compressed payload
-// without materialising the body separately first.
+// pass its small framing head and the (large) payload without
+// materialising the body separately first.
 func (l *Log) writeRecordLocked(parts ...[]byte) error {
 	n := 0
 	crc := uint32(0)
@@ -400,10 +398,7 @@ func (l *Log) Append(events []core.Event, tag []byte) (seq uint64, err error) {
 	// Encode before taking the lock: the payload carries no sequence
 	// number, so concurrent appenders overlap the encoding and the CRC
 	// and only serialise the framed write.
-	payload, err := evcodec.Compress(events, evcodec.Stored)
-	if err != nil {
-		return 0, err
-	}
+	payload := evcodec.Compress(events)
 	defer payload.Release()
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -735,7 +730,7 @@ type Stats struct {
 	CompactedBytes  uint64 // bytes those segments occupied on disk
 
 	// AppendLatency is the distribution of Append call durations
-	// (compression included), observed under the log mutex.
+	// (encoding included), observed under the log mutex.
 	AppendLatency core.DurationHist
 
 	// Recovered is what Open found on disk, including the loss account:

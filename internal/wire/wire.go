@@ -69,23 +69,43 @@ func ReadUint32LE(r io.Reader) (uint32, error) {
 	return binary.LittleEndian.Uint32(b[:]), nil
 }
 
-// ReadN reads exactly n bytes after validating n against limit.
+// readAhead is the most ReadN allocates before the bytes it reads
+// arrive. A message of readAhead bytes or less costs one allocation.
+const readAhead = 64 << 10
+
+// ReadN reads exactly n bytes after validating n against limit. The
+// buffer starts at readAhead bytes and doubles each time it fills, so
+// it never runs more than readAhead, or as many bytes as have arrived,
+// whichever is more, ahead of them: a peer that declares a large
+// message and then stalls or hangs up pins at most twice what it sent
+// (readAhead if it sent less), not the declared length.
 func ReadN(r io.Reader, n, limit int) ([]byte, error) {
 	if n < 0 || n > limit {
 		return nil, fmt.Errorf("%w: %d > %d", ErrFrameTooLarge, n, limit)
 	}
-	buf := make([]byte, n)
-	if err := ReadFull(r, buf); err != nil {
-		return nil, err
+	buf := make([]byte, 0, min(n, readAhead))
+	for len(buf) < n {
+		if len(buf) == cap(buf) {
+			buf = append(make([]byte, 0, min(n, 2*len(buf))), buf...)
+		}
+		got, err := io.ReadFull(r, buf[len(buf):min(n, cap(buf))])
+		buf = buf[:len(buf)+got]
+		if err != nil {
+			if err == io.EOF && len(buf) > 0 {
+				err = io.ErrUnexpectedEOF
+			}
+			return nil, fmt.Errorf("wire: read %d bytes: %w", n, err)
+		}
 	}
 	return buf, nil
 }
 
 // ReadFrame reads one uint32-big-endian length-prefixed frame and returns
 // its payload. The declared length is validated against limit before any
-// payload allocation, so a hostile peer cannot make the reader allocate
-// more than limit bytes no matter what length it declares. A zero-length
-// frame returns an empty (non-nil) payload.
+// payload allocation, and the payload is read through ReadN, so a
+// hostile peer cannot make the reader allocate more than limit bytes no
+// matter what length it declares, nor more than readAhead or twice what
+// it sent. A zero-length frame returns an empty (non-nil) payload.
 func ReadFrame(r io.Reader, limit int) ([]byte, error) {
 	n, err := ReadUint32BE(r)
 	if err != nil {

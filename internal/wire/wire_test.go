@@ -81,6 +81,71 @@ func TestReadNLimit(t *testing.T) {
 	}
 }
 
+// windowReader serves data in chunk-byte reads and records the most
+// any Read was asked for beyond the larger of readAhead and the bytes
+// already served: the buffer ReadN holds past the bytes that arrived.
+type windowReader struct {
+	data   []byte
+	chunk  int
+	served int
+	excess int
+}
+
+func (w *windowReader) Read(p []byte) (int, error) {
+	w.excess = max(w.excess, len(p)-max(readAhead, w.served))
+	if w.served == len(w.data) {
+		return 0, io.EOF
+	}
+	n := copy(p[:min(len(p), w.chunk)], w.data[w.served:])
+	w.served += n
+	return n, nil
+}
+
+// TestReadNGrowsAsBytesArrive: ReadN reads messages longer than its
+// read-ahead exactly, never holds more than readAhead or as many bytes
+// as have arrived, whichever is more, ahead of them, reports a stream
+// that ends early (at a chunk boundary too) as ErrUnexpectedEOF, and
+// still reads a message within the read-ahead with one allocation.
+func TestReadNGrowsAsBytesArrive(t *testing.T) {
+	data := make([]byte, 5*readAhead+17)
+	for i := range data {
+		data[i] = byte(i * 7)
+	}
+	b, err := ReadN(bytes.NewReader(data), len(data), len(data))
+	if err != nil || !bytes.Equal(b, data) {
+		t.Fatalf("ReadN of %d bytes: %d bytes back, %v", len(data), len(b), err)
+	}
+	for _, sent := range []int{readAhead / 2, readAhead + 1, 2*readAhead + 3, len(data) / 2} {
+		w := &windowReader{data: data[:sent], chunk: 1000}
+		if _, err := ReadN(w, 64*readAhead, 64*readAhead); !errors.Is(err, io.ErrUnexpectedEOF) {
+			t.Fatalf("stream stalls after %d bytes: %v, want ErrUnexpectedEOF", sent, err)
+		}
+		if w.excess > 0 {
+			t.Fatalf("stream stalls after %d bytes: ReadN held %d bytes more than max(readAhead, bytes arrived) ahead of them", sent, w.excess)
+		}
+	}
+	for _, sent := range []int{0, 1, readAhead, readAhead + 1, 3 * readAhead} {
+		_, err := ReadN(bytes.NewReader(data[:sent]), len(data), len(data))
+		want := io.ErrUnexpectedEOF
+		if sent == 0 {
+			want = io.EOF
+		}
+		if !errors.Is(err, want) {
+			t.Fatalf("stream ends after %d of %d bytes: %v, want %v", sent, len(data), err, want)
+		}
+	}
+	r := bytes.NewReader(nil)
+	small := data[:readAhead]
+	if n := testing.AllocsPerRun(100, func() {
+		r.Reset(small)
+		if _, err := ReadN(r, len(small), len(small)); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 1 {
+		t.Fatalf("a %d-byte ReadN allocates %v times, want 1", len(small), n)
+	}
+}
+
 func TestReadFullTruncated(t *testing.T) {
 	buf := make([]byte, 8)
 	err := ReadFull(bytes.NewReader([]byte{1, 2}), buf)
