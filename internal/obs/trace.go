@@ -70,10 +70,13 @@ type Span struct {
 	Live string `json:"live_verdict,omitempty"`
 }
 
-// spanKey identifies an in-flight session.
+// spanKey identifies an in-flight session: its source and the fields of
+// the honeypot's core.Info that Info.ID formats, compared as they are so
+// that recording an event formats no ID.
 type spanKey struct {
-	src netip.AddrPort
-	hp  string
+	src                 netip.AddrPort
+	dbms, group, config string
+	instance            int
 }
 
 // spanState is the mutable in-flight record behind a Span.
@@ -176,7 +179,8 @@ func (t *TraceRing) RecordBatch(events []core.Event) error {
 }
 
 func (t *TraceRing) record(e core.Event) {
-	key := spanKey{src: e.Src, hp: e.Honeypot.ID()}
+	h := e.Honeypot
+	key := spanKey{src: e.Src, dbms: h.DBMS, group: h.Group, config: h.Config, instance: h.Instance}
 	s := t.active.Get(key)
 	if s == nil {
 		// A lone Close (span already evicted, or the process restarted
@@ -257,7 +261,7 @@ func (s *spanState) snapshot() Span {
 	return Span{
 		Src:         s.key.src.String(),
 		DBMS:        s.info.DBMS,
-		Honeypot:    s.key.hp,
+		Honeypot:    s.info.ID(),
 		Tier:        s.info.Level.String(),
 		Start:       s.start,
 		Phase:       phaseNames[s.phase],

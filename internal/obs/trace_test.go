@@ -70,6 +70,30 @@ func TestTraceLifecycle(t *testing.T) {
 	}
 }
 
+// TestTraceRecordFormatsNothing: recording an event into an active span
+// allocates nothing, so it formats no honeypot ID; the spans still name
+// the honeypot by core.Info.ID, active and completed.
+func TestTraceRecordFormatsNothing(t *testing.T) {
+	hp := core.Info{DBMS: core.MSSQL, Level: core.Low, Group: core.GroupMulti, Config: core.ConfigDefault, Instance: 3}
+	tr := NewTraceRing(TraceOptions{})
+	login := traceEvent("203.0.113.9:40000", hp, core.EventLogin, time.Second)
+	if err := tr.RecordBatch([]core.Event{traceEvent("203.0.113.9:40000", hp, core.EventConnect, 0), login}); err != nil {
+		t.Fatal(err)
+	}
+	batch := []core.Event{login}
+	if n := testing.AllocsPerRun(100, func() { tr.RecordBatch(batch) }); n != 0 {
+		t.Fatalf("recording a login into an active span allocates %v times, want 0", n)
+	}
+	const want = "mssql/multi/default-03"
+	if a := tr.Active(0); len(a) != 1 || a[0].Honeypot != want {
+		t.Fatalf("active spans %+v, want one on %s", a, want)
+	}
+	tr.Record(traceEvent("203.0.113.9:40000", hp, core.EventClose, 2*time.Second))
+	if r := tr.Recent(0); len(r) != 1 || r[0].Honeypot != want || r[0].Logins != 102 {
+		t.Fatalf("completed spans %+v, want one on %s with 102 logins", r, want)
+	}
+}
+
 // TestTracePhaseNeverRegresses: a login arriving after commands does not
 // pull the span back into the auth phase.
 func TestTracePhaseNeverRegresses(t *testing.T) {

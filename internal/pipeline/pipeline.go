@@ -19,6 +19,7 @@ import (
 	"net/netip"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -73,10 +74,16 @@ type LogWriter struct {
 	dir string
 
 	mu       sync.Mutex
-	files    map[string]*logFile
-	err      error // first write error
-	failures int64 // write/marshal/flush failures observed
+	files    map[fileKey]*logFile
+	touched  []*logFile // files written in the current batch, each once
+	err      error      // first write error
+	failures int64      // write/marshal/flush failures observed
 }
+
+// fileKey names a log file by the honeypot fields its name is made of,
+// so finding the file for an event formats nothing; the name is
+// formatted once, when the file is created.
+type fileKey struct{ dbms, group, config string }
 
 type logFile struct {
 	f *os.File
@@ -88,7 +95,7 @@ func NewLogWriter(dir string) (*LogWriter, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("pipeline: create log dir: %w", err)
 	}
-	return &LogWriter{dir: dir, files: make(map[string]*logFile)}, nil
+	return &LogWriter{dir: dir, files: make(map[fileKey]*logFile)}, nil
 }
 
 // Record implements core.Sink. Errors are counted and retained (see
@@ -114,33 +121,37 @@ func (lw *LogWriter) RecordBatch(events []core.Event) error {
 			first = err
 		}
 	}
-	touched := make(map[*logFile]struct{}, 4)
 	for _, e := range events {
 		lf, err := lw.record(e)
 		if err != nil {
 			note(err)
 			continue
 		}
-		touched[lf] = struct{}{}
+		if !slices.Contains(lw.touched, lf) {
+			lw.touched = append(lw.touched, lf)
+		}
 	}
-	for lf := range touched {
+	for _, lf := range lw.touched {
 		if err := lf.w.Flush(); err != nil {
 			note(err)
 		}
 	}
+	lw.touched = lw.touched[:0]
 	return first
 }
 
 func (lw *LogWriter) record(e core.Event) (*logFile, error) {
-	name := fmt.Sprintf("%s_%s_%s.json", e.Honeypot.DBMS, e.Honeypot.Group, e.Honeypot.Config)
-	lf, ok := lw.files[name]
+	h := e.Honeypot
+	key := fileKey{h.DBMS, h.Group, h.Config}
+	lf, ok := lw.files[key]
 	if !ok {
+		name := fmt.Sprintf("%s_%s_%s.json", h.DBMS, h.Group, h.Config)
 		f, err := os.Create(filepath.Join(lw.dir, name))
 		if err != nil {
 			return nil, err
 		}
 		lf = &logFile{f: f, w: bufio.NewWriterSize(f, 64*1024)}
-		lw.files[name] = lf
+		lw.files[key] = lf
 	}
 	var line any
 	if e.Honeypot.Level == core.Low {
@@ -152,8 +163,10 @@ func (lw *LogWriter) record(e core.Event) (*logFile, error) {
 	if err != nil {
 		return nil, err
 	}
-	b = append(b, '\n')
 	if _, err := lf.w.Write(b); err != nil {
+		return nil, err
+	}
+	if err := lf.w.WriteByte('\n'); err != nil {
 		return nil, err
 	}
 	return lf, nil
@@ -196,7 +209,7 @@ func (lw *LogWriter) Close() error {
 			err = e
 		}
 	}
-	lw.files = map[string]*logFile{}
+	lw.files = map[fileKey]*logFile{}
 	return err
 }
 

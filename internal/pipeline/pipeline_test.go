@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"encoding/json"
 	"net/netip"
 	"os"
 	"path/filepath"
@@ -245,6 +246,47 @@ func TestRecordBatchRoundTrip(t *testing.T) {
 	}
 	if n := lw.ErrCount(); n != 0 {
 		t.Fatalf("failures = %d", n)
+	}
+}
+
+// TestRecordBatchAllocatesOnlyLines: once its files exist, a batch
+// allocates what encoding its lines does and nothing more. Finding an
+// event's file formats no name, and the batch keeps no table of the
+// files it touched. The names stay as they were.
+func TestRecordBatchAllocatesOnlyLines(t *testing.T) {
+	dir := t.TempDir()
+	lw, err := NewLogWriter(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lw.Close()
+	low, med := lowEvent("203.0.113.9", core.EventLogin, "sa", "123"), medEvent("20.0.77.2", core.EventCommand, "KEYS", "KEYS *")
+	batch := []core.Event{low, med, low}
+	if err := lw.RecordBatch(batch); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"mssql_multi_default.json", "redis_medium_fakedata.json"} {
+		if _, err := os.Stat(filepath.Join(dir, name)); err != nil {
+			t.Fatalf("log file %s: %v", name, err)
+		}
+	}
+	if raceEnabled {
+		t.Skip("the race detector drops sync.Pool items at random, so json.Marshal's allocations vary")
+	}
+	lines := testing.AllocsPerRun(100, func() {
+		for _, line := range []any{toQeeqbox(low), toSession(med), toQeeqbox(low)} {
+			if _, err := json.Marshal(line); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	got := testing.AllocsPerRun(100, func() {
+		if err := lw.RecordBatch(batch); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got != lines {
+		t.Fatalf("a batch of %d events allocates %v times, its lines %v", len(batch), got, lines)
 	}
 }
 

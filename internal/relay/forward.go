@@ -38,10 +38,12 @@ type ForwardOptions struct {
 	// cost bounded memory, not stalled honeypot sessions.
 	Block bool
 
-	// FrameEvents is the target events per frame; pending events are cut
-	// into a frame when they reach it (or earlier, whenever the writer is
-	// idle). 0 means DefaultFrameEvents; values above DefaultMaxBatchEvents
-	// are clamped — a default-configured collector rejects larger frames.
+	// FrameEvents is the most events per frame; pending events are cut
+	// into a frame when they reach it. A caught-up writer cuts smaller,
+	// partial frames, at most one every 5 ms, and Flush and Close cut
+	// whatever is pending at once. 0 means DefaultFrameEvents; values
+	// above DefaultMaxBatchEvents are clamped — a default-configured
+	// collector rejects larger frames.
 	FrameEvents int
 	// SpoolBytes caps the memory held by encoded frames buffered while
 	// unacked: their wire bytes plus spoolFrameOverhead per frame, so
@@ -192,7 +194,9 @@ type endpoint struct {
 // ACKs into the ledger, and on failure fail over to the next-ranked
 // collector while the dead one backs off — retransmitting everything
 // unacked, except that frames already handed to one collector stay
-// pinned to it (see spoolFrame.owner).
+// pinned to it (see spoolFrame.owner). A caught-up writer gathers
+// pending events for up to 5 ms before it frames them, so under load a
+// frame carries many bus batches (see ledger.next).
 //
 // When the spool hits its byte bound (collector down, or slower than
 // the farm), new events are shed with per-source accounting — the
@@ -303,11 +307,20 @@ func (f *ForwardSink) Record(e core.Event) {
 // RecordBatch implements core.BatchSink. It never returns an error:
 // overload is expressed as accounted shedding (or, with Options.Block,
 // as backpressure), not as a failed delivery the bus would re-count.
+//
+// It wakes the writer only when the ledger has new work for it (the
+// first pending event, or a frame cut), not once per batch: a writer
+// that lingers over pending events would only wait again.
 func (f *ForwardSink) RecordBatch(events []core.Event) error {
 	f.mu.Lock()
+	wake := false
 	for _, e := range events {
 		if f.opts.Block {
 			for f.led.full() && !f.stopped {
+				if wake {
+					f.cond.Broadcast()
+					wake = false
+				}
 				f.cond.Wait()
 			}
 		}
@@ -315,9 +328,11 @@ func (f *ForwardSink) RecordBatch(events []core.Event) error {
 			f.led.shedEvent(e)
 			continue
 		}
-		f.led.add(e)
+		wake = f.led.add(e) || wake
 	}
-	f.cond.Broadcast()
+	if wake {
+		f.cond.Broadcast()
+	}
 	f.mu.Unlock()
 	return nil
 }
@@ -583,14 +598,29 @@ func (f *ForwardSink) failbackLoop(conn net.Conn, ep *endpoint, stop <-chan stru
 
 // writeLoop asks the ledger for the next frame this endpoint may
 // write, writes it, and records the write; when the ledger is caught up
-// it waits for new events, acks or a disconnect.
+// it waits for new events, acks or a disconnect, and while the ledger
+// lingers over pending events, for a timer that wakes it when the
+// linger ends.
 func (f *ForwardSink) writeLoop(conn net.Conn, ep *endpoint) {
+	// linger wakes the loop when the ledger's linger ends; it is armed
+	// only while the ledger holds pending events back.
+	linger := time.AfterFunc(frameLinger, func() {
+		f.mu.Lock()
+		f.cond.Broadcast()
+		f.mu.Unlock()
+	})
+	linger.Stop()
+	defer linger.Stop()
 	for {
 		f.mu.Lock()
 		var fr *spoolFrame
 		for !f.stopped && f.connected {
-			if fr = f.led.next(ep.addr); fr != nil {
+			var wait time.Duration
+			if fr, wait = f.led.next(ep.addr, time.Now()); fr != nil {
 				break
+			}
+			if wait > 0 {
+				linger.Reset(wait)
 			}
 			// next may have dropped frames at the retry cap, freeing
 			// spool space a blocked RecordBatch waits for.
@@ -721,15 +751,18 @@ func (f *ForwardSink) SetEndpoints(addrs []string) error {
 	return nil
 }
 
-// Flush implements core.Flusher: it waits — up to Options.FlushTimeout —
-// for every enqueued event to be acked by the collector tier. With every
-// collector unreachable the timeout expires and the remaining events
-// stay spooled (visible in Stats), which is exactly what the shutdown
-// accounting wants: nothing silently discarded.
+// Flush implements core.Flusher: it cuts whatever is pending into a
+// frame at once, without waiting out the linger, and waits — up to
+// Options.FlushTimeout — for every enqueued event to be acked by the
+// collector tier. With every collector unreachable the timeout expires
+// and the remaining events stay spooled (visible in Stats), which is
+// exactly what the shutdown accounting wants: nothing silently
+// discarded.
 func (f *ForwardSink) Flush() {
 	deadline := time.Now().Add(f.opts.FlushTimeout)
 	for {
 		f.mu.Lock()
+		f.led.cut()
 		drained := f.led.idle()
 		stopped := f.stopped
 		f.cond.Broadcast() // nudge the pump in case it waits on work
@@ -741,11 +774,12 @@ func (f *ForwardSink) Flush() {
 	}
 }
 
-// Close stops the pump and closes the connection. Unacked frames remain
-// in the spool for Stats accounting; call Flush first to drain them.
-// Close returns the first non-recoverable error observed (nil if none);
-// transient dial and write failures are healed by retransmission and
-// surface only as Stats counters.
+// Close cuts whatever is pending into a frame at once, stops the pump
+// and closes the connection. Unacked frames remain in the spool for
+// Stats accounting; call Flush first to drain them. Close returns the
+// first non-recoverable error observed (nil if none); transient dial
+// and write failures are healed by retransmission and surface only as
+// Stats counters.
 func (f *ForwardSink) Close() error {
 	f.mu.Lock()
 	if f.stopped {
@@ -753,12 +787,10 @@ func (f *ForwardSink) Close() error {
 		f.mu.Unlock()
 		return err
 	}
-	if f.opts.SpoolWAL != nil {
-		// Journal the unframed tail: pending events below the frame
-		// cutoff would otherwise exist only in memory, and the restart
-		// that replays the spool WAL would silently lose them.
-		f.led.cut()
-	}
+	// Journal the unframed tail: on a durable spool, pending events would
+	// otherwise exist only in memory, and the restart that replays the
+	// spool WAL would silently lose them.
+	f.led.cut()
 	f.stopped = true
 	conn := f.conn
 	handoff := f.handoff

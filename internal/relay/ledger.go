@@ -10,6 +10,17 @@ import (
 	"decoydb/internal/evcodec"
 )
 
+// frameLinger is the least time between two partial frames, the ones
+// next cuts from fewer than FrameEvents pending events once the
+// connection is caught up. It caps partial frames at 200 a second
+// whatever the event rate, so under load a frame carries what the bus
+// delivered over 5 ms rather than one bus batch, while an event after
+// an idle spell ships at once and no event waits more than 5 ms longer
+// to be framed. It is a constant, not an option: it bounds the ingest
+// lag it adds, and no deployment needs another trade of frame count
+// against that lag (DESIGN §9).
+const frameLinger = 5 * time.Millisecond
+
 // spoolFrame is one encoded, unacked batch. attempts counts the
 // connections that wrote it as their first frame without an ack: a
 // frame the collector rejects at decode always leads the
@@ -53,8 +64,9 @@ type ledger struct {
 	charged     bool          // the current connection's first frame has been charged an attempt
 	spoolEv     int
 	spoolB      int64
-	nextSeq     uint64 // highest assigned frame sequence
-	lastCompact uint64 // highest seq successfully compacted
+	nextSeq     uint64    // highest assigned frame sequence
+	lastCompact uint64    // highest seq successfully compacted
+	lastCut     time.Time // when next last cut a partial frame; zero before any
 
 	firstErr    error
 	enqueued    uint64
@@ -144,12 +156,16 @@ func (l *ledger) full() bool {
 func (l *ledger) idle() bool { return len(l.spool) == 0 && len(l.pending) == 0 }
 
 // add enqueues one event, cutting a frame once FrameEvents are pending.
-func (l *ledger) add(e core.Event) {
+// It reports whether the writer has new work: the first pending event,
+// or a frame cut.
+func (l *ledger) add(e core.Event) bool {
 	l.pending = append(l.pending, e)
 	l.enqueued++
 	if len(l.pending) >= l.opts.FrameEvents {
 		l.cut()
+		return true
 	}
+	return len(l.pending) == 1
 }
 
 // shedEvent counts one shed event against its source. When the
@@ -263,18 +279,20 @@ func (l *ledger) rewind() {
 	l.charged = false
 }
 
-// next returns the next frame the connection to addr may write, in
-// sequence order, or nil when the spool is caught up and nothing is
-// pending. It skips frames pinned to other endpoints (their owners
-// drain them), drops a frame at the retry cap, charges the connection's
-// first frame an attempt, and cuts pending events into a fresh frame
-// whenever the spool is caught up — so under light load every batch
-// ships as soon as the previous write returns, without a flush timer.
-// An unowned frame is pinned to addr before it is returned, and on a
-// durable spool the pin is journaled before any byte can reach the
-// collector — so no collector can ever hold a frame the journal does
-// not pin to it.
-func (l *ledger) next(addr string) *spoolFrame {
+// next returns the next frame the connection to addr may write at now,
+// in sequence order. It skips frames pinned to other endpoints (their
+// owners drain them), drops a frame at the retry cap, and charges the
+// connection's first frame an attempt. Once the spool is caught up it
+// cuts the pending events into a partial frame, but only when
+// frameLinger has passed since its previous partial cut; until then it
+// returns nil and the time left, and the caller asks again after it.
+// With nothing pending it returns nil and 0. An event after an idle
+// spell therefore ships at once, and under load events gather for at
+// most frameLinger. An unowned frame is pinned to addr before it is
+// returned, and on a durable spool the pin is journaled before any byte
+// can reach the collector — so no collector can ever hold a frame the
+// journal does not pin to it.
+func (l *ledger) next(addr string, now time.Time) (*spoolFrame, time.Duration) {
 	for {
 		for l.scanIdx < len(l.spool) {
 			fr := l.spool[l.scanIdx]
@@ -303,11 +321,15 @@ func (l *ledger) next(addr string) *spoolFrame {
 				}
 			}
 			l.scanIdx++
-			return fr
+			return fr, 0
 		}
 		if len(l.pending) == 0 {
-			return nil
+			return nil, 0
 		}
+		if wait := l.lastCut.Add(frameLinger).Sub(now); wait > 0 {
+			return nil, wait
+		}
+		l.lastCut = now
 		l.cut() // may shed an event too large for a frame; rescan
 	}
 }

@@ -18,11 +18,13 @@ import (
 // three collectors, each with its real farmState dedup, through random
 // sequences of the steps a farm→collector tier goes through: offer
 // events, connect, write (some writes fail), deliver, ack (a quarter of
-// the acks' compactions fail), disconnect, re-rank the endpoint set,
-// and crash the farm — clean or hard — then reopen the journal and
-// reload. A quarter of the crashes on a journal wipe its directory
-// first, as a replaced disk or a farm name reused on a new host does:
-// the new process starts a new sequence space with nothing to replay.
+// the acks' compactions fail), flush, disconnect, re-rank the endpoint
+// set, and crash the farm — clean or hard — then reopen the journal and
+// reload. A fake clock advances by a random 0–2 ms each step, so the
+// frame linger both holds and releases pending events. A quarter of the
+// crashes on a journal wipe its directory first, as a replaced disk or
+// a farm name reused on a new host does: the new process starts a new
+// sequence space with nothing to replay.
 // A reference model tracks which collector each frame was handed to
 // and which events each collector ingested, and every step is checked
 // against it. A quarter of the seeds run without a journal, as decoydb
@@ -82,8 +84,9 @@ type ledgerModel struct {
 	log     *wal.Log
 	spool   *flakySpool
 	l       *ledger
-	space   uint64 // the current sequence space; see frameKey
-	now     time.Time
+	space   uint64    // the current sequence space; see frameKey
+	now     time.Time // the fake clock
+	lastCut time.Time // when the current ledger's next last cut a partial frame
 
 	colls []*modelCollector
 	live  []*modelCollector // current endpoint set
@@ -147,10 +150,11 @@ func (m *ledgerModel) start() {
 		m.t.Fatal(err)
 	}
 	m.offered, m.reloaded = 0, int(m.l.enqueued)
+	m.lastCut = time.Time{}
 }
 
 func (m *ledgerModel) step() {
-	m.now = m.now.Add(time.Millisecond)
+	m.now = m.now.Add(time.Duration(m.rng.Intn(2001)) * time.Microsecond)
 	switch r := m.rng.Intn(100); {
 	case r < 20:
 		m.offer(1 + m.rng.Intn(8))
@@ -162,8 +166,10 @@ func (m *ledgerModel) step() {
 		m.deliver(m.conn)
 	case r < 72:
 		m.deliver(m.stale)
-	case r < 94:
+	case r < 93:
 		m.ack(m.durable && m.rng.Intn(4) == 0)
+	case r < 94:
+		m.flush()
 	case r < 96:
 		m.conn = nil
 	case r < 99:
@@ -197,14 +203,34 @@ func (m *ledgerModel) connect(c *modelCollector) {
 }
 
 // write hands the connection its next frame; a failed write cuts the
-// connection before any byte of the frame is read.
+// connection before any byte of the frame is read. A connection that is
+// caught up gets a partial frame only once frameLinger has passed since
+// the previous one, and never has pending events held past it.
 func (m *ledgerModel) write(fail bool) {
 	if m.conn == nil {
 		return
 	}
 	addr := m.conn.coll.addr
-	before, dropped := slices.Clone(m.l.spool), m.l.droppedFr
-	fr := m.l.next(addr)
+	before, dropped, pending := slices.Clone(m.l.spool), m.l.droppedFr, len(m.l.pending)
+	fr, wait := m.l.next(addr, m.now)
+	since := m.now.Sub(m.lastCut)
+	switch {
+	case len(m.l.pending) < pending:
+		if since < frameLinger {
+			m.t.Fatalf("partial frame cut %v after the previous one, within the %v linger", since, frameLinger)
+		}
+		m.lastCut = m.now
+	case fr == nil && pending > 0:
+		if since >= frameLinger {
+			m.t.Fatalf("%d pending events held %v after the previous partial frame, past the %v linger", pending, since, frameLinger)
+		}
+		if wait <= 0 || wait > frameLinger || wait != frameLinger-since {
+			m.t.Fatalf("lingering %v after the previous partial frame, next asks to wait %v, want %v", since, wait, frameLinger-since)
+		}
+	}
+	if (fr != nil || pending == 0) && wait != 0 {
+		m.t.Fatalf("next returned frame %v with %d pending and a wait of %v", fr != nil, pending, wait)
+	}
 	if m.l.droppedFr != dropped {
 		for _, old := range before {
 			if !slices.Contains(m.l.spool, old) {
@@ -317,6 +343,15 @@ func (m *ledgerModel) ack(failCompact bool) {
 	}
 }
 
+// flush cuts the pending tail at once, as ForwardSink.Flush does
+// without waiting out the linger.
+func (m *ledgerModel) flush() {
+	m.l.cut()
+	if n := len(m.l.pending); n != 0 {
+		m.t.Fatalf("flush left %d events pending", n)
+	}
+}
+
 // rerank swaps the endpoint set for a random non-empty subset of the
 // tier; like SetEndpoints, a real change kicks the connection.
 func (m *ledgerModel) rerank() {
@@ -335,14 +370,14 @@ func (m *ledgerModel) rerank() {
 }
 
 // crash ends the farm process and starts a new one. A clean crash is
-// Close: on a journaled spool it cuts the pending tail first. A hard
-// crash loses the pending tail; without a journal, either loses the
-// spool too, and so does a wiped journal. The connection is left
+// Close: it cuts the pending tail first, which a journaled spool keeps.
+// A hard crash loses the pending tail; without a journal, either loses
+// the spool too, and so does a wiped journal. The connection is left
 // draining into its collector.
 func (m *ledgerModel) crash(clean, wipe bool) {
 	wipe = wipe && m.durable
-	if clean && m.durable {
-		m.l.cut()
+	if clean {
+		m.flush()
 	}
 	for _, e := range m.l.pending {
 		m.fate[eventID(m.t, e.User)] = "lost"
@@ -400,13 +435,15 @@ func (m *ledgerModel) crash(clean, wipe bool) {
 }
 
 // drain brings the whole tier back and runs every collector in turn
-// until the ledger holds nothing.
+// until the ledger holds nothing. The clock moves a linger per round,
+// so a pending tail is cut.
 func (m *ledgerModel) drain() {
 	m.live, m.conn, m.stale = m.colls, nil, nil
 	for round := 0; !m.l.idle(); round++ {
 		if round == 1000 {
 			m.t.Fatalf("tier did not drain: %d frames, %d pending", len(m.l.spool), len(m.l.pending))
 		}
+		m.now = m.now.Add(frameLinger)
 		for _, c := range m.colls {
 			m.connect(c)
 			for m.conn != nil {

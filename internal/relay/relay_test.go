@@ -276,6 +276,90 @@ func TestForwardDelivery(t *testing.T) {
 	}
 }
 
+// TestForwardLingerBatchesPartialFrames records 400 one-event batches,
+// due 250 µs apart, into a connected forwarder. Cutting a partial frame
+// for every batch the writer catches up on ships hundreds of frames;
+// with at most one partial frame per frameLinger the 100 ms of arrivals
+// fit in about 20. A slow runner delays arrivals into bunches,
+// which only makes frames larger. The tail is left for the linger
+// timer to cut: no Flush.
+func TestForwardLingerBatchesPartialFrames(t *testing.T) {
+	sink := &memSink{}
+	coll, err := NewCollector(CollectorOptions{Token: "tok"}, sink)
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr, stop := startCollector(t, coll)
+	defer stop()
+	fwd, err := NewForwardSink(ForwardOptions{Addrs: []string{addr}, Token: "tok", Farm: "linger"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fwd.Close()
+
+	const n, spacing = 400, 250 * time.Microsecond
+	start := time.Now()
+	for i, e := range testEvents(n) {
+		if d := time.Until(start.Add(time.Duration(i) * spacing)); d > 0 {
+			time.Sleep(d)
+		}
+		if err := fwd.RecordBatch([]core.Event{e}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitFor(t, 10*time.Second, func() bool { return fwd.Stats().EventsAcked == n }, "every event acked")
+
+	seen := map[string]int{}
+	for _, e := range sink.snapshot() {
+		seen[e.User]++
+	}
+	for _, e := range testEvents(n) {
+		if seen[e.User] != 1 {
+			t.Fatalf("event %s ingested %d times, want once", e.User, seen[e.User])
+		}
+	}
+	st := fwd.Stats()
+	if st.EventsAcked != n || st.Pending != 0 || st.SpoolEvents != 0 {
+		t.Fatalf("acked %d, pending %d, spooled %d; want %d/0/0", st.EventsAcked, st.Pending, st.SpoolEvents, n)
+	}
+	if st.Frames > n/4 {
+		t.Fatalf("%d one-event batches shipped in %d frames, want at most %d", n, st.Frames, n/4)
+	}
+}
+
+// TestFlushShipsLoneEvent: Flush cuts a lone pending event at once and
+// returns once it is acked, the second time while the linger of the
+// first event's frame may still hold.
+func TestFlushShipsLoneEvent(t *testing.T) {
+	sink := &memSink{}
+	coll, err := NewCollector(CollectorOptions{Token: "tok"}, sink)
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr, stop := startCollector(t, coll)
+	defer stop()
+	fwd, err := NewForwardSink(ForwardOptions{Addrs: []string{addr}, Token: "tok", Farm: "lone"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fwd.Close()
+
+	for i := 1; i <= 2; i++ {
+		if err := fwd.RecordBatch([]core.Event{testEvent(i)}); err != nil {
+			t.Fatal(err)
+		}
+		fwd.Flush()
+		st := fwd.Stats()
+		if st.Pending != 0 || st.SpoolEvents != 0 || st.EventsAcked != uint64(i) {
+			t.Fatalf("Flush after event %d returned with %d pending, %d spooled, %d acked; want 0/0/%d",
+				i, st.Pending, st.SpoolEvents, st.EventsAcked, i)
+		}
+	}
+	if got := sink.len(); got != 2 {
+		t.Fatalf("collector ingested %d events, want 2", got)
+	}
+}
+
 func TestCollectorRejectsBadToken(t *testing.T) {
 	sink := &memSink{}
 	coll, err := NewCollector(CollectorOptions{Token: "right"}, sink)
