@@ -10,7 +10,9 @@
 //
 // The default block policy is lossless and keeps the dataset a pure
 // function of the seed; -bus-policy adaptive exercises the per-source
-// shedding a live farm would use under a hostile flood.
+// shedding a live farm would use under a hostile flood. For the same
+// reason dbsim first removes the *.json log files an earlier run left in
+// -logs: the log writer appends to existing files.
 //
 // With -forward "addrs=a:7100|b:7100,token=SECRET[,farm=NAME]" the
 // captured events also stream to a dbcollect collector tier over the
@@ -23,11 +25,14 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io/fs"
 	"log"
 	"os"
 	"os/signal"
+	"path/filepath"
 
 	"decoydb/internal/bus"
 	"decoydb/internal/cliflags"
@@ -67,6 +72,9 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
+	if err := clearLogs(*dir); err != nil {
+		log.Fatal(err)
+	}
 	lw, err := pipeline.NewLogWriter(*dir)
 	if err != nil {
 		log.Fatal(err)
@@ -181,4 +189,26 @@ func main() {
 	fmt.Printf("pipeline reload: %d events, %d unique sources, %d total logins\n",
 		snap.Events(), snap.UniqueIPs(evstore.Query{}), snap.Logins(evstore.Query{}))
 	fmt.Printf("logs written to %s (run dbreport for the full table/figure report)\n", *dir)
+}
+
+// clearLogs removes the log files an earlier run left in dir. The log
+// writer appends to what it finds, and a simulation's capture must be a
+// function of its seed, so that its pipeline reload counts this run's
+// events alone.
+func clearLogs(dir string) error {
+	ents, err := os.ReadDir(dir)
+	if errors.Is(err, fs.ErrNotExist) {
+		return nil
+	}
+	if err != nil {
+		return err
+	}
+	for _, e := range ents {
+		if !e.IsDir() && filepath.Ext(e.Name()) == ".json" {
+			if err := os.Remove(filepath.Join(dir, e.Name())); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }

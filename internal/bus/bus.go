@@ -10,8 +10,9 @@
 // Each event's source IP is hashed onto one of N shards (default
 // GOMAXPROCS) with core.ShardOf, buffered in a bounded ring queue, and
 // delivered by that shard's worker goroutine in batches to every
-// registered sink. Sinks implementing core.BatchSink receive whole
-// batches (one lock/flush per batch); plain core.Sinks receive the
+// registered sink through one core.Fanout, the same fan-out the relay
+// collector delivers through. Sinks implementing core.BatchSink receive
+// whole batches (one lock/flush per batch); plain core.Sinks receive the
 // events one by one.
 //
 // Because all events from one source IP land on one shard, per-attacker
@@ -204,19 +205,6 @@ func (sh *shard) init(size int) {
 	sh.drained.L = &sh.mu
 }
 
-// sinkEntry wraps one registered sink with its delivery counters.
-type sinkEntry struct {
-	name      string
-	sink      core.Sink
-	batch     core.BatchSink // non-nil when sink supports batch delivery
-	batches   atomic.Uint64
-	events    atomic.Uint64 // events in successfully delivered batches
-	failedEvs atomic.Uint64 // events in batches whose RecordBatch errored
-	errors    atomic.Uint64
-	latNS     atomic.Int64 // cumulative delivery latency
-	maxNS     atomic.Int64
-}
-
 // HistBuckets is the number of batch-size histogram buckets: bucket i
 // counts batches of size in (2^(i-1), 2^i], so bucket 0 is size 1,
 // bucket 1 is size 2, bucket 2 is 3–4, ... the last bucket is open.
@@ -227,7 +215,7 @@ const HistBuckets = 10
 type Bus struct {
 	opts   Options
 	shards []*shard
-	sinks  []*sinkEntry
+	fan    *core.Fanout
 	wg     sync.WaitGroup
 
 	delivered atomic.Uint64
@@ -244,27 +232,7 @@ func New(opts Options, sinks ...core.Sink) *Bus {
 	if len(sinks) == 0 {
 		panic("bus: no sinks registered")
 	}
-	b := &Bus{opts: opts.withDefaults()}
-	// Sinks are named by type; duplicates of one type get a 1-based
-	// index suffix ("*evstore.Store#1", "*evstore.Store#2") so they stay
-	// distinguishable in Stats.Sinks and the operational log line.
-	byType := make(map[string]int, len(sinks))
-	for _, s := range sinks {
-		byType[fmt.Sprintf("%T", s)]++
-	}
-	seen := make(map[string]int, len(byType))
-	for _, s := range sinks {
-		name := fmt.Sprintf("%T", s)
-		if byType[name] > 1 {
-			seen[name]++
-			name = fmt.Sprintf("%s#%d", name, seen[name])
-		}
-		e := &sinkEntry{name: name, sink: s}
-		if bs, ok := s.(core.BatchSink); ok {
-			e.batch = bs
-		}
-		b.sinks = append(b.sinks, e)
-	}
+	b := &Bus{opts: opts.withDefaults(), fan: core.NewFanout(sinks...)}
 	b.shards = make([]*shard, b.opts.Shards)
 	for i := range b.shards {
 		sh := &shard{}
@@ -352,7 +320,9 @@ func (b *Bus) worker(sh *shard) {
 		sh.notFull.Broadcast()
 		sh.mu.Unlock()
 
-		b.deliver(batch)
+		if _, err := b.fan.Deliver(batch, nil); err != nil {
+			b.noteErr(fmt.Errorf("bus: %w", err))
+		}
 		b.delivered.Add(uint64(k))
 		b.hist[histBucket(k)].Add(1)
 
@@ -362,40 +332,6 @@ func (b *Bus) worker(sh *shard) {
 			sh.drained.Broadcast()
 		}
 		sh.mu.Unlock()
-	}
-}
-
-// deliver hands one batch to every sink, preferring batch delivery.
-// Events in a batch whose RecordBatch errored count as failed, not
-// delivered: Stats must not report events the sink rejected.
-func (b *Bus) deliver(batch []core.Event) {
-	for _, e := range b.sinks {
-		start := time.Now()
-		failed := false
-		if e.batch != nil {
-			if err := e.batch.RecordBatch(batch); err != nil {
-				failed = true
-				e.errors.Add(1)
-				e.failedEvs.Add(uint64(len(batch)))
-				b.noteErr(fmt.Errorf("bus: %s: %w", e.name, err))
-			}
-		} else {
-			for _, ev := range batch {
-				e.sink.Record(ev)
-			}
-		}
-		lat := time.Since(start)
-		e.batches.Add(1)
-		if !failed {
-			e.events.Add(uint64(len(batch)))
-		}
-		e.latNS.Add(int64(lat))
-		for {
-			cur := e.maxNS.Load()
-			if int64(lat) <= cur || e.maxNS.CompareAndSwap(cur, int64(lat)) {
-				break
-			}
-		}
 	}
 }
 
@@ -457,25 +393,6 @@ func (b *Bus) Err() error {
 	return b.firstErr
 }
 
-// SinkStats are per-sink delivery counters.
-type SinkStats struct {
-	Name         string
-	Batches      uint64
-	Events       uint64 // events in successfully delivered batches
-	FailedEvents uint64 // events in batches whose delivery errored
-	Errors       uint64
-	Latency      time.Duration // cumulative time spent delivering
-	MaxLatency   time.Duration // slowest single delivery
-}
-
-// AvgLatency is the mean per-batch delivery latency.
-func (s SinkStats) AvgLatency() time.Duration {
-	if s.Batches == 0 {
-		return 0
-	}
-	return s.Latency / time.Duration(s.Batches)
-}
-
 // Stats is a point-in-time snapshot of bus counters.
 type Stats struct {
 	Shards    int
@@ -488,7 +405,7 @@ type Stats struct {
 	// (bucket 0 = single-event batches; last bucket open-ended).
 	BatchHist [HistBuckets]uint64
 	// Sinks lists per-sink counters in registration order.
-	Sinks []SinkStats
+	Sinks []core.SinkStats
 	// Shedders are the heaviest per-source shed counts under the
 	// Adaptive policy, descending, at most core.TopShedders entries.
 	// Shards partition sources disjointly, so entries never merge.
@@ -525,17 +442,7 @@ func (b *Bus) Stats() Stats {
 		sh.mu.Unlock()
 	}
 	st.Shedders = core.Heaviest(st.Shedders)
-	for _, e := range b.sinks {
-		st.Sinks = append(st.Sinks, SinkStats{
-			Name:         e.name,
-			Batches:      e.batches.Load(),
-			Events:       e.events.Load(),
-			FailedEvents: e.failedEvs.Load(),
-			Errors:       e.errors.Load(),
-			Latency:      time.Duration(e.latNS.Load()),
-			MaxLatency:   time.Duration(e.maxNS.Load()),
-		})
-	}
+	st.Sinks = b.fan.Stats()
 	return st
 }
 

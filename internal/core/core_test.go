@@ -285,19 +285,6 @@ func TestLevelString(t *testing.T) {
 	}
 }
 
-func TestMultiSinkFanout(t *testing.T) {
-	a, b := &MemSink{}, &MemSink{}
-	ms := MultiSink{a, b}
-	ms.Record(Event{Kind: EventConnect})
-	if a.Len() != 1 || b.Len() != 1 {
-		t.Fatal("fanout failed")
-	}
-	a.Reset()
-	if a.Len() != 0 {
-		t.Fatal("reset failed")
-	}
-}
-
 func TestDefaultPortUnknown(t *testing.T) {
 	if DefaultPort("oracle") != 0 {
 		t.Fatal("unknown DBMS port")

@@ -225,6 +225,10 @@ func ParseLogin7(payload []byte) (Login7, error) {
 	return l, nil
 }
 
+// defaultTDSVersion is the TDS version EncodeLogin7 writes when the
+// Login7 names none: TDS 7.4.
+const defaultTDSVersion = 0x74000004
+
 // EncodeLogin7 renders a LOGIN7 payload (client side; used by the
 // simulator's brute-force actors).
 func EncodeLogin7(l Login7) []byte {
@@ -254,7 +258,7 @@ func EncodeLogin7(l Login7) []byte {
 				enc[j] = b ^ 0xa5
 			}
 		}
-		refs[i] = [2]uint16{uint16(off), uint16(len(s))}
+		refs[i] = [2]uint16{uint16(off), uint16(len(enc) / 2)} // UCS-2 units, not bytes of s
 		data = append(data, enc...)
 		off += len(enc)
 	}
@@ -262,7 +266,7 @@ func EncodeLogin7(l Login7) []byte {
 	w.Uint32LE(uint32(fixed + len(data)))
 	tdsVer := l.TDSVersion
 	if tdsVer == 0 {
-		tdsVer = 0x74000004 // TDS 7.4
+		tdsVer = defaultTDSVersion
 	}
 	w.Uint32LE(tdsVer)
 	w.Uint32LE(4096) // packet size

@@ -218,8 +218,18 @@ func EncodeLoginRequest(lr LoginRequest) []byte {
 	w.Uint8(lr.Charset)
 	w.Zeros(23)
 	w.CString(lr.User)
-	w.Uint8(byte(len(lr.AuthData)))
-	w.Raw(lr.AuthData)
+	// The auth data's framing follows the capabilities, as
+	// ParseLoginRequest reads it.
+	switch {
+	case caps&CapPluginAuthLenencData != 0:
+		w.Raw(appendLenenc(nil, uint64(len(lr.AuthData))))
+		w.Raw(lr.AuthData)
+	case caps&CapSecureConnection != 0:
+		w.Uint8(byte(len(lr.AuthData)))
+		w.Raw(lr.AuthData)
+	default:
+		w.CString(string(lr.AuthData))
+	}
 	if caps&CapConnectWithDB != 0 {
 		w.CString(lr.Database)
 	}

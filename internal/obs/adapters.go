@@ -50,13 +50,21 @@ func (s busSource) Collect(e *Emitter) {
 	e.Histogram("decoydb_bus_batch_size", "Events per delivered batch.",
 		bounds, st.BatchHist[:bus.HistBuckets-1], float64(st.Delivered), batches)
 
+	emitSinks(e, "decoydb_bus", st.Sinks)
 	for _, sk := range st.Sinks {
+		e.Counter("decoydb_bus_sink_errors_total", "Delivery errors, per sink.", float64(sk.Errors), L("sink", sk.Name))
+	}
+}
+
+// emitSinks writes one fan-out's per-sink delivery counters, the same
+// series on the farm's bus and on the collector.
+func emitSinks(e *Emitter, prefix string, sinks []core.SinkStats) {
+	for _, sk := range sinks {
 		l := L("sink", sk.Name)
-		e.Counter("decoydb_bus_sink_events_total", "Events in successfully delivered batches, per sink.", float64(sk.Events), l)
-		e.Counter("decoydb_bus_sink_batches_total", "Batches delivered, per sink.", float64(sk.Batches), l)
-		e.Counter("decoydb_bus_sink_failed_events_total", "Events in batches whose delivery errored, per sink.", float64(sk.FailedEvents), l)
-		e.Counter("decoydb_bus_sink_errors_total", "Delivery errors, per sink.", float64(sk.Errors), l)
-		e.Counter("decoydb_bus_sink_busy_seconds_total", "Cumulative time spent delivering, per sink.", sk.Latency.Seconds(), l)
+		e.Counter(prefix+"_sink_events_total", "Events in successfully delivered batches, per sink.", float64(sk.Events), l)
+		e.Counter(prefix+"_sink_batches_total", "Batches delivered, per sink.", float64(sk.Batches), l)
+		e.Counter(prefix+"_sink_failed_events_total", "Events in batches whose delivery errored, per sink.", float64(sk.FailedEvents), l)
+		e.Counter(prefix+"_sink_busy_seconds_total", "Cumulative time spent delivering, per sink.", sk.Latency.Seconds(), l)
 	}
 }
 
@@ -160,7 +168,8 @@ func (s collectorSource) Collect(e *Emitter) {
 	e.Counter("decoydb_collector_dup_events_total", "Events inside duplicate frames.", float64(st.DupEvents))
 	e.Counter("decoydb_collector_wire_bytes_total", "Frame bytes received, length prefixes included.", float64(st.WireBytes))
 	e.Counter("decoydb_collector_raw_bytes_total", "Raw event-encoding bytes received.", float64(st.RawBytes))
-	e.Counter("decoydb_collector_sink_errors_total", "Downstream sink errors.", float64(st.SinkErrors))
+	e.Counter("decoydb_collector_sink_errors_total", "Downstream sink errors, summed over sinks.", float64(st.SinkErrors))
+	emitSinks(e, "decoydb_collector", st.Sinks)
 	e.Gauge("decoydb_collector_active_conns", "Currently open connections.", float64(st.Active))
 	e.Gauge("decoydb_collector_listeners", "Listeners registered by Serve.", float64(st.Listeners))
 	for _, f := range st.Farms {

@@ -13,6 +13,7 @@ package pipeline
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -90,7 +91,8 @@ type logFile struct {
 	w *bufio.Writer
 }
 
-// NewLogWriter creates (or reuses) dir and returns a writer.
+// NewLogWriter creates (or reuses) dir and returns a writer. Files
+// already in dir are appended to, not replaced.
 func NewLogWriter(dir string) (*LogWriter, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("pipeline: create log dir: %w", err)
@@ -146,7 +148,7 @@ func (lw *LogWriter) record(e core.Event) (*logFile, error) {
 	lf, ok := lw.files[key]
 	if !ok {
 		name := fmt.Sprintf("%s_%s_%s.json", h.DBMS, h.Group, h.Config)
-		f, err := os.Create(filepath.Join(lw.dir, name))
+		f, err := openLog(filepath.Join(lw.dir, name))
 		if err != nil {
 			return nil, err
 		}
@@ -170,6 +172,48 @@ func (lw *LogWriter) record(e core.Event) (*logFile, error) {
 		return nil, err
 	}
 	return lf, nil
+}
+
+// openLog opens a log file for append, creating it if need be, so a farm
+// restarted over the same directory keeps what earlier runs logged. A
+// file that ends in half a line, left by a writer that died mid-write,
+// is first cut back to its last newline: Load must never meet a new line
+// glued onto a torn one.
+func openLog(path string) (*os.File, error) {
+	f, err := os.OpenFile(path, os.O_RDWR|os.O_APPEND|os.O_CREATE, 0o644)
+	if err != nil {
+		return nil, err
+	}
+	end, err := wholeLines(f)
+	if err == nil {
+		err = f.Truncate(end)
+	}
+	if err != nil {
+		f.Close()
+		return nil, err
+	}
+	return f, nil
+}
+
+// wholeLines returns the length of the longest prefix of f that ends in
+// a newline, reading back from the end a chunk at a time.
+func wholeLines(f *os.File) (int64, error) {
+	fi, err := f.Stat()
+	if err != nil {
+		return 0, err
+	}
+	buf := make([]byte, 64*1024)
+	for end := fi.Size(); end > 0; {
+		n := min(int64(len(buf)), end)
+		if _, err := f.ReadAt(buf[:n], end-n); err != nil {
+			return 0, err
+		}
+		if i := bytes.LastIndexByte(buf[:n], '\n'); i >= 0 {
+			return end - n + int64(i) + 1, nil
+		}
+		end -= n
+	}
+	return 0, nil
 }
 
 // note records a write failure, retaining the first error. Callers hold

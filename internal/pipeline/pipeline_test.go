@@ -5,6 +5,7 @@ import (
 	"net/netip"
 	"os"
 	"path/filepath"
+	"strconv"
 	"testing"
 	"time"
 
@@ -318,5 +319,62 @@ func TestWriteErrorsCountedAndSurfaced(t *testing.T) {
 	}
 	if err := lw.Close(); err == nil {
 		t.Fatal("Close did not surface the first write error")
+	}
+}
+
+// writeLogins logs n logins through a fresh LogWriter over dir and
+// closes it, as one run of a farm would.
+func writeLogins(t *testing.T, dir string, n int) {
+	t.Helper()
+	lw, err := NewLogWriter(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		lw.Record(lowEvent("203.0.113.9", core.EventLogin, "sa", strconv.Itoa(i)))
+	}
+	if err := lw.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// Regression: a LogWriter created its files afresh, so a farm restarted
+// over the same directory kept only the new run.
+func TestLogWriterReopenAppends(t *testing.T) {
+	dir := t.TempDir()
+	writeLogins(t, dir, 5)
+	writeLogins(t, dir, 3)
+	store, err := Load(dir, start, 20, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if store.Events() != 8 {
+		t.Fatalf("loaded %d events after a restart, want 5+3", store.Events())
+	}
+}
+
+// A file that ends in half a line keeps its whole lines, and the next
+// run's lines follow them intact.
+func TestLogWriterCutsTornTail(t *testing.T) {
+	dir := t.TempDir()
+	writeLogins(t, dir, 5)
+	path := filepath.Join(dir, "mssql_multi_default.json")
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteString(`{"timestamp":"2024-03-22T05:00:00Z","action":"log`); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	writeLogins(t, dir, 3)
+	store, err := Load(dir, start, 20, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if store.Events() != 8 {
+		t.Fatalf("loaded %d events, want the 5 whole lines plus 3 appended", store.Events())
 	}
 }

@@ -106,7 +106,7 @@ func (h *Honeypot) HandleConn(ctx context.Context, conn net.Conn, s *core.Sessio
 		s.Command("UNEXPECTED-MSG", string(msg.Type))
 		return nil
 	}
-	pass := strings.TrimRight(string(msg.Payload), "\x00")
+	pass := msg.Text()
 
 	switch h.Mode {
 	case ModeLow, ModeNoLogin:
@@ -148,7 +148,7 @@ func (h *Honeypot) queryLoop(ctx context.Context, br *bufio.Reader, bw *bufio.Wr
 		}
 		switch msg.Type {
 		case 'Q':
-			sql := strings.TrimRight(string(msg.Payload), "\x00")
+			sql := msg.Text()
 			s.Command(NormalizeQuery(sql), sql)
 			if err := writeMsgs(bw, respond(sql)...); err != nil {
 				return err

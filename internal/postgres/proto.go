@@ -105,6 +105,10 @@ type Msg struct {
 	Payload []byte
 }
 
+// Text is a password or query message's text: its payload without the
+// terminating NUL.
+func (m Msg) Text() string { return strings.TrimRight(string(m.Payload), "\x00") }
+
 // ReadMsg reads one typed message (frontend or backend).
 func ReadMsg(r io.Reader) (Msg, error) {
 	t, err := wire.ReadUint8(r)

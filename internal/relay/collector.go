@@ -120,14 +120,6 @@ func (fs *farmState) admit(epoch, seq uint64) admission {
 	return admitFresh
 }
 
-// collSink pairs one local sink with its batch and provenance
-// capabilities.
-type collSink struct {
-	sink   core.Sink
-	batch  core.BatchSink
-	tagged core.TaggedBatchSink
-}
-
 // Collector terminates relay connections on the analysis host:
 // authenticate (shared token), decode frames, dedup on (farm,
 // sequence), fan each decoded batch into the local sinks (evstore,
@@ -140,8 +132,8 @@ type collSink struct {
 // keeps the dedup state, so a collector can be bounced — or re-armed on
 // a fresh listener after a crash drill — without double counting.
 type Collector struct {
-	opts  CollectorOptions
-	sinks []collSink
+	opts CollectorOptions
+	fan  *core.Fanout
 
 	mu     sync.Mutex
 	lns    map[net.Listener]struct{}
@@ -161,7 +153,6 @@ type Collector struct {
 	dupEvents atomic.Uint64
 	wireBytes atomic.Uint64
 	rawBytes  atomic.Uint64
-	sinkErrs  atomic.Uint64
 
 	errMu    sync.Mutex
 	firstErr error
@@ -184,16 +175,7 @@ func NewCollector(opts CollectorOptions, sinks ...core.Sink) (*Collector, error)
 		lns:   make(map[net.Listener]struct{}),
 		conns: make(map[net.Conn]struct{}),
 		farms: make(map[string]*farmState),
-	}
-	for _, s := range sinks {
-		cs := collSink{sink: s}
-		if bs, ok := s.(core.BatchSink); ok {
-			cs.batch = bs
-		}
-		if ts, ok := s.(core.TaggedBatchSink); ok {
-			cs.tagged = ts
-		}
-		c.sinks = append(c.sinks, cs)
+		fan:   core.NewFanout(sinks...),
 	}
 	for name, m := range c.opts.Farms {
 		c.farms[name] = &farmState{epoch: m.Epoch, last: m.LastSeq}
@@ -364,14 +346,21 @@ func (c *Collector) handle(conn net.Conn) {
 			c.dupFrames.Add(1)
 			c.dupEvents.Add(uint64(len(events)))
 		case admitFresh:
-			if !c.ingest(events, EncodeSourceTag(farm, epoch, seq)) {
+			// Sinks that journal provenance (a WAL-backed evstore) get
+			// the batch's source tag, so a collector restart can rebuild
+			// its dedup marks from the journal.
+			accepted, err := c.fan.Deliver(events, EncodeSourceTag(farm, epoch, seq))
+			if err != nil {
+				c.noteErr(fmt.Errorf("relay: sink %w", err))
+			}
+			if !accepted {
 				// Every sink refused the batch: acking now would tell the
 				// forwarder the events are safe when they are gone. Leave
 				// the high-water mark alone and drop the connection so
 				// the forwarder's retransmit retries once the sinks
 				// recover. (A partial failure is acked — the healthy
 				// sinks have the events and a retry would double-ingest
-				// them — and surfaces via SinkErrors/Err.)
+				// them — and surfaces per sink in Stats and via Err.)
 				fs.mu.Unlock()
 				c.logf("relay: %s (%s): all sinks failed for seq %d, dropping connection for retry", conn.RemoteAddr(), farm, seq)
 				return
@@ -393,41 +382,6 @@ func (c *Collector) handle(conn net.Conn) {
 			return
 		}
 	}
-}
-
-// ingest fans one decoded batch into every local sink. It reports
-// whether at least one sink accepted the batch; callers must not ack a
-// batch no sink accepted. (Record-only sinks cannot fail, so they
-// always count as accepting.) Sinks that record provenance (a
-// WAL-backed evstore) get the batch's source tag, so a collector
-// restart can rebuild its dedup marks from the journal.
-func (c *Collector) ingest(events []core.Event, tag []byte) bool {
-	delivered := false
-	for _, s := range c.sinks {
-		if s.tagged != nil {
-			if err := s.tagged.RecordBatchTagged(events, tag); err != nil {
-				c.sinkErrs.Add(1)
-				c.noteErr(fmt.Errorf("relay: sink %T: %w", s.sink, err))
-			} else {
-				delivered = true
-			}
-			continue
-		}
-		if s.batch != nil {
-			if err := s.batch.RecordBatch(events); err != nil {
-				c.sinkErrs.Add(1)
-				c.noteErr(fmt.Errorf("relay: sink %T: %w", s.sink, err))
-			} else {
-				delivered = true
-			}
-			continue
-		}
-		for _, e := range events {
-			s.sink.Record(e)
-		}
-		delivered = true
-	}
-	return delivered
 }
 
 // EncodeSourceTag packs a batch's provenance — farm name, epoch,
@@ -493,8 +447,9 @@ type CollectorStats struct {
 	WireBytes uint64
 	RawBytes  uint64
 
-	SinkErrors uint64
-	Farms      []FarmStats // sorted by name
+	SinkErrors uint64           // sum of Sinks' Errors
+	Sinks      []core.SinkStats // per-sink delivery counters, in registration order
+	Farms      []FarmStats      // sorted by name
 }
 
 // CompressionRatio is RawBytes/WireBytes received: below 1 for frames
@@ -533,7 +488,10 @@ func (c *Collector) Stats() CollectorStats {
 		DupEvents:    c.dupEvents.Load(),
 		WireBytes:    c.wireBytes.Load(),
 		RawBytes:     c.rawBytes.Load(),
-		SinkErrors:   c.sinkErrs.Load(),
+		Sinks:        c.fan.Stats(),
+	}
+	for _, sk := range st.Sinks {
+		st.SinkErrors += sk.Errors
 	}
 	c.mu.Lock()
 	st.Active = len(c.conns)
