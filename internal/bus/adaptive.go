@@ -7,17 +7,18 @@ import (
 	"decoydb/internal/core"
 )
 
-// admitAdaptive applies the Adaptive policy to one event. The caller
-// holds sh.mu. It returns false when the event must be shed: the shard
-// is past its high-water mark (and has not yet drained back to the
-// low-water mark) and the event's source has used up its budget for the
-// current window. Admitted events still obey Block semantics upstream.
+// admitAdaptive applies the Adaptive policy to one event from src at
+// event time at. The caller holds sh.mu. It returns false when the
+// event must be shed: the shard is past its high-water mark (and has not
+// yet drained back to the low-water mark) and the event's source has
+// used up its budget for the current window. Admitted events still obey
+// Block semantics upstream.
 //
 // The budget window advances on event time (core.Event.Time), not wall
 // time: the simulator runs a 20-day capture in seconds of wall clock,
 // and a live farm's events carry wall time anyway, so event time is the
 // one clock that is correct in both worlds.
-func (sh *shard) admitAdaptive(o *Options, e core.Event) bool {
+func (sh *shard) admitAdaptive(o *Options, src netip.Addr, at time.Time) bool {
 	if !sh.shedding {
 		if sh.n < o.HighWater {
 			return true
@@ -30,16 +31,15 @@ func (sh *shard) admitAdaptive(o *Options, e core.Event) bool {
 	if sh.src == nil {
 		sh.src = core.NewLRU[netip.Addr, sourceState](o.MaxSources)
 	}
-	addr := e.Src.Addr()
-	s := sh.src.Get(addr)
+	s := sh.src.Get(src)
 	if s == nil {
 		var evicted *sourceState
-		s, evicted = sh.src.Add(addr, sourceState{windowStart: e.Time})
+		s, evicted = sh.src.Add(src, sourceState{windowStart: at})
 		if evicted != nil {
 			sh.shedEvicted += evicted.shed
 		}
-	} else if e.Time.Sub(s.windowStart) >= o.SourceWindow {
-		s.windowStart = e.Time
+	} else if at.Sub(s.windowStart) >= o.SourceWindow {
+		s.windowStart = at
 		s.admitted = 0
 	}
 	if s.admitted < o.SourceBudget {

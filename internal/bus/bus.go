@@ -264,7 +264,7 @@ func (b *Bus) Record(e core.Event) {
 			sh.notFull.Wait()
 		}
 	case Adaptive:
-		if !sh.admitAdaptive(&b.opts, e) {
+		if !sh.admitAdaptive(&b.opts, e.Src.Addr(), e.Time) {
 			sh.dropped++
 			sh.mu.Unlock()
 			return

@@ -2,13 +2,21 @@ package core
 
 import (
 	"net/netip"
+	"strings"
 	"sync/atomic"
+	"time"
 )
 
 // MaxRawCapture bounds the number of raw payload bytes preserved per event.
 // Attackers ship multi-kilobyte scripts; we keep enough for forensics and
 // clustering without letting a hostile client balloon memory.
 const MaxRawCapture = 2048
+
+// MaxActionLen bounds a command event's action name. Handlers name some
+// actions from the attacker's input — Redis an unknown command by its
+// first argument, Postgres by the first word of the query — while the
+// longest name a handler or the classify tables use is 27 bytes.
+const MaxActionLen = 128
 
 // Session tracks one client connection to one honeypot instance and turns
 // protocol-level observations into events. Protocol handlers call the
@@ -20,75 +28,48 @@ type Session struct {
 	clock Clock
 	sink  Sink
 
-	// FixedTime, when true, stamps every event with the session's start
-	// time rather than re-reading the clock. The simulator uses this so a
-	// session scheduled at T emits all events at T even while other
-	// goroutines move the shared virtual clock.
-	fixed   bool
-	started atomic.Int64 // unix nanos of the session start
-
-	nEvents atomic.Int64
-	closed  atomic.Bool
+	closed atomic.Bool
 }
 
 // NewSession creates a session for a client at src talking to instance
 // info. clock and sink must be non-nil.
 func NewSession(info Info, src netip.AddrPort, clock Clock, sink Sink) *Session {
-	s := &Session{Info: info, Src: src, clock: clock, sink: sink}
-	s.started.Store(clock.Now().UnixNano())
-	return s
+	return &Session{Info: info, Src: src, clock: clock, sink: sink}
 }
 
-// NewFixedSession creates a session whose events are all stamped with the
-// clock's time at creation. Used for virtual-time simulation where many
-// sessions at different virtual times run concurrently.
-func NewFixedSession(info Info, src netip.AddrPort, clock Clock, sink Sink) *Session {
-	s := NewSession(info, src, clock, sink)
-	s.fixed = true
-	return s
-}
-
-func (s *Session) now() int64 {
-	if s.fixed {
-		return s.started.Load()
-	}
-	return s.clock.Now().UnixNano()
-}
+func (s *Session) now() time.Time { return timeOf(s.clock.Now().UnixNano()) }
 
 func (s *Session) emit(e Event) {
 	e.Src = s.Src
 	e.Honeypot = s.Info
-	s.nEvents.Add(1)
 	s.sink.Record(e)
 }
 
 // Connect records the connection-open event.
 func (s *Session) Connect() {
-	s.emit(Event{Time: timeOf(s.now()), Kind: EventConnect})
+	s.emit(Event{Time: s.now(), Kind: EventConnect})
 }
 
 // Login records a credential capture. ok reports whether the honeypot
 // pretended to accept the login.
 func (s *Session) Login(user, pass string, ok bool) {
-	s.emit(Event{Time: timeOf(s.now()), Kind: EventLogin, User: user, Pass: pass, OK: ok})
+	s.emit(Event{Time: s.now(), Kind: EventLogin, User: user, Pass: pass, OK: ok})
 }
 
 // Command records a normalised DBMS action together with a bounded raw
-// excerpt.
+// excerpt. Both are copies: a sink that keeps the event must not keep
+// alive the (up to MiB-sized) request they were cut from.
 func (s *Session) Command(action, raw string) {
-	if len(raw) > MaxRawCapture {
-		raw = raw[:MaxRawCapture]
-	}
-	s.emit(Event{Time: timeOf(s.now()), Kind: EventCommand, Command: action, Raw: raw})
+	s.emit(Event{Time: s.now(), Kind: EventCommand, Command: clip(action, MaxActionLen), Raw: clip(raw, MaxRawCapture)})
 }
+
+// clip returns a copy of at most the first n bytes of s.
+func clip(s string, n int) string { return strings.Clone(s[:min(len(s), n)]) }
 
 // Close records the connection-close event. It is idempotent.
 func (s *Session) Close() {
 	if s.closed.Swap(true) {
 		return
 	}
-	s.emit(Event{Time: timeOf(s.now()), Kind: EventClose})
+	s.emit(Event{Time: s.now(), Kind: EventClose})
 }
-
-// EventCount reports the number of events emitted so far.
-func (s *Session) EventCount() int64 { return s.nEvents.Load() }

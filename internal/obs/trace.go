@@ -8,19 +8,20 @@ import (
 
 	"decoydb/internal/classify"
 	"decoydb/internal/core"
-	"decoydb/internal/evstore"
 )
 
 // Attack-session tracing. The store aggregates events into per-IP
 // activity records for the paper's offline analyses; an operator
 // watching a live deployment wants the orthogonal cut: what is this
 // session doing *right now*, and what did the last few hundred sessions
-// do. TraceRing keeps a bounded map of in-flight spans — one per
-// (source, honeypot) pair — and a fixed ring of completed ones, each
-// recording the session's phase transitions (banner → auth → query) and
-// its classify verdict. It implements core.Sink/BatchSink, so it
-// registers on the event bus (or behind the relay collector) like any
-// other consumer and costs one mutex acquisition per delivery batch.
+// do. TraceRing keeps a bounded table of in-flight spans — one per
+// (source, honeypot) pair — and a fixed ring of completed ones. A span
+// is a few counters, its phase entry times (banner → auth → query) and
+// its classify verdict, all folded as events arrive, so its size does
+// not depend on what the attacker sends; it becomes a Span only when
+// read. TraceRing implements core.Sink/BatchSink, so it registers on the
+// event bus (or behind the relay collector) like any other consumer and
+// costs one mutex acquisition per delivery batch.
 
 // Session phases, in escalation order. A session starts in "banner"
 // (connected, nothing sent), moves to "auth" on a login attempt and to
@@ -32,6 +33,21 @@ const (
 )
 
 var phaseNames = [...]string{PhaseBanner, PhaseAuth, PhaseQuery}
+
+// Indexes into phaseNames.
+const (
+	bannerPhase = iota
+	authPhase
+	queryPhase
+)
+
+// The ring's bounds. Beyond maxActive in-flight spans the least
+// recently active one is force-completed with an eviction mark; the
+// completed ring keeps the newest ringSize spans.
+const (
+	maxActive = 4096
+	ringSize  = 1024
+)
 
 // Transition records when a span entered a phase.
 type Transition struct {
@@ -59,9 +75,10 @@ type Span struct {
 	Commands    int    `json:"commands"`
 	LastCommand string `json:"last_command,omitempty"`
 
-	// Verdict is the classify behaviour derived from the span's bounded
-	// action sequence — scanning/scouting/exploiting, live-updated for
-	// active spans.
+	// Verdict is the classify behaviour of the span's events —
+	// scanning/scouting/exploiting, live-updated for active spans. It is
+	// classify.Activity folded one event at a time: a login makes the
+	// span scouting, a command raises it to its classify.Step.
 	Verdict string `json:"verdict"`
 	// Live is the source's current behaviour as the streaming analyzer
 	// sees it — across all of the source's sessions, not just this span.
@@ -79,58 +96,36 @@ type spanKey struct {
 	instance            int
 }
 
-// spanState is the mutable in-flight record behind a Span.
+// spanState is a span as the ring keeps it, in flight and completed.
 type spanState struct {
 	key   spanKey
-	info  core.Info
-	start time.Time
-	last  time.Time
-	phase int // index into phaseNames
-	trans []Transition
+	level core.Level
+	// phases has bit i set once the span entered phaseNames[i], at
+	// entered[i]; the highest set bit is the current phase. A span may
+	// skip auth, so the bits are not always contiguous.
+	phases  uint8
+	entered [len(phaseNames)]time.Time
+	last    time.Time // the latest event; a completed span's End
 
 	events, logins, loginOK, commands int
 	lastCommand                       string
-
-	// act mirrors the span's logins/actions in the shape the classifier
-	// consumes, with Actions bounded by TraceOptions.MaxActions.
-	act evstore.Activity
+	verdict                           classify.Behavior
 }
 
-// TraceOptions bounds the ring. The zero value gets defaults.
+// TraceOptions wires the ring into its process.
 type TraceOptions struct {
-	// MaxActive bounds in-flight spans; beyond it the least recently
-	// active span is force-completed with an eviction mark. Default 4096.
-	MaxActive int
-	// Ring is the number of completed spans retained. Default 1024.
-	Ring int
-	// MaxActions bounds the per-span action sequence fed to the
-	// classifier. Default 32.
-	MaxActions int
 	// Verdicts, when set, supplies a source's current streaming verdict
 	// (typically stream.(*Analyzer).Verdict rendered as a string); it is
-	// consulted only when an active span is snapshotted for /traces —
+	// consulted only when an active span is rendered for /traces —
 	// never on the record path — and fills Span.Live.
 	Verdicts func(src netip.Addr) (string, bool)
-}
-
-func (o TraceOptions) withDefaults() TraceOptions {
-	if o.MaxActive <= 0 {
-		o.MaxActive = 4096
-	}
-	if o.Ring <= 0 {
-		o.Ring = 1024
-	}
-	if o.MaxActions <= 0 {
-		o.MaxActions = 32
-	}
-	return o
 }
 
 // TraceStats is the ring's own accounting.
 type TraceStats struct {
 	Active    int               `json:"active"`
 	Completed uint64            `json:"completed"`
-	Evicted   uint64            `json:"evicted"` // force-completed at MaxActive
+	Evicted   uint64            `json:"evicted"` // force-completed at the active cap
 	Verdicts  map[string]uint64 `json:"verdicts"`
 }
 
@@ -142,10 +137,9 @@ type TraceRing struct {
 
 	mu     sync.Mutex
 	active *core.LRU[spanKey, spanState]
-	done   []Span // circular, next points at the oldest slot
-	next   int
-	filled int
-
+	// done holds the newest completed spans; completion n went to slot
+	// n % ringSize.
+	done      [ringSize]spanState
 	completed uint64
 	evicted   uint64
 	verdicts  [3]uint64 // by classify.Behavior
@@ -153,33 +147,28 @@ type TraceRing struct {
 
 // NewTraceRing returns an empty ring.
 func NewTraceRing(opts TraceOptions) *TraceRing {
-	o := opts.withDefaults()
-	return &TraceRing{
-		opts:   o,
-		active: core.NewLRU[spanKey, spanState](o.MaxActive),
-		done:   make([]Span, o.Ring),
-	}
+	return &TraceRing{opts: opts, active: core.NewLRU[spanKey, spanState](maxActive)}
 }
 
 // Record implements core.Sink.
 func (t *TraceRing) Record(e core.Event) {
 	t.mu.Lock()
-	t.record(e)
+	t.record(&e)
 	t.mu.Unlock()
 }
 
 // RecordBatch implements core.BatchSink: one lock per delivery batch.
 func (t *TraceRing) RecordBatch(events []core.Event) error {
 	t.mu.Lock()
-	for _, e := range events {
-		t.record(e)
+	for i := range events {
+		t.record(&events[i])
 	}
 	t.mu.Unlock()
 	return nil
 }
 
-func (t *TraceRing) record(e core.Event) {
-	h := e.Honeypot
+func (t *TraceRing) record(e *core.Event) {
+	h := &e.Honeypot
 	key := spanKey{src: e.Src, dbms: h.DBMS, group: h.Group, config: h.Config, instance: h.Instance}
 	s := t.active.Get(key)
 	if s == nil {
@@ -188,19 +177,17 @@ func (t *TraceRing) record(e core.Event) {
 		if e.Kind == core.EventClose {
 			return
 		}
-		// At MaxActive the least recently active span goes, so a long
+		// At maxActive the least recently active span goes, so a long
 		// session that keeps sending outlives an idle span that lost
 		// its Close.
 		var evicted *spanState
 		s, evicted = t.active.Add(key, spanState{
-			key:   key,
-			info:  e.Honeypot,
-			start: e.Time,
-			trans: []Transition{{Phase: PhaseBanner, At: e.Time}},
+			key: key, level: h.Level,
+			phases: 1 << bannerPhase, entered: [len(phaseNames)]time.Time{bannerPhase: e.Time},
 		})
 		if evicted != nil {
 			t.evicted++
-			t.complete(evicted, evicted.last)
+			t.complete(evicted)
 		}
 	}
 	s.last = e.Time
@@ -208,71 +195,66 @@ func (t *TraceRing) record(e core.Event) {
 	switch e.Kind {
 	case core.EventLogin:
 		s.logins++
-		s.act.Logins++
 		if e.OK {
 			s.loginOK++
-			s.act.LoginOK++
 		}
-		s.advance(PhaseAuth, e.Time)
+		s.advance(authPhase, e.Time)
+		s.verdict = max(s.verdict, classify.Scouting)
 	case core.EventCommand:
 		s.commands++
-		s.act.CommandsRun++
 		s.lastCommand = e.Command
-		if len(s.act.Actions) < t.opts.MaxActions {
-			s.act.Actions = append(s.act.Actions, evstore.Action{Name: e.Command, Raw: e.Raw})
+		s.advance(queryPhase, e.Time)
+		if s.verdict < classify.Exploiting {
+			s.verdict = max(s.verdict, classify.Step(h.DBMS, e.Command, e.Raw))
 		}
-		s.advance(PhaseQuery, e.Time)
 	case core.EventClose:
+		t.complete(s)
 		t.active.Delete(key)
-		t.complete(s, e.Time)
 	}
 }
 
-// advance moves the span forward to the named phase; phases never
+// advance moves the span forward to phaseNames[phase]; phases never
 // regress (a login after commands is not a new auth phase).
-func (s *spanState) advance(phase string, at time.Time) {
-	for i, n := range phaseNames {
-		if n == phase && i > s.phase {
-			s.phase = i
-			s.trans = append(s.trans, Transition{Phase: n, At: at})
-		}
+func (s *spanState) advance(phase int, at time.Time) {
+	if s.phases>>phase == 0 {
+		s.phases |= 1 << phase
+		s.entered[phase] = at
 	}
 }
 
-// complete moves a span that has left the active table into the
+// complete copies a span that is leaving the active table into the
 // completed ring.
-func (t *TraceRing) complete(s *spanState, end time.Time) {
-	sp := s.snapshot()
-	sp.End = end
-	v := classify.Activity(s.info.DBMS, &s.act)
-	if int(v) >= 0 && int(v) < len(t.verdicts) {
-		t.verdicts[v]++
-	}
-	t.done[t.next] = sp
-	t.next = (t.next + 1) % len(t.done)
-	if t.filled < len(t.done) {
-		t.filled++
-	}
+func (t *TraceRing) complete(s *spanState) {
+	t.done[t.completed%ringSize] = *s
 	t.completed++
+	t.verdicts[s.verdict]++
 }
 
-// snapshot renders the current state as a Span (verdict included).
-func (s *spanState) snapshot() Span {
-	return Span{
-		Src:         s.key.src.String(),
-		DBMS:        s.info.DBMS,
-		Honeypot:    s.info.ID(),
-		Tier:        s.info.Level.String(),
-		Start:       s.start,
-		Phase:       phaseNames[s.phase],
-		Transitions: append([]Transition(nil), s.trans...),
+// render builds the Span a reader sees. End stays zero: only completed
+// spans have one.
+func (s *spanState) render() Span {
+	k := &s.key
+	sp := Span{
+		Src:         k.src.String(),
+		DBMS:        k.dbms,
+		Honeypot:    core.Info{DBMS: k.dbms, Group: k.group, Config: k.config, Instance: k.instance}.ID(),
+		Tier:        s.level.String(),
+		Start:       s.entered[bannerPhase],
+		Transitions: make([]Transition, 0, len(phaseNames)),
 		Events:      s.events,
 		Logins:      s.logins,
 		LoginOK:     s.loginOK,
 		Commands:    s.commands,
 		LastCommand: s.lastCommand,
-		Verdict:     classify.Activity(s.info.DBMS, &s.act).String(),
+		Verdict:     s.verdict.String(),
 	}
+	for i, name := range phaseNames {
+		if s.phases&(1<<i) != 0 {
+			sp.Phase = name
+			sp.Transitions = append(sp.Transitions, Transition{Phase: name, At: s.entered[i]})
+		}
+	}
+	return sp
 }
 
 // Active returns up to limit in-flight spans, newest first (limit <= 0
@@ -283,7 +265,7 @@ func (t *TraceRing) Active(limit int) []Span {
 	out := make([]Span, 0, t.active.Len())
 	addrs := make([]netip.Addr, 0, t.active.Len())
 	for _, s := range t.active.All() {
-		out = append(out, s.snapshot())
+		out = append(out, s.render())
 		addrs = append(addrs, s.key.src.Addr())
 	}
 	t.mu.Unlock()
@@ -313,15 +295,15 @@ func (t *TraceRing) Active(limit int) []Span {
 func (t *TraceRing) Recent(limit int) []Span {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	n := t.filled
+	n := int(min(t.completed, ringSize))
 	if limit > 0 && limit < n {
 		n = limit
 	}
-	out := make([]Span, 0, n)
-	for i := 0; i < n; i++ {
-		// next-1 is the newest filled slot.
-		idx := (t.next - 1 - i + 2*len(t.done)) % len(t.done)
-		out = append(out, t.done[idx])
+	out := make([]Span, n)
+	for i := range out {
+		s := &t.done[(t.completed-1-uint64(i))%ringSize]
+		out[i] = s.render()
+		out[i].End = s.last
 	}
 	return out
 }

@@ -437,6 +437,10 @@ func TestForwardFailoverLossless(t *testing.T) {
 			stop1() // SIGKILL-shaped: conns die, unacked frames stay pinned
 		}
 		if i == restartAt && restart == nil {
+			// RecordBatch does not block between the kill and here, so
+			// without this wait a slow pump would see the collector back
+			// before it ever failed over.
+			waitFor(t, 10*time.Second, func() bool { return sinks[addr2].len() > 0 }, "failover collector ingesting before the rebind")
 			// Bring the chosen collector back on the same address; its
 			// dedup state survived Close, so pinned replays are absorbed.
 			ln, err := net.Listen("tcp", addr1)

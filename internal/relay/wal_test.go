@@ -166,14 +166,15 @@ func TestSpoolWALRestartResumes(t *testing.T) {
 	}
 
 	// "Restart": a fresh forwarder over the same directory, now with a
-	// live collector.
+	// live collector. The collector starts serving only after the
+	// reloaded spool is checked: one that is up at once can ack frames
+	// before Stats is read.
 	sink := &memSink{}
 	coll, err := NewCollector(CollectorOptions{Token: "tok"}, sink)
 	if err != nil {
 		t.Fatal(err)
 	}
-	addr, stop := startCollector(t, coll)
-	defer stop()
+	addr := reserveAddr(t)
 
 	w2 := openSpool(t, dir)
 	defer w2.Close()
@@ -188,6 +189,8 @@ func TestSpoolWALRestartResumes(t *testing.T) {
 	if st := fwd2.Stats(); st.SpoolEvents != 100 || st.SpoolFrames != 4 {
 		t.Fatalf("reloaded spool = %d events / %d frames, want 100/4", st.SpoolEvents, st.SpoolFrames)
 	}
+	stop := startCollectorAt(t, coll, addr)
+	defer stop()
 	waitFor(t, 5*time.Second, func() bool { return sink.len() == 100 }, "replayed spool delivery")
 
 	// The restarted forwarder keeps working past the replayed tail.
