@@ -57,7 +57,7 @@ func main() {
 	var (
 		listen    = flag.String("listen", "127.0.0.1:7100", "address to accept relay connections on")
 		token     = flag.String("token", "", "shared secret forwarders must present (required)")
-		days      = flag.Int("days", core.ExperimentDays, "capture window length in days for the event store")
+		days      = flag.Int("days", core.ExperimentDays, fmt.Sprintf("capture window length in days for the event store (1 to %d)", evstore.MaxDays))
 		runFor    = flag.Duration("runfor", 0, "stop after this long (0 = until signal)")
 		statsEach = flag.Duration("statsevery", time.Minute, "interval between stats log lines (0 = off)")
 		retain    = flag.Duration("retain", 0, "journal retention: expire -store segments older than this, and compact acknowledged batches after the final snapshot dump (0 = keep everything)")
@@ -69,6 +69,9 @@ func main() {
 	flag.Parse()
 	if *token == "" {
 		log.Fatal("-token is required: forwarders authenticate with it")
+	}
+	if *days < 1 || *days > evstore.MaxDays {
+		log.Fatalf("-days %d: the store window holds 1 to %d days", *days, evstore.MaxDays)
 	}
 	if peersFlag.Enabled() && !adminFlag.Enabled() {
 		log.Fatal("-peers requires -admin: the merged /query is served on the admin plane")

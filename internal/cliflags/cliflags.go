@@ -98,21 +98,11 @@ func ParseForward(spec string, base relay.ForwardOptions) (relay.ForwardOptions,
 		}
 		switch key {
 		case "addrs", "addr":
-			base.Addrs = nil
-			seen := make(map[string]bool)
-			for _, a := range strings.Split(val, "|") {
-				if a = strings.TrimSpace(a); a != "" {
-					// A duplicate endpoint is always a typo, and a
-					// dangerous one: rendezvous ranking would count the
-					// collector twice, so reject it here rather than
-					// letting the sink quietly dedupe.
-					if seen[a] {
-						return base, fmt.Errorf("-forward: duplicate collector address %q in addrs=%s", a, val)
-					}
-					seen[a] = true
-					base.Addrs = append(base.Addrs, a)
-				}
+			addrs, err := relay.ParseAddrs(val)
+			if err != nil {
+				return base, fmt.Errorf("-forward: %w", err)
 			}
+			base.Addrs = addrs
 		case "token":
 			base.Token = val
 		case "farm":

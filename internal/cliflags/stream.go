@@ -8,7 +8,7 @@ import (
 )
 
 // Stream carries the -stream flag after flag parsing. It attaches the
-// online classification/clustering analyzer, with its default bounds,
+// online classification/clustering analyzer, with its fixed bounds,
 // to the event path. Every event-handling binary (decoydb, dbsim,
 // dbcollect) registers it, so the live farm, the simulator and the
 // collector build the same analyzer.

@@ -7,10 +7,12 @@
 // drift apart: a relay frame and its spool record carry the same bytes.
 //
 // Like everything downstream of a honeypot, the decoder treats its
-// input as hostile: every declared size is validated against Limits
-// before allocation, the CRC is verified before decompression, and the
+// input as hostile: every declared size is validated against the hard
+// limits below, the CRC is verified before decompression, and the
 // decompressor is capped at the declared size so a zip bomb cannot
-// inflate past its declaration.
+// inflate past its declaration. Memory follows the bytes that arrive,
+// not the sizes declared: the inflate buffer starts at what the payload
+// can hold and grows only as a deflated payload really inflates.
 //
 // Compress writes one encoding, flate stored blocks: a connected farm's
 // batch is mostly two or three brute-force events, too few to compress,
@@ -62,6 +64,10 @@ const (
 	MaxOwnerAddr = 256
 )
 
+// minEventLen is the encoded size of an event whose strings are all
+// empty: no event encodes to less.
+var minEventLen = int64(len(appendEvent(nil, core.Event{})))
+
 // maxStoredBlock is the largest stored block flate can express (its
 // LEN field is 16 bits), and the size compress/flate cuts them at.
 const maxStoredBlock = 1<<16 - 1
@@ -73,24 +79,6 @@ var (
 	// ErrChecksum is returned when the payload CRC does not match.
 	ErrChecksum = errors.New("evcodec: payload checksum mismatch")
 )
-
-// Limits bound what ReadBatch will allocate for one batch. The zero
-// value means the package defaults.
-type Limits struct {
-	MaxRaw    int // decompressed payload bytes (0 = DefaultMaxRaw)
-	MaxEvents int // events per batch (0 = DefaultMaxEvents)
-}
-
-// WithDefaults fills zero fields with the package defaults.
-func (l Limits) WithDefaults() Limits {
-	if l.MaxRaw <= 0 {
-		l.MaxRaw = DefaultMaxRaw
-	}
-	if l.MaxEvents <= 0 {
-		l.MaxEvents = DefaultMaxEvents
-	}
-	return l
-}
 
 // Payload is an encoded event payload, ready to be framed into a batch
 // body. It carries no sequence number, so it can be built outside
@@ -228,11 +216,12 @@ func (inf *inflater) release() {
 // batch body from r (through to the end of the buffer — the payload is
 // whatever remains). It inflates a payload written at any flate level,
 // so frames and segments earlier builds deflated still decode. Every
-// declared size is validated against lim before allocation, the CRC is verified before
-// decompression, and the decompressed payload must parse into exactly
-// the declared event count with no bytes left over.
-func ReadBatch(r *wire.Reader, lim Limits) (seq uint64, events []core.Event, rawLen int, err error) {
-	lim = lim.WithDefaults()
+// declared size is validated against DefaultMaxRaw and DefaultMaxEvents,
+// the CRC is verified before decompression, and the decompressed
+// payload must parse into exactly the declared event count with no
+// bytes left over. What it allocates follows what the payload really
+// inflates to, never a size the body only declares.
+func ReadBatch(r *wire.Reader) (seq uint64, events []core.Event, rawLen int, err error) {
 	if seq, err = r.Uint64LE(); err != nil {
 		return 0, nil, 0, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
@@ -240,15 +229,21 @@ func ReadBatch(r *wire.Reader, lim Limits) (seq uint64, events []core.Event, raw
 	if err != nil {
 		return 0, nil, 0, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
-	if count == 0 || int64(count) > int64(lim.MaxEvents) {
-		return 0, nil, 0, fmt.Errorf("%w: %d events declared (limit %d)", ErrCorrupt, count, lim.MaxEvents)
+	if count == 0 || count > DefaultMaxEvents {
+		return 0, nil, 0, fmt.Errorf("%w: %d events declared (limit %d)", ErrCorrupt, count, DefaultMaxEvents)
 	}
 	declaredRaw, err := r.Uint32LE()
 	if err != nil {
 		return 0, nil, 0, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
-	if int64(declaredRaw) > int64(lim.MaxRaw) {
-		return 0, nil, 0, fmt.Errorf("%w: %d-byte payload declared (limit %d)", wire.ErrFrameTooLarge, declaredRaw, lim.MaxRaw)
+	if declaredRaw > DefaultMaxRaw {
+		return 0, nil, 0, fmt.Errorf("%w: %d-byte payload declared (limit %d)", wire.ErrFrameTooLarge, declaredRaw, DefaultMaxRaw)
+	}
+	// Every event encodes to at least minEventLen bytes, so a count the
+	// payload cannot hold is corrupt before anything is inflated, and
+	// the events slice below is never larger than the payload warrants.
+	if int64(count)*minEventLen > int64(declaredRaw) {
+		return 0, nil, 0, fmt.Errorf("%w: %d events cannot fit %d payload bytes", ErrCorrupt, count, declaredRaw)
 	}
 	sum, err := r.Uint32LE()
 	if err != nil {
@@ -265,10 +260,13 @@ func ReadBatch(r *wire.Reader, lim Limits) (seq uint64, events []core.Event, raw
 	}
 	// The limit caps the decompressor at declaredRaw+1: a payload that
 	// inflates past its declaration is rejected without allocating more
-	// than one extra byte past the bound. The headroom past that byte
-	// lets ReadFrom see EOF without growing the buffer.
+	// than one extra byte past the bound. The buffer starts at what the
+	// payload can hold: stored blocks never inflate past len(comp), so
+	// for them this is declaredRaw, and the headroom past the extra
+	// byte lets ReadFrom see EOF without growing it. A deflated payload
+	// grows the buffer as it inflates.
 	inf.lim = io.LimitedReader{R: inf.fr, N: int64(declaredRaw) + 1}
-	inf.out.Grow(int(declaredRaw) + 1 + bytes.MinRead)
+	inf.out.Grow(min(int(declaredRaw), len(comp)) + 1 + bytes.MinRead)
 	n, err := inf.out.ReadFrom(&inf.lim)
 	if err != nil {
 		return 0, nil, 0, fmt.Errorf("%w: decompress: %v", ErrCorrupt, err)

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"math/rand/v2"
 	"net/netip"
 	"reflect"
@@ -169,7 +170,7 @@ func TestRoundTrip(t *testing.T) {
 		t.Run(rt.name, func(t *testing.T) {
 			for i, evs := range batches {
 				body, rawLen := rt.encode(t, uint64(i+1), evs)
-				seq, got, gotRaw, err := ReadBatch(wire.NewReader(body), Limits{})
+				seq, got, gotRaw, err := ReadBatch(wire.NewReader(body))
 				if err != nil {
 					t.Fatalf("batch %d: ReadBatch: %v", i, err)
 				}
@@ -198,7 +199,7 @@ func TestConcurrentRoundTrip(t *testing.T) {
 			for i := 0; i < 200; i++ {
 				evs := testEvents(1 + (g+i)%5)
 				body, _ := encode(uint64(i), evs)
-				_, got, _, err := ReadBatch(wire.NewReader(body), Limits{})
+				_, got, _, err := ReadBatch(wire.NewReader(body))
 				if err != nil || !reflect.DeepEqual(got, evs) {
 					t.Errorf("goroutine %d, batch %d: round trip failed: %v", g, i, err)
 					return
@@ -258,7 +259,7 @@ func TestReadBatchRejects(t *testing.T) {
 	comp := stored(t, raw)
 	crc := crc32.ChecksumIEEE(comp)
 	valid := frame(7, len(evs), len(raw), comp, crc)
-	if _, got, _, err := ReadBatch(wire.NewReader(valid), Limits{}); err != nil || !reflect.DeepEqual(got, evs) {
+	if _, got, _, err := ReadBatch(wire.NewReader(valid)); err != nil || !reflect.DeepEqual(got, evs) {
 		t.Fatalf("hand-framed valid batch: %v", err)
 	}
 	extra := append(append([]byte(nil), raw...), 0xee)
@@ -267,32 +268,68 @@ func TestReadBatchRejects(t *testing.T) {
 	cases := []struct {
 		name string
 		body []byte
-		lim  Limits
 		want error
 	}{
-		{"bad CRC", frame(7, len(evs), len(raw), comp, crc^1), Limits{}, ErrChecksum},
-		{"raw size over the limit", frame(7, len(evs), len(raw), comp, crc), Limits{MaxRaw: len(raw) - 1}, wire.ErrFrameTooLarge},
-		{"raw size over the default", frame(7, 1, DefaultMaxRaw+1, comp, crc), Limits{}, wire.ErrFrameTooLarge},
-		{"inflates past its declaration", frame(7, len(evs), len(raw)-1, comp, crc), Limits{}, ErrCorrupt},
-		{"inflates short of its declaration", frame(7, len(evs), len(raw)+1, comp, crc), Limits{}, ErrCorrupt},
-		{"trailing payload bytes", frame(7, len(evs), len(extra), extraComp, crc32.ChecksumIEEE(extraComp)), Limits{}, ErrCorrupt},
-		{"fewer events than declared", frame(7, len(evs)+1, len(raw), comp, crc), Limits{}, ErrCorrupt},
-		{"more events than declared", frame(7, len(evs)-1, len(raw), comp, crc), Limits{}, ErrCorrupt},
-		{"zero events", frame(7, 0, len(raw), comp, crc), Limits{}, ErrCorrupt},
-		{"events over the limit", frame(7, len(evs), len(raw), comp, crc), Limits{MaxEvents: len(evs) - 1}, ErrCorrupt},
-		{"not flate", frame(7, 1, 10, garbage, crc32.ChecksumIEEE(garbage)), Limits{}, ErrCorrupt},
-		{"truncated flate", frame(7, len(evs), len(raw), comp[:len(comp)-3], crc32.ChecksumIEEE(comp[:len(comp)-3])), Limits{}, ErrCorrupt},
-		{"truncated header", valid[:19], Limits{}, ErrCorrupt},
-		{"empty", nil, Limits{}, ErrCorrupt},
+		{"bad CRC", frame(7, len(evs), len(raw), comp, crc^1), ErrChecksum},
+		{"raw size over the limit", frame(7, len(evs), math.MaxUint32, comp, crc), wire.ErrFrameTooLarge},
+		{"raw size over the default", frame(7, 1, DefaultMaxRaw+1, comp, crc), wire.ErrFrameTooLarge},
+		{"inflates past its declaration", frame(7, len(evs), len(raw)-1, comp, crc), ErrCorrupt},
+		{"inflates short of its declaration", frame(7, len(evs), len(raw)+1, comp, crc), ErrCorrupt},
+		{"trailing payload bytes", frame(7, len(evs), len(extra), extraComp, crc32.ChecksumIEEE(extraComp)), ErrCorrupt},
+		{"fewer events than declared", frame(7, len(evs)+1, len(raw), comp, crc), ErrCorrupt},
+		{"more events than declared", frame(7, len(evs)-1, len(raw), comp, crc), ErrCorrupt},
+		{"zero events", frame(7, 0, len(raw), comp, crc), ErrCorrupt},
+		{"events over the limit", frame(7, DefaultMaxEvents+1, len(raw), comp, crc), ErrCorrupt},
+		{"more events than the payload can hold", frame(7, DefaultMaxEvents, len(raw), comp, crc), ErrCorrupt},
+		{"not flate", frame(7, 1, 10, garbage, crc32.ChecksumIEEE(garbage)), ErrCorrupt},
+		{"truncated flate", frame(7, len(evs), len(raw), comp[:len(comp)-3], crc32.ChecksumIEEE(comp[:len(comp)-3])), ErrCorrupt},
+		{"truncated header", valid[:19], ErrCorrupt},
+		{"empty", nil, ErrCorrupt},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, got, _, err := ReadBatch(wire.NewReader(tc.body), tc.lim)
+			_, got, _, err := ReadBatch(wire.NewReader(tc.body))
 			if !errors.Is(err, tc.want) {
 				t.Fatalf("err = %v, want %v", err, tc.want)
 			}
 			if got != nil {
 				t.Fatalf("returned %d events alongside the error", len(got))
+			}
+		})
+	}
+}
+
+// TestReadBatchAllocatesWhatArrives: what ReadBatch allocates follows
+// the bytes a body holds, not the sizes it declares. A 33-byte body
+// that declares DefaultMaxRaw payload bytes, and a three-event body that
+// declares DefaultMaxEvents events, are both rejected within a budget
+// far below either declaration.
+func TestReadBatchAllocatesWhatArrives(t *testing.T) {
+	const budget = 128 << 10
+	tiny := stored(t, []byte{1, 2, 3})
+	evs := testEvents(3)
+	var raw []byte
+	for _, e := range evs {
+		raw = appendEvent(raw, e)
+	}
+	comp := stored(t, raw)
+	for _, tc := range []struct {
+		name string
+		body []byte
+	}{
+		{"declares DefaultMaxRaw", frame(1, 1, DefaultMaxRaw, tiny, crc32.ChecksumIEEE(tiny))},
+		{"declares DefaultMaxEvents", frame(1, DefaultMaxEvents, len(raw), comp, crc32.ChecksumIEEE(comp))},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			_, _, _, err := ReadBatch(wire.NewReader(tc.body))
+			runtime.ReadMemStats(&after)
+			if !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("err = %v, want ErrCorrupt", err)
+			}
+			if n := after.TotalAlloc - before.TotalAlloc; n >= budget {
+				t.Fatalf("ReadBatch allocated %d bytes for a %d-byte body, budget %d", n, len(tc.body), budget)
 			}
 		})
 	}
@@ -304,7 +341,7 @@ func TestReadBatchDropsLargeBuffers(t *testing.T) {
 	evs := testEvents(1)
 	evs[0].Raw = strings.Repeat("x", maxPooledInflate)
 	body, _ := encode(1, evs)
-	if _, _, _, err := ReadBatch(wire.NewReader(body), Limits{}); err != nil {
+	if _, _, _, err := ReadBatch(wire.NewReader(body)); err != nil {
 		t.Fatal(err)
 	}
 	inf := inflaters.Get().(*inflater)
@@ -357,7 +394,7 @@ func BenchmarkCodec(b *testing.B) {
 		body, _ := encode(1, evs)
 		b.ReportAllocs()
 		for b.Loop() {
-			if _, _, _, err := ReadBatch(wire.NewReader(body), Limits{}); err != nil {
+			if _, _, _, err := ReadBatch(wire.NewReader(body)); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -38,10 +38,11 @@ import (
 //     the tail, as with any distributed top-K.
 //
 // Peers are asked for limit+offset records from zero so the merged page
-// is correct at any offset. Each collector caps that wide page at its
-// MaxLimit, so the merged order ends there: a query with offset+limit
-// past the local MaxLimit (collectors in a tier share one) is refused
-// with 400 rather than answered cut short, shifted or empty. A peer
+// is correct at any offset. Every collector caps that wide page at
+// maxLimit (1,000), so the merged order ends there: a query with
+// offset+limit past maxLimit is refused with 400 rather than answered
+// cut short, shifted or empty. A peer fetch that takes longer than
+// peerTimeout (5 s) counts as a failed peer. A peer
 // that fails to answer degrades the response, not the request: its
 // slot is reported in Tier.Peers and the rest of the tier is merged as
 // usual.
@@ -51,8 +52,6 @@ type FanInOptions struct {
 	// Peers are admin-plane addresses (host:port) of the other
 	// collectors in the tier.
 	Peers []string
-	// Timeout bounds each peer fetch. Default 5s.
-	Timeout time.Duration
 	// Logf logs peer failures; nil discards.
 	Logf func(format string, args ...any)
 }
@@ -67,14 +66,14 @@ type FanIn struct {
 	peerErrors  atomic.Uint64
 }
 
+// peerTimeout bounds each peer fetch.
+const peerTimeout = 5 * time.Second
+
 // NewFanIn builds the fan-in handler.
 func NewFanIn(opts FanInOptions) *FanIn {
-	if opts.Timeout <= 0 {
-		opts.Timeout = 5 * time.Second
-	}
 	f := &FanIn{opts: opts}
 	for _, addr := range opts.Peers {
-		f.clients = append(f.clients, NewClient(addr, opts.Timeout))
+		f.clients = append(f.clients, NewClient(addr, peerTimeout))
 	}
 	return f
 }
@@ -116,8 +115,7 @@ func (f *FanIn) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	// (peers run fan-ins too; scope=local is the recursion breaker) and
 	// for the merged page's worth of records from offset zero: a record
 	// on page two locally may be page one tier-wide, and vice versa.
-	maxLimit := f.opts.Local.opts.MaxLimit
-	limit, offset, nCreds := req.page(maxLimit)
+	limit, offset, nCreds := req.page()
 	if offset > maxLimit-limit {
 		http.Error(w, fmt.Sprintf("offset+limit exceeds %d: a tier query cannot page deeper than one collector's page", maxLimit),
 			http.StatusBadRequest)
@@ -144,7 +142,7 @@ func (f *FanIn) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		wg.Add(1)
 		go func(i int, cl *Client) {
 			defer wg.Done()
-			ctx, cancel := context.WithTimeout(r.Context(), f.opts.Timeout)
+			ctx, cancel := context.WithTimeout(r.Context(), peerTimeout)
 			defer cancel()
 			f.peerFetches.Add(1)
 			resp, err := cl.Query(ctx, wide)

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"context"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"net/netip"
@@ -169,10 +170,10 @@ func TestFanInMerge(t *testing.T) {
 }
 
 // TestFanInRefusesPagesPastMaxLimit: every collector caps the wide page
-// at MaxLimit, so the merged order is only known that deep. A page
+// at maxLimit, so the merged order is only known that deep. A page
 // within it is exact; a deeper one is refused, not answered shifted.
 func TestFanInRefusesPagesPastMaxLimit(t *testing.T) {
-	local := NewQueryHandler(QueryOptions{Store: evstoreWith(t, 0, 4), MaxLimit: 2})
+	local := NewQueryHandler(QueryOptions{Store: evstoreWith(t, 0, 4)})
 	fi := NewFanIn(FanInOptions{Local: local, Peers: []string{startPeer(t, 0, 3, 8)}, Logf: t.Logf})
 	ts := httptest.NewServer(NewServer(ServerOptions{Registry: NewRegistry(), Query: fi}).Handler())
 	defer ts.Close()
@@ -182,8 +183,11 @@ func TestFanInRefusesPagesPastMaxLimit(t *testing.T) {
 	if len(first.Records) != 2 || !reflect.DeepEqual(page.Records, first.Records[1:]) {
 		t.Fatalf("offset=1&limit=1 = %+v, want record 1 of %+v", page.Records, first.Records)
 	}
-	if code, body := get(t, ts, "/query?offset=2&limit=1"); code != http.StatusBadRequest {
-		t.Fatalf("offset=2&limit=1 past MaxLimit 2: %d %s, want 400", code, body)
+	if last := queryJSON(t, ts, fmt.Sprintf("offset=%d&limit=1", maxLimit-1)); len(last.Records) != 0 {
+		t.Fatalf("offset=%d&limit=1 = %+v, want an empty page past the 9 sources", maxLimit-1, last.Records)
+	}
+	if code, body := get(t, ts, fmt.Sprintf("/query?offset=%d&limit=1", maxLimit)); code != http.StatusBadRequest {
+		t.Fatalf("offset=%d&limit=1 past maxLimit %d: %d %s, want 400", maxLimit, maxLimit, code, body)
 	}
 }
 
@@ -225,9 +229,8 @@ func TestFanInMutualPeers(t *testing.T) {
 	// Build both planes first so each fan-in can list the other.
 	newTier := func(from, to int) (*FanIn, *httptest.Server) {
 		fi := NewFanIn(FanInOptions{
-			Local:   NewQueryHandler(QueryOptions{Store: evstoreWith(t, from, to)}),
-			Timeout: 5 * time.Second,
-			Logf:    t.Logf,
+			Local: NewQueryHandler(QueryOptions{Store: evstoreWith(t, from, to)}),
+			Logf:  t.Logf,
 		})
 		srv := NewServer(ServerOptions{Registry: NewRegistry(), Query: fi})
 		ts := httptest.NewServer(srv.Handler())
@@ -260,10 +263,9 @@ func TestFanInMutualPeers(t *testing.T) {
 func TestFanInPeerFailure(t *testing.T) {
 	local := NewQueryHandler(QueryOptions{Store: evstoreWith(t, 0, 4)})
 	fi := NewFanIn(FanInOptions{
-		Local:   local,
-		Peers:   []string{"127.0.0.1:1"}, // nothing listens here
-		Timeout: time.Second,
-		Logf:    t.Logf,
+		Local: local,
+		Peers: []string{"127.0.0.1:1"}, // nothing listens here
+		Logf:  t.Logf,
 	})
 	srv := NewServer(ServerOptions{Registry: NewRegistry(), Query: fi})
 	ts := httptest.NewServer(srv.Handler())
@@ -334,10 +336,9 @@ func TestFanInApproxOnTruncatedPages(t *testing.T) {
 func TestFanInApproxOnPeerFailure(t *testing.T) {
 	local := NewQueryHandler(QueryOptions{Store: evstoreWith(t, 0, 4)})
 	fi := NewFanIn(FanInOptions{
-		Local:   local,
-		Peers:   []string{"127.0.0.1:1"},
-		Timeout: time.Second,
-		Logf:    t.Logf,
+		Local: local,
+		Peers: []string{"127.0.0.1:1"},
+		Logf:  t.Logf,
 	})
 	srv := NewServer(ServerOptions{Registry: NewRegistry(), Query: fi})
 	ts := httptest.NewServer(srv.Handler())

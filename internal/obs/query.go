@@ -32,25 +32,19 @@ import (
 // QueryOptions configures a QueryHandler.
 type QueryOptions struct {
 	Store *evstore.Store
-	// MaxLimit caps the per-request record page size. Default 1000.
-	MaxLimit int
 }
 
 // Limits every query handler shares: how long a cached snapshot keeps
 // serving before the next request rebuilds it (a request can force a
-// rebuild with ?fresh=1), and the most credential rows one response
-// carries, locally or merged by FanIn.
+// rebuild with ?fresh=1), the most records one page carries, and the
+// most credential rows one response carries, locally or merged by
+// FanIn. Every collector in a tier runs this code, so all of them cap
+// their pages at the same maxLimit.
 const (
 	snapshotMaxAge = time.Second
+	maxLimit       = 1000
 	maxCreds       = 100
 )
-
-func (o QueryOptions) withDefaults() QueryOptions {
-	if o.MaxLimit <= 0 {
-		o.MaxLimit = 1000
-	}
-	return o
-}
 
 // QueryHandler serves /query over a live store. Safe for concurrent use.
 type QueryHandler struct {
@@ -63,7 +57,7 @@ type QueryHandler struct {
 
 // NewQueryHandler returns a handler over the given store.
 func NewQueryHandler(opts QueryOptions) *QueryHandler {
-	return &QueryHandler{opts: opts.withDefaults()}
+	return &QueryHandler{opts: opts}
 }
 
 // snapshot returns the cached snapshot, rebuilding when stale or forced.
@@ -105,7 +99,7 @@ const ScopeLocal = "local"
 // record page size to [0, maxLimit], the offset to >= 0 and the
 // credential rows to [0, maxCreds]. Respond and FanIn cut their pages
 // with it.
-func (q QueryRequest) page(maxLimit int) (limit, offset, creds int) {
+func (q QueryRequest) page() (limit, offset, creds int) {
 	return min(max(q.Limit, 0), maxLimit), max(q.Offset, 0), min(max(q.Creds, 0), maxCreds)
 }
 
@@ -280,7 +274,7 @@ func (h *QueryHandler) Respond(req QueryRequest) (QueryResponse, error) {
 	if err != nil {
 		return QueryResponse{}, err
 	}
-	limit, offset, creds := req.page(h.opts.MaxLimit)
+	limit, offset, creds := req.page()
 	q := evstore.Query{
 		DBMS: req.DBMS,
 		Tier: tier,

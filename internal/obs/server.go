@@ -6,10 +6,10 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"runtime"
-	"strings"
 	"sync/atomic"
 	"time"
 
+	"decoydb/internal/relay"
 	"decoydb/internal/stream"
 )
 
@@ -175,11 +175,10 @@ func (s *Server) handleReloadForward(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	var addrs []string
-	for _, a := range strings.FieldsFunc(r.Form.Get("addrs"), func(c rune) bool { return c == ',' || c == '|' }) {
-		if a = strings.TrimSpace(a); a != "" {
-			addrs = append(addrs, a)
-		}
+	addrs, err := relay.ParseAddrs(r.Form.Get("addrs"))
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
 	}
 	if len(addrs) == 0 {
 		http.Error(w, "addrs=host:port|host:port required", http.StatusBadRequest)

@@ -31,7 +31,8 @@ func ingestSources(t *testing.T, store *evstore.Store, from, to int) {
 	med := core.Info{DBMS: core.Postgres, Level: core.Medium, Group: core.GroupMedium, Config: core.ConfigDefault}
 	var batch []core.Event
 	for i := from; i < to; i++ {
-		src := netip.AddrPortFrom(netip.AddrFrom4([4]byte{203, 0, 113, byte(i + 1)}), 40000)
+		a := i + 1 // 203.0.113.a while a < 256, then on into 203.0.114.0 and up
+		src := netip.AddrPortFrom(netip.AddrFrom4([4]byte{203, byte(a >> 16), 113 + byte(a>>8), byte(a)}), 40000)
 		at := traceStart.Add(time.Duration(i%5) * 24 * time.Hour)
 		if i%2 == 0 {
 			batch = append(batch,
@@ -167,14 +168,14 @@ func TestQueryEndpoint(t *testing.T) {
 	store := testStore(t, 5) // sources 0,2,4 low Redis; 1,3 medium Postgres
 	s := NewServer(ServerOptions{
 		Registry: NewRegistry(),
-		Query:    NewQueryHandler(QueryOptions{Store: store, MaxLimit: 3}),
+		Query:    NewQueryHandler(QueryOptions{Store: store}),
 	})
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
 
 	resp := queryJSON(t, srv, "")
-	if resp.Total != 5 || resp.UniqueIPs != 5 || len(resp.Records) != 3 {
-		t.Fatalf("zero query: total=%d unique=%d records=%d, want 5/5/3 (MaxLimit caps the page)",
+	if resp.Total != 5 || resp.UniqueIPs != 5 || len(resp.Records) != 5 {
+		t.Fatalf("zero query: total=%d unique=%d records=%d, want 5/5/5 (the default page holds them all)",
 			resp.Total, resp.UniqueIPs, len(resp.Records))
 	}
 	if resp.Events != 12 {
@@ -213,14 +214,23 @@ func TestQueryEndpoint(t *testing.T) {
 		t.Errorf("day-0 total = %d, want 1", resp.Total)
 	}
 
-	// Pagination: offset walks, limit caps at MaxLimit.
+	// Pagination: offset walks, limit caps at maxLimit.
 	resp = queryJSON(t, srv, "limit=2&offset=4")
 	if resp.Total != 5 || len(resp.Records) != 1 || resp.Offset != 4 {
 		t.Errorf("page: total=%d records=%d offset=%d, want 5/1/4", resp.Total, len(resp.Records), resp.Offset)
 	}
-	resp = queryJSON(t, srv, "limit=100")
-	if len(resp.Records) != 3 {
-		t.Errorf("limit=100 returned %d records, want MaxLimit=3", len(resp.Records))
+	big := httptest.NewServer(NewServer(ServerOptions{
+		Registry: NewRegistry(),
+		Query:    NewQueryHandler(QueryOptions{Store: testStore(t, maxLimit+5)}),
+	}).Handler())
+	defer big.Close()
+	if resp := queryJSON(t, big, ""); resp.Total != maxLimit+5 || len(resp.Records) != 100 {
+		t.Errorf("zero query over %d sources: total=%d records=%d, want the default page of 100",
+			maxLimit+5, resp.Total, len(resp.Records))
+	}
+	resp = queryJSON(t, big, fmt.Sprintf("limit=%d", 2*maxLimit))
+	if len(resp.Records) != maxLimit {
+		t.Errorf("limit=%d returned %d records, want maxLimit=%d", 2*maxLimit, len(resp.Records), maxLimit)
 	}
 	resp = queryJSON(t, srv, "offset=99")
 	if len(resp.Records) != 0 || resp.Total != 5 {
@@ -320,9 +330,13 @@ func TestReloadForwardEndpoint(t *testing.T) {
 	if code, _ := get(t, ts, "/reload/forward"); code != http.StatusMethodNotAllowed {
 		t.Fatalf("GET /reload/forward = %d, want 405", code)
 	}
-	// Missing addrs is a client error, not a hook call.
+	// Missing addrs is a client error, not a hook call; so is a
+	// duplicate address, as -forward and -forward-file reject it.
 	if code, _ := post(""); code != http.StatusBadRequest {
 		t.Fatalf("empty POST = %d, want 400", code)
+	}
+	if code, body := post("addrs=a:1|b:2| a:1"); code != http.StatusBadRequest || !strings.Contains(body, "duplicate") {
+		t.Fatalf("duplicate addrs = %d %q, want 400 naming the duplicate", code, body)
 	}
 	if len(got) != 1 {
 		t.Fatalf("hook ran on a rejected request (%d calls)", len(got))

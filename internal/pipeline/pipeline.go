@@ -378,8 +378,22 @@ func parseLine(line []byte) (core.Event, error) {
 	return fromSession(r)
 }
 
+// parseTime reads a line's timestamp. LogWriter writes it in UTC, and
+// RFC 3339 writes years 0000 to 9999 only, so a time outside them in
+// UTC is not a line LogWriter could have written, and it is refused.
+func parseTime(s string) (time.Time, error) {
+	t, err := time.Parse(time.RFC3339Nano, s)
+	if err != nil {
+		return time.Time{}, err
+	}
+	if y := t.UTC().Year(); y < 0 || y > 9999 {
+		return time.Time{}, fmt.Errorf("time %q is in year %d in UTC", s, y)
+	}
+	return t, nil
+}
+
 func fromQeeqbox(r qeeqboxRecord) (core.Event, error) {
-	t, err := time.Parse(time.RFC3339Nano, r.Timestamp)
+	t, err := parseTime(r.Timestamp)
 	if err != nil {
 		return core.Event{}, err
 	}
@@ -413,7 +427,7 @@ func fromQeeqbox(r qeeqboxRecord) (core.Event, error) {
 }
 
 func fromSession(r sessionRecord) (core.Event, error) {
-	t, err := time.Parse(time.RFC3339Nano, r.Time)
+	t, err := parseTime(r.Time)
 	if err != nil {
 		return core.Event{}, err
 	}

@@ -22,17 +22,12 @@ type CollectorOptions struct {
 	// response (the port is Internet-facing — it should look like
 	// nothing to a scanner).
 	Token string
-	// Limits bound per-frame decode allocations. Frames on the wire are
-	// capped at DefaultMaxFrame.
-	Limits Limits
 	// IdleTimeout drops an authenticated connection that sends no frame
 	// for this long — a half-open or dead farm link must not pin its
 	// handler goroutine and conns entry forever. The forwarder dials
 	// lazily, so an idle farm simply reconnects when it next has events.
 	// 0 means DefaultIdleTimeout.
 	IdleTimeout time.Duration
-	// WriteTimeout bounds each ACK write. 0 means DefaultWriteTimeout.
-	WriteTimeout time.Duration
 	// Farms seeds the per-farm dedup state, restoring the high-water
 	// marks a previous collector process journalled before it died (see
 	// DecodeSourceTag). A restored farm's retransmitted batches dedup
@@ -60,12 +55,8 @@ const DefaultHelloTimeout = 10 * time.Second
 const DefaultIdleTimeout = 5 * time.Minute
 
 func (o CollectorOptions) withDefaults() CollectorOptions {
-	o.Limits = o.Limits.WithDefaults()
 	if o.IdleTimeout <= 0 {
 		o.IdleTimeout = DefaultIdleTimeout
-	}
-	if o.WriteTimeout <= 0 {
-		o.WriteTimeout = DefaultWriteTimeout
 	}
 	return o
 }
@@ -321,7 +312,7 @@ func (c *Collector) handle(conn net.Conn) {
 			return // EOF / reset / idle: the forwarder reconnects and retransmits
 		}
 		c.wireBytes.Add(uint64(4 + len(body)))
-		seq, events, rawLen, err := DecodeBatch(body, c.opts.Limits)
+		seq, events, rawLen, err := DecodeBatch(body)
 		if err != nil {
 			// Frame-level corruption past auth is either a version skew
 			// or an attack; drop the connection rather than resyncing.
@@ -377,7 +368,7 @@ func (c *Collector) handle(conn net.Conn) {
 		// the sinks, so the forwarder's retransmit can never lose data —
 		// only produce a dup the sequence check absorbs. An ack means
 		// "handed to at least one sink", not "durably stored".
-		_ = conn.SetWriteDeadline(time.Now().Add(c.opts.WriteTimeout))
+		_ = conn.SetWriteDeadline(time.Now().Add(DefaultWriteTimeout))
 		if err := wire.WriteFrame(conn, encodeAck(seq)); err != nil {
 			return
 		}

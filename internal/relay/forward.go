@@ -91,7 +91,8 @@ type ForwardOptions struct {
 }
 
 // Defaults for ForwardOptions, and the dial timeout and retry cap
-// (see ledger.next) every forwarder uses.
+// (see ledger.next) every forwarder uses. DefaultWriteTimeout also
+// bounds each ACK a Collector writes.
 const (
 	DefaultFrameEvents      = 512
 	DefaultSpoolBytes       = 64 << 20
@@ -267,10 +268,29 @@ func NewForwardSink(opts ForwardOptions) (*ForwardSink, error) {
 	return f, nil
 }
 
+// ParseAddrs parses an operator's collector address list, as -forward's
+// addrs= and POST /reload/forward take it: addresses separated by | or
+// ",", each trimmed, empties dropped. A duplicate is always a typo, and
+// a dangerous one: rendezvous ranking would count the collector twice,
+// so it is an error here rather than collapsed by cleanAddrs.
+func ParseAddrs(list string) ([]string, error) {
+	var addrs []string
+	for _, a := range strings.FieldsFunc(list, func(c rune) bool { return c == '|' || c == ',' }) {
+		if a = strings.TrimSpace(a); a == "" {
+			continue
+		}
+		if slices.Contains(addrs, a) {
+			return nil, fmt.Errorf("duplicate collector address %q in %q", a, list)
+		}
+		addrs = append(addrs, a)
+	}
+	return addrs, nil
+}
+
 // cleanAddrs trims, drops empties and dedupes an address list, keeping
-// first-occurrence order. The strict duplicate check lives at the flag
-// parser (cliflags); here a duplicate is collapsed so programmatic
-// callers cannot corrupt per-endpoint state.
+// first-occurrence order. The strict duplicate check is ParseAddrs's;
+// here a duplicate is collapsed so programmatic callers cannot corrupt
+// per-endpoint state.
 func cleanAddrs(in []string) []string {
 	var out []string
 	for _, a := range in {

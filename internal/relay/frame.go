@@ -92,11 +92,6 @@ var (
 	ErrChecksum = evcodec.ErrChecksum
 )
 
-// Limits bound what DecodeBatch will allocate for one frame — the
-// shared codec's limits, re-exported so collector configuration does
-// not reach into evcodec.
-type Limits = evcodec.Limits
-
 // header writes the shared magic/version/type prologue.
 func header(w *wire.Writer, typ byte) *wire.Writer {
 	return w.Uint32BE(Magic).Uint8(Version).Uint8(typ)
@@ -220,11 +215,11 @@ func batchFrameLen(p evcodec.Payload) int {
 
 // DecodeBatch is the symmetric inverse of EncodeBatch, and also reads
 // the deflated payloads of farms built before frames carried stored
-// blocks. Every declared size is validated against lim before
-// allocation, the CRC is verified before inflating, and the payload
+// blocks. Every declared size is validated against the shared codec's
+// hard limits, the CRC is verified before inflating, and the payload
 // must parse into exactly the declared event count with no bytes left
 // over.
-func DecodeBatch(body []byte, lim Limits) (seq uint64, events []core.Event, rawLen int, err error) {
+func DecodeBatch(body []byte) (seq uint64, events []core.Event, rawLen int, err error) {
 	r := wire.NewReader(body)
 	typ, err := readHeader(r)
 	if err != nil {
@@ -233,7 +228,7 @@ func DecodeBatch(body []byte, lim Limits) (seq uint64, events []core.Event, rawL
 	if typ != frameBatch {
 		return 0, nil, 0, fmt.Errorf("%w: expected batch, got type %d", ErrBadFrame, typ)
 	}
-	seq, events, rawLen, err = evcodec.ReadBatch(r, lim)
+	seq, events, rawLen, err = evcodec.ReadBatch(r)
 	if err != nil {
 		if errors.Is(err, evcodec.ErrCorrupt) {
 			// Keep the package's historical error shape: structural

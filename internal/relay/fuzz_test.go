@@ -37,7 +37,6 @@ func FuzzDecoders(f *testing.F) {
 		f.Add(append(valid[:len(valid):len(valid)], 0))
 	}
 
-	lim := Limits{MaxRaw: 1 << 16, MaxEvents: 256}
 	f.Fuzz(func(t *testing.T, in []byte) {
 		if token, farm, epoch, err := decodeHello(in); err == nil {
 			if again := encodeHello(token, farm, epoch); !bytes.Equal(again, in) {
@@ -59,7 +58,7 @@ func FuzzDecoders(f *testing.F) {
 				t.Fatalf("accepted spool tag re-encodes to %x, read from %x", again, in)
 			}
 		}
-		checkDecodeBatch(t, in, lim)
+		checkDecodeBatch(t, in)
 		// A mutated payload almost never matches its CRC, which would
 		// keep the fuzzer out of the inflate and event parsers: decode
 		// the body a second time with the CRC made to match.
@@ -67,16 +66,16 @@ func FuzzDecoders(f *testing.F) {
 		if len(in) >= crcEnd {
 			fixed := bytes.Clone(in)
 			binary.LittleEndian.PutUint32(fixed[crcEnd-4:], crc32.ChecksumIEEE(fixed[crcEnd:]))
-			checkDecodeBatch(t, fixed, lim)
+			checkDecodeBatch(t, fixed)
 		}
 	})
 }
 
-// checkDecodeBatch decodes one fuzzed frame body within lim and checks
-// that an accepted one survives a round trip through EncodeBatch.
-func checkDecodeBatch(t *testing.T, body []byte, lim Limits) {
+// checkDecodeBatch decodes one fuzzed frame body and checks that an
+// accepted one survives a round trip through EncodeBatch.
+func checkDecodeBatch(t *testing.T, body []byte) {
 	t.Helper()
-	seq, events, _, err := DecodeBatch(body, lim)
+	seq, events, _, err := DecodeBatch(body)
 	if err != nil {
 		if events != nil {
 			t.Fatalf("returned %d events alongside %v", len(events), err)
@@ -84,7 +83,7 @@ func checkDecodeBatch(t *testing.T, body []byte, lim Limits) {
 		return
 	}
 	again, _ := EncodeBatch(seq, events)
-	seq2, events2, _, err := DecodeBatch(again, Limits{})
+	seq2, events2, _, err := DecodeBatch(again)
 	if err != nil {
 		t.Fatalf("re-encoded batch fails to decode: %v", err)
 	}

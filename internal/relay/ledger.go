@@ -194,7 +194,7 @@ func (l *ledger) shedEvent(e core.Event) {
 // it forever. A single event that cannot fit alone is shed with
 // attribution instead. The stored payload is never smaller than the
 // raw event bytes, so a frame within DefaultMaxFrame is always within
-// the collector's default evcodec.DefaultMaxRaw.
+// evcodec.DefaultMaxRaw.
 func (l *ledger) cut() {
 	for len(l.pending) > 0 {
 		n := len(l.pending)
@@ -335,13 +335,13 @@ func (l *ledger) next(addr string, now time.Time) (*spoolFrame, time.Duration) {
 }
 
 // drop removes spool[i], a frame that led DefaultMaxFrameRetries
-// connections without an ack: the collector rejects it at decode
-// (limits skew, or corruption that survives TCP). Dropping it lets the
-// spool drain instead of replaying it forever; the loss is counted in
-// DroppedFrames and Shed and surfaces via Err. Dropping may raise the
-// floor, so it compacts: otherwise the journal mark would stay below
-// the dropped frame until a later ack, and a restart in between would
-// reload it for another DefaultMaxFrameRetries attempts.
+// connections without an ack: the collector rejects it at decode (a
+// collector of another build, or corruption that survives TCP).
+// Dropping it lets the spool drain instead of replaying it forever; the
+// loss is counted in DroppedFrames and Shed and surfaces via Err. It
+// may raise the floor, so it compacts: else the journal mark would stay
+// below the dropped frame until a later ack, and a restart in between
+// would reload it for another DefaultMaxFrameRetries attempts.
 func (l *ledger) drop(i int) {
 	fr := l.spool[i]
 	l.remove(i)

@@ -29,8 +29,9 @@ import (
 // and which events each collector ingested, and every step is checked
 // against it. A quarter of the seeds run without a journal, as decoydb
 // does without -store: there a crash loses the spool. In a third of
-// them one collector decodes under stricter limits, so the frames
-// pinned to it reach the retry cap.
+// them one collector rejects every frame over 300 raw bytes, as a
+// collector that cannot ingest them would, so the frames pinned to it
+// reach the retry cap.
 func TestLedgerModel(t *testing.T) {
 	seeds, steps := 60, 1000
 	if testing.Short() {
@@ -56,11 +57,12 @@ func TestLedgerModel(t *testing.T) {
 // spool starts a new one on every restart.
 type frameKey struct{ space, seq uint64 }
 
-// modelCollector is one collector: an address, the limits it decodes
-// frames under, and the real dedup state for the one farm.
+// modelCollector is one collector: an address, the largest raw size of
+// a frame it accepts (0 for any), and the real dedup state for the one
+// farm.
 type modelCollector struct {
 	addr   string
-	limits Limits
+	maxRaw int
 	fs     farmState
 }
 
@@ -122,10 +124,10 @@ func newLedgerModel(t *testing.T, seed int64, durable bool) *ledgerModel {
 		m.colls = append(m.colls, &modelCollector{addr: fmt.Sprintf("c%d", i)})
 	}
 	if seed%3 == 0 {
-		// Limits skew: the third collector rejects frames of three or
-		// more events at decode, so the frames pinned to it reach the
-		// retry cap.
-		m.colls[2].limits = Limits{MaxRaw: 300}
+		// The third collector rejects frames of three or more events
+		// once it has decoded them, so the frames pinned to it reach
+		// the retry cap.
+		m.colls[2].maxRaw = 300
 	}
 	m.live = m.colls
 	m.start()
@@ -278,11 +280,11 @@ func (m *ledgerModel) deliver(conn *modelConn) {
 			m.stale = nil
 		}
 	}
-	seq, events, _, err := DecodeBatch(body, c.limits)
+	seq, events, rawLen, err := DecodeBatch(body)
 	if err != nil {
-		if c.limits == (Limits{}) {
-			m.t.Fatal(err)
-		}
+		m.t.Fatal(err)
+	}
+	if c.maxRaw > 0 && rawLen > c.maxRaw {
 		cut()
 		return
 	}
@@ -504,7 +506,7 @@ func (m *ledgerModel) floor() uint64 {
 }
 
 func (m *ledgerModel) setFate(body []byte, fate string) {
-	_, events, _, err := DecodeBatch(body, Limits{})
+	_, events, _, err := DecodeBatch(body)
 	if err != nil {
 		m.t.Fatal(err)
 	}

@@ -96,7 +96,7 @@ func TestBatchRoundTrip(t *testing.T) {
 		t.Fatalf("deflated frame is %d bytes, stored %d: it must be compressed", len(deflated), len(body))
 	}
 	for name, body := range map[string][]byte{"stored": body, "deflated": deflated} {
-		seq, out, gotRaw, err := DecodeBatch(body, Limits{})
+		seq, out, gotRaw, err := DecodeBatch(body)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -153,25 +153,25 @@ func TestBatchRejectsCorruption(t *testing.T) {
 	// inflation.
 	bad := append([]byte(nil), body...)
 	bad[len(bad)-1] ^= 0xff
-	if _, _, _, err := DecodeBatch(bad, Limits{}); !errors.Is(err, ErrChecksum) {
+	if _, _, _, err := DecodeBatch(bad); !errors.Is(err, ErrChecksum) {
 		t.Fatalf("corrupted payload: err = %v, want ErrChecksum", err)
 	}
 
 	// Wrong magic and wrong version are refused outright.
 	bad = append([]byte(nil), body...)
 	bad[0] ^= 0xff
-	if _, _, _, err := DecodeBatch(bad, Limits{}); !errors.Is(err, ErrBadFrame) {
+	if _, _, _, err := DecodeBatch(bad); !errors.Is(err, ErrBadFrame) {
 		t.Fatalf("bad magic: err = %v, want ErrBadFrame", err)
 	}
 	bad = append([]byte(nil), body...)
 	bad[4] = Version + 1
-	if _, _, _, err := DecodeBatch(bad, Limits{}); !errors.Is(err, ErrBadVersion) {
+	if _, _, _, err := DecodeBatch(bad); !errors.Is(err, ErrBadVersion) {
 		t.Fatalf("bad version: err = %v, want ErrBadVersion", err)
 	}
 
 	// Truncation anywhere must error, never panic.
 	for n := 0; n < len(body); n++ {
-		if _, _, _, err := DecodeBatch(body[:n], Limits{}); err == nil {
+		if _, _, _, err := DecodeBatch(body[:n]); err == nil {
 			t.Fatalf("truncated to %d bytes: decoded successfully", n)
 		}
 	}
@@ -179,14 +179,21 @@ func TestBatchRejectsCorruption(t *testing.T) {
 
 func TestBatchHonoursLimits(t *testing.T) {
 	body, _ := EncodeBatch(1, testEvents(100))
-	if _, _, _, err := DecodeBatch(body, Limits{MaxEvents: 10}); !errors.Is(err, ErrBadFrame) {
-		t.Fatalf("over MaxEvents: err = %v, want ErrBadFrame", err)
+	// The batch body follows the 6-byte relay header: seq (8), event
+	// count (4), raw size (4). The payload CRC does not cover them.
+	declare := func(off int, v uint32) []byte {
+		b := bytes.Clone(body)
+		binary.LittleEndian.PutUint32(b[6+off:], v)
+		return b
 	}
-	if _, _, _, err := DecodeBatch(body, Limits{MaxRaw: 64}); !errors.Is(err, wire.ErrFrameTooLarge) {
-		t.Fatalf("over MaxRaw: err = %v, want wire.ErrFrameTooLarge", err)
+	if _, _, _, err := DecodeBatch(declare(8, evcodec.DefaultMaxEvents+1)); !errors.Is(err, ErrBadFrame) {
+		t.Fatalf("over DefaultMaxEvents: err = %v, want ErrBadFrame", err)
 	}
-	if _, _, _, err := DecodeBatch(body, Limits{}); err != nil {
-		t.Fatalf("default limits: %v", err)
+	if _, _, _, err := DecodeBatch(declare(12, evcodec.DefaultMaxRaw+1)); !errors.Is(err, wire.ErrFrameTooLarge) {
+		t.Fatalf("over DefaultMaxRaw: err = %v, want wire.ErrFrameTooLarge", err)
+	}
+	if _, _, _, err := DecodeBatch(body); err != nil {
+		t.Fatalf("within the limits: %v", err)
 	}
 }
 
@@ -787,14 +794,109 @@ func TestOversizedBatchSplitAndShed(t *testing.T) {
 	}
 }
 
+// poisonRaw marks the events of a frame that startCorruptingProxy
+// corrupts on its way to the collector.
+var poisonRaw = strings.Repeat("p", 700)
+
+// poisonEvents returns a frame's worth of events carrying poisonRaw.
+func poisonEvents() []core.Event {
+	poison := testEvents(4)
+	for i := range poison {
+		poison[i].Raw = poisonRaw
+	}
+	return poison
+}
+
+// startCorruptingProxy relays each forwarder connection to addr frame by
+// frame, flipping the last byte of every frame that carries poisonRaw,
+// and copies the collector's replies back. The collector rejects such a
+// frame at its payload CRC check and drops the connection; the proxy
+// then drops the forwarder's side too, as a direct connection would
+// have been dropped.
+func startCorruptingProxy(t *testing.T, addr string) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var (
+		wg     sync.WaitGroup
+		mu     sync.Mutex
+		conns  []net.Conn
+		closed bool
+	)
+	// track hands connections to the cleanup below, or closes them at
+	// once if it has already run.
+	track := func(cs ...net.Conn) {
+		mu.Lock()
+		defer mu.Unlock()
+		if !closed {
+			conns = append(conns, cs...)
+			return
+		}
+		for _, c := range cs {
+			c.Close()
+		}
+	}
+	t.Cleanup(func() {
+		ln.Close()
+		mu.Lock()
+		closed = true
+		for _, c := range conns {
+			c.Close()
+		}
+		mu.Unlock()
+		wg.Wait()
+	})
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			down, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			up, err := net.Dial("tcp", addr)
+			if err != nil {
+				down.Close()
+				continue
+			}
+			track(down, up)
+			wg.Add(2)
+			go func() {
+				defer wg.Done()
+				io.Copy(down, up)
+				down.Close()
+			}()
+			go func() {
+				defer wg.Done()
+				defer up.Close()
+				for {
+					body, err := wire.ReadFrame(down, DefaultMaxFrame)
+					if err != nil {
+						return
+					}
+					if bytes.Contains(body, []byte(poisonRaw)) {
+						body[len(body)-1] ^= 0xff
+					}
+					if err := wire.WriteFrame(up, body); err != nil {
+						return
+					}
+				}
+			}()
+		}
+	}()
+	return ln.Addr().String()
+}
+
 func TestPoisonFrameDroppedAfterRetries(t *testing.T) {
-	// The collector enforces stricter decode limits than the forwarder
-	// validates against (limits skew between the two ends). Its decode
-	// rejection drops the connection; the forwarder must give up on the
-	// rejected frame at the retry cap — with the loss accounted — rather
-	// than retransmit it forever while the spool backs up behind it.
+	// A frame the collector rejects drops the connection; the forwarder
+	// must give up on the rejected frame at the retry cap — with the
+	// loss accounted — rather than retransmit it forever while the spool
+	// backs up behind it. A proxy corrupts the poison frame on every
+	// attempt, so the collector rejects it each time.
 	sink := &memSink{}
-	coll, err := NewCollector(CollectorOptions{Token: "tok", Limits: Limits{MaxRaw: 2048}}, sink)
+	coll, err := NewCollector(CollectorOptions{Token: "tok"}, sink)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -802,18 +904,14 @@ func TestPoisonFrameDroppedAfterRetries(t *testing.T) {
 	defer stop()
 
 	fwd, err := NewForwardSink(ForwardOptions{
-		Addrs: []string{addr}, Token: "tok", Farm: "skew",
+		Addrs: []string{startCorruptingProxy(t, addr)}, Token: "tok", Farm: "skew",
 		FrameEvents: 4,
 		MinBackoff:  time.Millisecond, MaxBackoff: 5 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	poison := make([]core.Event, 4)
-	for i := range poison {
-		poison[i] = testEvent(i)
-		poison[i].Raw = strings.Repeat("p", 700) // ~2900 raw bytes > the collector's 2048
-	}
+	poison := poisonEvents()
 	if err := fwd.RecordBatch(poison); err != nil {
 		t.Fatal(err)
 	}
@@ -831,7 +929,7 @@ func TestPoisonFrameDroppedAfterRetries(t *testing.T) {
 		t.Fatalf("accounting broken: %+v", st)
 	}
 	if coll.Stats().BadFrames == 0 {
-		t.Fatal("collector never rejected the oversized frame")
+		t.Fatal("collector never rejected the poison frame")
 	}
 	if err := fwd.Close(); err == nil {
 		t.Fatal("dropping a frame must surface via Err/Close")

@@ -5,7 +5,6 @@ import (
 	"net"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 	"time"
 
@@ -76,7 +75,7 @@ func TestBatchFrameMatchesSpoolRecord(t *testing.T) {
 // restart over the spool does not reload it for another
 // DefaultMaxFrameRetries rejections.
 func TestDroppedFrameStaysDroppedAcrossRestart(t *testing.T) {
-	coll, err := NewCollector(CollectorOptions{Token: "tok", Limits: Limits{MaxRaw: 2048}}, &memSink{})
+	coll, err := NewCollector(CollectorOptions{Token: "tok"}, &memSink{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +83,7 @@ func TestDroppedFrameStaysDroppedAcrossRestart(t *testing.T) {
 	defer stop()
 	dir := filepath.Join(t.TempDir(), "spool")
 	opts := ForwardOptions{
-		Addrs: []string{addr}, Token: "tok", Farm: "poisoned",
+		Addrs: []string{startCorruptingProxy(t, addr)}, Token: "tok", Farm: "poisoned",
 		FrameEvents: 4,
 		MinBackoff:  time.Millisecond, MaxBackoff: 5 * time.Millisecond,
 	}
@@ -95,12 +94,7 @@ func TestDroppedFrameStaysDroppedAcrossRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	poison := make([]core.Event, 4)
-	for i := range poison {
-		poison[i] = testEvent(i)
-		poison[i].Raw = strings.Repeat("p", 700) // ~2900 raw bytes > the collector's 2048
-	}
-	if err := fwd1.RecordBatch(poison); err != nil {
+	if err := fwd1.RecordBatch(poisonEvents()); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, 10*time.Second, func() bool { return fwd1.Stats().DroppedFrames == 1 }, "poison frame dropped at the retry cap")

@@ -9,6 +9,7 @@ package simnet_test
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"net"
 	"net/netip"
@@ -23,6 +24,7 @@ import (
 	"time"
 
 	"decoydb/internal/core"
+	"decoydb/internal/evstore"
 	"decoydb/internal/relay"
 	"decoydb/internal/wal"
 )
@@ -54,6 +56,40 @@ func waitUntil(t *testing.T, d time.Duration, cond func() bool, what string) {
 			t.Fatalf("timed out waiting for %s", what)
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// buildCollector builds cmd/dbcollect into a temporary directory and
+// returns the binary's path.
+func buildCollector(t *testing.T) string {
+	t.Helper()
+	bin := filepath.Join(t.TempDir(), "dbcollect")
+	build := exec.Command("go", "build", "-o", bin, "decoydb/cmd/dbcollect")
+	build.Stderr = os.Stderr
+	if err := build.Run(); err != nil {
+		t.Fatalf("go build dbcollect: %v", err)
+	}
+	return bin
+}
+
+// TestCollectorRejectsDaysOutsideWindow: the store window holds 1 to
+// evstore.MaxDays days, and dbcollect says so and exits 1 for any other
+// -days, instead of panicking in the store or serving a zero-day window.
+func TestCollectorRejectsDaysOutsideWindow(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds a real dbcollect binary; skipped with -short")
+	}
+	bin := buildCollector(t)
+	for _, days := range []int{0, -1, evstore.MaxDays + 1} {
+		arg := strconv.Itoa(days)
+		out, err := exec.Command(bin, "-token", "tok", "-listen", "127.0.0.1:0", "-days", arg).CombinedOutput()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+			t.Fatalf("-days %s: %v, want exit status 1\n%s", arg, err, out)
+		}
+		if want := fmt.Sprintf("-days %s: the store window holds 1 to %d days", arg, evstore.MaxDays); !bytes.Contains(out, []byte(want)) || bytes.Contains(out, []byte("goroutine")) {
+			t.Fatalf("-days %s printed %q, want only %q", arg, out, want)
+		}
 	}
 }
 
@@ -90,12 +126,7 @@ func TestCollectorCrashRecoveryExactlyOnce(t *testing.T) {
 	}
 
 	tmp := t.TempDir()
-	bin := filepath.Join(tmp, "dbcollect")
-	build := exec.Command("go", "build", "-o", bin, "decoydb/cmd/dbcollect")
-	build.Stderr = os.Stderr
-	if err := build.Run(); err != nil {
-		t.Fatalf("go build dbcollect: %v", err)
-	}
+	bin := buildCollector(t)
 
 	// Reserve a port, then free it for the collector to bind: both
 	// collector processes must use the SAME address or the forwarder's

@@ -101,12 +101,7 @@ func TestMultiCollectorFailoverExactlyOnce(t *testing.T) {
 	}
 
 	tmp := t.TempDir()
-	bin := filepath.Join(tmp, "dbcollect")
-	build := exec.Command("go", "build", "-o", bin, "decoydb/cmd/dbcollect")
-	build.Stderr = os.Stderr
-	if err := build.Run(); err != nil {
-		t.Fatalf("go build dbcollect: %v", err)
-	}
+	bin := buildCollector(t)
 
 	relayAddrs := reservePorts(t, 3)
 	adminAddrs := reservePorts(t, 3)

@@ -64,7 +64,6 @@ func (c *centroid) blend(vec []term, vecNorm2, dot, eta float64) {
 type assigner struct {
 	vocab map[string]int
 	names []string // index → action name, for ClusterInfo rendering
-	opts  Options
 
 	centroids []*centroid
 	nextID    int
@@ -75,20 +74,20 @@ type assigner struct {
 	capped  uint64
 }
 
-func newAssigner(opts Options) *assigner {
-	return &assigner{vocab: make(map[string]int), opts: opts}
+func newAssigner() *assigner {
+	return &assigner{vocab: make(map[string]int)}
 }
 
 // index resolves an action name to its vocabulary index, growing the
-// vocabulary up to MaxVocab; names beyond the bound share one overflow
+// vocabulary up to maxVocab; names beyond the bound share one overflow
 // dimension so vector length — and memory — stays bounded however
 // creative the traffic gets.
 func (a *assigner) index(name string) int {
 	if i, ok := a.vocab[name]; ok {
 		return i
 	}
-	if len(a.names) >= a.opts.MaxVocab {
-		return a.opts.MaxVocab // shared overflow dimension
+	if len(a.names) >= maxVocab {
+		return maxVocab // shared overflow dimension
 	}
 	i := len(a.names)
 	a.vocab[name] = i
@@ -128,9 +127,9 @@ func (a *assigner) assign(vec []term, norm2 float64) (id int, isNew bool) {
 			best, bestDot, bestD = i, dot, d
 		}
 	}
-	radius2 := a.opts.NewClusterRadius * a.opts.NewClusterRadius
+	radius2 := clusterRadius * clusterRadius
 	if best == -1 || bestD > radius2 {
-		if len(a.centroids) < a.opts.MaxClusters {
+		if len(a.centroids) < maxClusters {
 			terms := make(map[int]float64, len(vec))
 			for _, t := range vec {
 				terms[t.i] = t.w
@@ -201,7 +200,7 @@ func (a *assigner) refit() map[int]int {
 		vecs[i] = v
 	}
 	dg := cluster.Ward(vecs)
-	labels := dg.Cut(a.opts.NewClusterRadius * a.opts.NewClusterRadius)
+	labels := dg.Cut(clusterRadius * clusterRadius)
 
 	groups := make(map[int][]*centroid)
 	for i, l := range labels {

@@ -20,6 +20,7 @@ package stream
 
 import (
 	"net/netip"
+	"strconv"
 	"sync"
 	"time"
 
@@ -27,54 +28,34 @@ import (
 	"decoydb/internal/core"
 )
 
-// maxActionsPerSource caps how many action tokens count into one
-// source's vector, mirroring evstore's per-activity action bound so a
-// chatty bot cannot grow state without limit.
-const maxActionsPerSource = 512
-
-// Options configures an Analyzer. The zero value is usable: every field
-// has a sensible default.
-type Options struct {
-	// MaxSources bounds the per-source LRU; the least recently active
-	// source is evicted when a new one would exceed it. Default 65536.
-	MaxSources int
-	// AlertRing bounds the retained alert history. Default 1024.
-	AlertRing int
-	// MaxVocab bounds the action vocabulary; later distinct actions
-	// share one overflow dimension. Default 4096.
-	MaxVocab int
-	// NewClusterRadius is the Euclidean distance beyond which a vector
+// Bounds on the analyzer's state and cadence.
+const (
+	// maxActionsPerSource caps how many action tokens count into one
+	// source's vector, mirroring evstore's per-activity action bound so
+	// a chatty bot cannot grow state without limit.
+	maxActionsPerSource = 512
+	// maxSources bounds the per-source LRU; the least recently active
+	// source is evicted when a new one would exceed it.
+	maxSources = 65536
+	// maxAlerts bounds the retained alert history.
+	maxAlerts = 1024
+	// maxVocab bounds the action vocabulary; later distinct actions
+	// share one overflow dimension.
+	maxVocab = 4096
+	// clusterRadius is the Euclidean distance beyond which a vector
 	// seeds a new cluster instead of joining its nearest centroid, and
-	// also the Ward cut height of the periodic re-fit. Default 0.5.
-	NewClusterRadius float64
-	// RefitEvery is the batch cadence of the mini Ward re-fit over the
-	// centroid set. Default 256.
-	RefitEvery int
-	// MaxClusters bounds the centroid set. Default 64.
-	MaxClusters int
-}
+	// also the Ward cut height of the periodic re-fit.
+	clusterRadius = 0.5
+	// refitEvery is the batch cadence of the mini Ward re-fit over the
+	// centroid set.
+	refitEvery = 256
+	// maxClusters bounds the centroid set.
+	maxClusters = 64
+)
 
-func (o Options) withDefaults() Options {
-	if o.MaxSources <= 0 {
-		o.MaxSources = 65536
-	}
-	if o.AlertRing <= 0 {
-		o.AlertRing = 1024
-	}
-	if o.MaxVocab <= 0 {
-		o.MaxVocab = 4096
-	}
-	if o.NewClusterRadius <= 0 {
-		o.NewClusterRadius = 0.5
-	}
-	if o.RefitEvery <= 0 {
-		o.RefitEvery = 256
-	}
-	if o.MaxClusters <= 0 {
-		o.MaxClusters = 64
-	}
-	return o
-}
+// Options configures an Analyzer. It has no fields: every bound is one
+// of the constants above.
+type Options struct{}
 
 // source is the per-source online state. Sources are keyed by address
 // (not address:port — one attacker, one vector, as in the offline
@@ -99,8 +80,6 @@ type source struct {
 // Analyzer is the streaming sink. It implements core.Sink,
 // core.BatchSink and core.Flusher.
 type Analyzer struct {
-	opts Options
-
 	mu         sync.Mutex
 	sources    *core.LRU[netip.Addr, source]
 	batch      []*source // sources touched by the in-flight batch
@@ -124,17 +103,14 @@ var (
 	_ core.Flusher   = (*Analyzer)(nil)
 )
 
-// New returns an Analyzer with the given options.
-func New(opts Options) *Analyzer {
-	opts = opts.withDefaults()
-	a := &Analyzer{
-		opts:    opts,
-		sources: core.NewLRU[netip.Addr, source](opts.MaxSources),
-		asn:     newAssigner(opts),
-		alerts:  newAlertRing(opts.AlertRing),
+// New returns an Analyzer.
+func New(Options) *Analyzer {
+	return &Analyzer{
+		sources:    core.NewLRU[netip.Addr, source](maxSources),
+		asn:        newAssigner(),
+		alerts:     newAlertRing(maxAlerts),
+		sinceRefit: refitEvery,
 	}
-	a.sinceRefit = opts.RefitEvery
-	return a
 }
 
 // Record implements core.Sink: a single-event batch.
@@ -240,7 +216,7 @@ func (a *Analyzer) settle() {
 
 	a.sinceRefit--
 	if a.sinceRefit <= 0 {
-		a.sinceRefit = a.opts.RefitEvery
+		a.sinceRefit = refitEvery
 		a.applyRemap(a.asn.refit())
 	}
 }
@@ -278,7 +254,7 @@ func (a *Analyzer) assign(s *source) {
 	if old >= 0 {
 		a.alerts.push(Alert{
 			Kind: ClusterShiftAlert, Time: lastTime, Src: s.addr.String(),
-			DBMS: s.dbms, From: itoa(old), To: itoa(id), Cluster: id,
+			DBMS: s.dbms, From: strconv.Itoa(old), To: strconv.Itoa(id), Cluster: id,
 		})
 	}
 }
@@ -309,26 +285,4 @@ func (a *Analyzer) release(s *source) {
 		}
 	}
 	a.evicted++
-}
-
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	neg := n < 0
-	if neg {
-		n = -n
-	}
-	var buf [20]byte
-	i := len(buf)
-	for n > 0 {
-		i--
-		buf[i] = byte('0' + n%10)
-		n /= 10
-	}
-	if neg {
-		i--
-		buf[i] = '-'
-	}
-	return string(buf[i:])
 }

@@ -14,8 +14,10 @@ import (
 
 var t0 = time.Date(2025, 3, 1, 0, 0, 0, 0, time.UTC)
 
+// src is source i's address: 203.0.113.i while i < 256, then on into
+// 203.0.114.0 and up, so the bound tests can open maxSources+1 of them.
 func src(i int) netip.AddrPort {
-	return netip.AddrPortFrom(netip.AddrFrom4([4]byte{203, 0, 113, byte(i)}), 40000)
+	return netip.AddrPortFrom(netip.AddrFrom4([4]byte{203, byte(i >> 16), 113 + byte(i>>8), byte(i)}), 40000)
 }
 
 func ev(i int, kind core.EventKind, dbms, cmd string, at time.Duration) core.Event {
@@ -93,13 +95,14 @@ func TestLoginCountsAsScouting(t *testing.T) {
 }
 
 func TestLRUBound(t *testing.T) {
-	a := New(Options{MaxSources: 8})
-	for i := 1; i <= 20; i++ {
+	a := New(Options{})
+	last := maxSources + 12
+	for i := 1; i <= last; i++ {
 		a.Record(ev(i, core.EventCommand, core.Redis, "INFO", time.Duration(i)*time.Second))
 	}
 	st := a.Stats()
-	if st.Sources != 8 {
-		t.Fatalf("sources = %d, want 8", st.Sources)
+	if st.Sources != maxSources {
+		t.Fatalf("sources = %d, want %d", st.Sources, maxSources)
 	}
 	if st.Evicted != 12 {
 		t.Fatalf("evicted = %d, want 12", st.Evicted)
@@ -108,27 +111,31 @@ func TestLRUBound(t *testing.T) {
 	if _, ok := a.Verdict(src(1).Addr()); ok {
 		t.Fatal("source 1 should have been evicted")
 	}
-	if _, ok := a.Verdict(src(20).Addr()); !ok {
-		t.Fatal("source 20 should be tracked")
+	if _, ok := a.Verdict(src(last).Addr()); !ok {
+		t.Fatalf("source %d should be tracked", last)
 	}
-	// Re-touching an old retained source keeps it alive through churn.
-	a.Record(ev(13, core.EventCommand, core.Redis, "KEYS", 100*time.Second))
-	for i := 30; i < 37; i++ {
-		a.Record(ev(i, core.EventCommand, core.Redis, "INFO", time.Duration(i)*time.Second))
+	// Re-touching the oldest retained source keeps it alive through
+	// churn; the next oldest goes in its place.
+	a.Record(ev(13, core.EventCommand, core.Redis, "KEYS", time.Duration(last+1)*time.Second))
+	for i := last + 1; i < last+8; i++ {
+		a.Record(ev(i, core.EventCommand, core.Redis, "INFO", time.Duration(i+1)*time.Second))
 	}
 	if _, ok := a.Verdict(src(13).Addr()); !ok {
 		t.Fatal("recently touched source 13 should survive churn")
 	}
+	if _, ok := a.Verdict(src(14).Addr()); ok {
+		t.Fatal("source 14, now the least recently active, should have been evicted")
+	}
 }
 
 // TestEvictionInsideBatchReleasesMembership: a batch with more distinct
-// sources than MaxSources evicts sources it already touched. They must
+// sources than maxSources evicts sources it already touched. They must
 // not be assigned when the batch settles, or a centroid counts members
 // that no live source holds.
 func TestEvictionInsideBatchReleasesMembership(t *testing.T) {
-	a := New(Options{MaxSources: 4})
+	a := New(Options{})
 	var batch []core.Event
-	for i := 1; i <= 6; i++ {
+	for i := 1; i <= maxSources+2; i++ {
 		batch = append(batch, ev(i, core.EventCommand, core.Redis, "INFO", time.Duration(i)*time.Second))
 	}
 	if err := a.RecordBatch(batch); err != nil {
@@ -138,9 +145,9 @@ func TestEvictionInsideBatchReleasesMembership(t *testing.T) {
 	for _, c := range a.Clusters() {
 		members += c.Members
 	}
-	if st := a.Stats(); members != st.Sources || st.Sources != 4 || st.Evicted != 2 {
-		t.Fatalf("cluster members = %d, sources = %d, evicted = %d; want 4 members of 4 live sources, 2 evicted",
-			members, st.Sources, st.Evicted)
+	if st := a.Stats(); members != st.Sources || st.Sources != maxSources || st.Evicted != 2 {
+		t.Fatalf("cluster members = %d, sources = %d, evicted = %d; want %d members of %d live sources, 2 evicted",
+			members, st.Sources, st.Evicted, maxSources, maxSources)
 	}
 }
 
@@ -257,7 +264,7 @@ func TestOnlineOfflineAgreement(t *testing.T) {
 // that seed separate centroids (via an ordering artefact) and checks the
 // periodic Ward re-fit consolidates them.
 func TestRefitMergesFragments(t *testing.T) {
-	a := New(Options{RefitEvery: 4, NewClusterRadius: 0.5})
+	a := New(Options{})
 	// Two sources, same behaviour, but the first batch of each arrives
 	// with only a prefix of the vector — enough skew to seed two
 	// centroids before both converge to the same TF profile.
@@ -279,8 +286,9 @@ func TestRefitMergesFragments(t *testing.T) {
 	if st := a.Stats(); st.Clusters != 2 {
 		t.Fatalf("pre-merge clusters = %d, want 2", st.Clusters)
 	}
-	// Both converge onto the full profile; refits fire every 4 batches.
-	for i := 0; i < 8; i++ {
+	// Both converge onto the full profile; refits fire every refitEvery
+	// batches, so this runs two.
+	for i := 0; i < refitEvery; i++ {
 		push(1, s1)
 		push(2, s2)
 	}
@@ -325,44 +333,49 @@ func TestClustersRanking(t *testing.T) {
 }
 
 func TestAlertRingBound(t *testing.T) {
-	a := New(Options{AlertRing: 4, NewClusterRadius: 0.1})
-	// Every source gets its own action → its own cluster → one
-	// new-cluster alert each; the ring retains only the newest 4.
-	for i := 1; i <= 10; i++ {
-		a.Record(ev(i, core.EventCommand, core.Redis, fmt.Sprintf("ACT-%d", i), time.Duration(i)*time.Second))
+	a := New(Options{})
+	// Every source strikes at once → one escalation alert each (the
+	// first also seeds the one cluster they all share); the ring
+	// retains only the newest maxAlerts.
+	last := maxAlerts + 10
+	for i := 1; i <= last; i++ {
+		a.Record(ev(i, core.EventCommand, core.Redis, "MODULE LOAD", time.Duration(i)*time.Second))
 	}
 	alerts := a.Alerts(0)
-	if len(alerts) != 4 {
-		t.Fatalf("retained alerts = %d, want 4", len(alerts))
+	if len(alerts) != maxAlerts {
+		t.Fatalf("retained alerts = %d, want %d", len(alerts), maxAlerts)
 	}
 	// Newest first.
 	for i, al := range alerts {
-		if want := src(10 - i).Addr().String(); al.Src != want {
-			t.Fatalf("alert %d src = %s, want %s", i, al.Src, want)
+		if want := src(last - i).Addr().String(); al.Src != want || al.Kind != EscalationAlert {
+			t.Fatalf("alert %d = %s from %s, want an escalation from %s", i, al.Kind, al.Src, want)
 		}
 	}
-	if got := a.Alerts(2); len(got) != 2 || got[0].Src != src(10).Addr().String() {
+	if got := a.Alerts(2); len(got) != 2 || got[0].Src != src(last).Addr().String() {
 		t.Fatalf("Alerts(2) = %+v", got)
 	}
-	if st := a.Stats(); st.Alerts != 10 {
-		t.Fatalf("lifetime alerts = %d, want 10", st.Alerts)
+	if st := a.Stats(); st.Alerts != uint64(last+1) {
+		t.Fatalf("lifetime alerts = %d, want %d", st.Alerts, last+1)
 	}
 }
 
 func TestMaxClustersCap(t *testing.T) {
-	a := New(Options{MaxClusters: 3, NewClusterRadius: 0.1})
-	for i := 1; i <= 10; i++ {
+	a := New(Options{})
+	// Every source gets its own action, √2 from every other vector and
+	// so past clusterRadius: each would seed a cluster of its own.
+	last := maxClusters + 10
+	for i := 1; i <= last; i++ {
 		a.Record(ev(i, core.EventCommand, core.Redis, fmt.Sprintf("ACT-%d", i), time.Duration(i)*time.Second))
 	}
 	st := a.Stats()
-	if st.Clusters != 3 {
-		t.Fatalf("clusters = %d, want cap 3", st.Clusters)
+	if st.Clusters != maxClusters {
+		t.Fatalf("clusters = %d, want cap %d", st.Clusters, maxClusters)
 	}
 	if st.Capped == 0 {
 		t.Fatal("capped counter never incremented")
 	}
 	// Every source still has a home.
-	for i := 1; i <= 10; i++ {
+	for i := 1; i <= last; i++ {
 		if _, ok := a.Cluster(src(i).Addr()); !ok {
 			t.Fatalf("source %d unassigned at cluster cap", i)
 		}
@@ -370,16 +383,19 @@ func TestMaxClustersCap(t *testing.T) {
 }
 
 func TestVocabOverflow(t *testing.T) {
-	a := New(Options{MaxVocab: 8})
+	a := New(Options{})
+	// A source counts at most maxActionsPerSource actions, so the
+	// distinct actions come from several sources, 4x maxVocab in all.
 	var batch []core.Event
-	for i := 0; i < 32; i++ {
-		batch = append(batch, ev(1, core.EventCommand, core.Redis, fmt.Sprintf("ACT-%d", i), time.Duration(i)*time.Second))
+	for i := 0; i < 4*maxVocab; i++ {
+		id := 1 + i/maxActionsPerSource
+		batch = append(batch, ev(id, core.EventCommand, core.Redis, fmt.Sprintf("ACT-%d", i), time.Duration(i)*time.Second))
 	}
 	if err := a.RecordBatch(batch); err != nil {
 		t.Fatal(err)
 	}
-	if st := a.Stats(); st.Vocab != 8 {
-		t.Fatalf("vocab = %d, want bounded at 8", st.Vocab)
+	if st := a.Stats(); st.Vocab != maxVocab {
+		t.Fatalf("vocab = %d, want bounded at %d", st.Vocab, maxVocab)
 	}
 }
 
@@ -420,7 +436,16 @@ func TestAlertJSONRoundTrip(t *testing.T) {
 }
 
 func TestConcurrentIngest(t *testing.T) {
-	a := New(Options{MaxSources: 64})
+	a := New(Options{})
+	// Fill the LRU with other sources first, so the 100 sources below
+	// evict while they are ingested concurrently.
+	var fill []core.Event
+	for i := 0; i < maxSources; i++ {
+		fill = append(fill, ev(101+i, core.EventCommand, core.Redis, "INFO", 0))
+	}
+	if err := a.RecordBatch(fill); err != nil {
+		t.Fatal(err)
+	}
 	done := make(chan struct{})
 	for w := 0; w < 4; w++ {
 		go func(w int) {
@@ -440,7 +465,7 @@ func TestConcurrentIngest(t *testing.T) {
 		<-done
 	}
 	a.Flush()
-	if st := a.Stats(); st.Events != 800 {
-		t.Fatalf("events = %d, want 800", st.Events)
+	if st := a.Stats(); st.Events != maxSources+800 || st.Evicted < 100 {
+		t.Fatalf("events = %d, evicted = %d; want %d events and at least 100 evicted", st.Events, st.Evicted, maxSources+800)
 	}
 }

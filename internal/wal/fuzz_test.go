@@ -1,10 +1,14 @@
 package wal
 
 import (
+	"bytes"
+	"compress/flate"
 	"encoding/binary"
 	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -17,9 +21,10 @@ import (
 // segment file. A WAL directory outlives the process that wrote it, so
 // recovery must treat it like network input: truncated tails, flipped
 // bits, oversized declared lengths — for every input Open must return a
-// working log (never panic, never allocate past the configured limits),
-// whatever survives must replay cleanly, and the log must accept new
-// appends and reopen cleanly afterwards.
+// working log (never panic, and never allocate for a length a record
+// only declares; see segmentBudget), whatever survives must replay
+// cleanly, and the log must accept new appends and reopen cleanly
+// afterwards.
 func FuzzSegment(f *testing.F) {
 	// A fully valid segment with three batches and a mark.
 	seedDir := f.TempDir()
@@ -64,23 +69,29 @@ func FuzzSegment(f *testing.F) {
 	zero := append([]byte(nil), valid[:headerSize]...)
 	zero = binary.BigEndian.AppendUint32(zero, 0)
 	f.Add(zero)
+	// Valid header, then a record declaring 4 MiB, within the record
+	// bound, followed by only 8 bytes.
+	declared := append([]byte(nil), valid[:headerSize]...)
+	declared = binary.BigEndian.AppendUint32(declared, 4<<20)
+	f.Add(append(declared, make([]byte, 8)...))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dir := t.TempDir()
 		if err := os.WriteFile(filepath.Join(dir, segName(1)), data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		// Tight limits: a hostile declared length must be bounded by
-		// these, not by available memory.
-		opts := Options{
-			Dir:            dir,
-			MaxRecordBytes: 1 << 16,
-			Limits:         evcodec.Limits{MaxRaw: 1 << 16, MaxEvents: 256},
-		}
+		opts := Options{Dir: dir}
+		budget := segmentBudget(data)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
 		l, err := Open(opts)
+		runtime.ReadMemStats(&after)
 		if err != nil {
 			// Open fails only on I/O errors, never on content.
 			t.Fatalf("Open: %v", err)
+		}
+		if n := after.TotalAlloc - before.TotalAlloc; n > budget {
+			t.Fatalf("Open allocated %d bytes over a %d-byte segment (budget %d)", n, len(data), budget)
 		}
 		st := l.Stats()
 		// Whatever recovery accepted must replay without error, with
@@ -122,6 +133,36 @@ func FuzzSegment(f *testing.F) {
 		}
 		l2.Close()
 	})
+}
+
+// segmentBudget is what Open may allocate to recover a segment holding
+// data: a fixed allowance for the log, plus a multiple of the bytes the
+// segment holds and of what its batch payloads really inflate to. It
+// walks the records as recovery does, but checks nothing: each record
+// is cut to the bytes present, and each batch payload inflated up to one
+// byte past evcodec.DefaultMaxRaw. A length a record only declares buys
+// nothing.
+func segmentBudget(data []byte) uint64 {
+	var inflated int64
+	rest := data[min(headerSize, len(data)):]
+	for len(rest) >= 4 {
+		n := int(binary.BigEndian.Uint32(rest))
+		rest = rest[4:]
+		body := rest[:min(n, len(rest))]
+		rest = rest[len(body):]
+		// body: CRC (4), type (1), tag length (2), tag, batch head, payload
+		if len(body) < 7 || body[4] != recBatch {
+			continue
+		}
+		payload := 7 + int(binary.LittleEndian.Uint16(body[5:])) + evcodec.HeadLen
+		if len(body) < payload {
+			continue
+		}
+		fr := flate.NewReader(bytes.NewReader(body[payload:]))
+		m, _ := io.Copy(io.Discard, io.LimitReader(fr, evcodec.DefaultMaxRaw+1))
+		inflated += m
+	}
+	return 1<<20 + 16*uint64(int64(len(data))+inflated)
 }
 
 // FuzzOwnerRecord throws arbitrary bytes at recovery as the body of a
@@ -195,11 +236,7 @@ func FuzzOwnerRecord(f *testing.F) {
 			t.Fatal(err)
 		}
 
-		opts := Options{
-			Dir:            dir,
-			MaxRecordBytes: 1 << 16,
-			Limits:         evcodec.Limits{MaxRaw: 1 << 16, MaxEvents: 256},
-		}
+		opts := Options{Dir: dir}
 		l2, err := Open(opts)
 		if err != nil {
 			t.Fatalf("Open: %v", err)

@@ -117,7 +117,7 @@ func (l *Log) recoverSegment(seg *segment) error {
 	br := &countingReader{r: f, off: headerSize}
 	valid := int64(headerSize)
 	for {
-		rec, err := l.readRecord(br)
+		rec, err := readRecord(br)
 		if err == io.EOF {
 			break
 		}
@@ -213,14 +213,15 @@ type record struct {
 }
 
 // readRecord reads and fully validates the next record: frame length
-// bounded before allocation, record CRC verified over the whole body,
-// and batch payloads decoded under the configured limits (so anything
-// recovery accepts is guaranteed to replay). io.EOF means a clean end
-// of segment — EOF exactly at a record boundary, before any prefix
-// byte; a prefix that reads whole but declares more payload than the
-// file holds is a torn tail, not a clean end. errTorn-wrapped errors
-// mean the segment dies here.
-func (l *Log) readRecord(r io.Reader) (record, error) {
+// bounded by maxRecordBytes, the body read through wire.ReadN so memory
+// grows only as its bytes arrive, record CRC verified over the whole
+// body, and batch payloads decoded under evcodec's hard limits (so
+// anything recovery accepts is guaranteed to replay). io.EOF means a
+// clean end of segment — EOF exactly at a record boundary, before any
+// prefix byte; a prefix that reads whole but declares more payload than
+// the file holds is a torn tail, not a clean end. errTorn-wrapped
+// errors mean the segment dies here.
+func readRecord(r io.Reader) (record, error) {
 	var pre [4]byte
 	if _, err := io.ReadFull(r, pre[:]); err != nil {
 		if err == io.EOF {
@@ -229,18 +230,15 @@ func (l *Log) readRecord(r io.Reader) (record, error) {
 		return record{}, fmt.Errorf("%w: length prefix: %w", errTorn, err)
 	}
 	n := int(uint32(pre[0])<<24 | uint32(pre[1])<<16 | uint32(pre[2])<<8 | uint32(pre[3]))
-	if n > l.opts.MaxRecordBytes {
-		return record{}, fmt.Errorf("%w: %w: %d > %d", errTorn, wire.ErrFrameTooLarge, n, l.opts.MaxRecordBytes)
-	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(r, body); err != nil {
+	body, err := wire.ReadN(r, n, maxRecordBytes)
+	if err != nil {
 		return record{}, fmt.Errorf("%w: %d-byte record body: %w", errTorn, n, err)
 	}
-	return l.parseRecord(body)
+	return parseRecord(body)
 }
 
 // parseRecord validates one framed record body (crc32 + typed payload).
-func (l *Log) parseRecord(body []byte) (record, error) {
+func parseRecord(body []byte) (record, error) {
 	r := wire.NewReader(body)
 	sum, err := r.Uint32LE()
 	if err != nil {
@@ -268,7 +266,7 @@ func (l *Log) parseRecord(body []byte) (record, error) {
 		if err != nil {
 			return record{}, fmt.Errorf("%w: %w", errTorn, err)
 		}
-		seq, events, _, err := evcodec.ReadBatch(rr, l.opts.Limits)
+		seq, events, _, err := evcodec.ReadBatch(rr)
 		if err != nil {
 			return record{}, fmt.Errorf("%w: %w", errTorn, err)
 		}
@@ -344,7 +342,7 @@ func (l *Log) replaySegment(seg *segment, from uint64, fn func(uint64, []byte, [
 	// invariant local.
 	r := io.LimitReader(f, seg.size-headerSize)
 	for {
-		rec, err := l.readRecord(r)
+		rec, err := readRecord(r)
 		if err == io.EOF {
 			return nil
 		}

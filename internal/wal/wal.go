@@ -82,11 +82,11 @@ const (
 const (
 	// DefaultSegmentBytes rotates the active segment past this size.
 	DefaultSegmentBytes = 64 << 20
-	// DefaultSyncEvery is the background fsync cadence for SyncInterval.
-	DefaultSyncEvery = time.Second
-	// DefaultMaxRecordBytes caps one record on disk — the same bound the
-	// relay puts on one wire frame, plus tag slack.
-	DefaultMaxRecordBytes = 4<<20 + 2048
+	// syncEvery is the background fsync cadence for SyncInterval.
+	syncEvery = time.Second
+	// maxRecordBytes caps one record on disk, written and read — the
+	// same bound the relay puts on one wire frame, plus tag slack.
+	maxRecordBytes = 4<<20 + 2048
 	// MaxTag caps the provenance annotation stored with a batch.
 	MaxTag = 1024
 )
@@ -101,7 +101,7 @@ var ErrClosed = fmt.Errorf("wal: log closed")
 type SyncPolicy int
 
 const (
-	// SyncInterval fsyncs in the background every Options.SyncEvery.
+	// SyncInterval fsyncs in the background once a second.
 	// The default: bounded loss window, no fsync on the ingest path.
 	SyncInterval SyncPolicy = iota
 	// SyncBatch fsyncs after every appended record before returning.
@@ -143,16 +143,8 @@ type Options struct {
 	// SegmentBytes rotates the active segment once it exceeds this many
 	// bytes. 0 means DefaultSegmentBytes.
 	SegmentBytes int64
-	// Sync is the fsync policy; SyncEvery is the SyncInterval cadence
-	// (0 means DefaultSyncEvery).
-	Sync      SyncPolicy
-	SyncEvery time.Duration
-	// MaxRecordBytes bounds one record, written and read. 0 means
-	// DefaultMaxRecordBytes.
-	MaxRecordBytes int
-	// Limits bound per-batch decode allocations during recovery and
-	// replay. Zero fields mean the evcodec defaults.
-	Limits evcodec.Limits
+	// Sync is the fsync policy.
+	Sync SyncPolicy
 	// Logf, when non-nil, receives operational diagnostics (recovered
 	// segments, truncated tails, compactions).
 	Logf func(format string, args ...any)
@@ -162,13 +154,6 @@ func (o Options) withDefaults() Options {
 	if o.SegmentBytes <= 0 {
 		o.SegmentBytes = DefaultSegmentBytes
 	}
-	if o.SyncEvery <= 0 {
-		o.SyncEvery = DefaultSyncEvery
-	}
-	if o.MaxRecordBytes <= 0 {
-		o.MaxRecordBytes = DefaultMaxRecordBytes
-	}
-	o.Limits = o.Limits.WithDefaults()
 	return o
 }
 
@@ -346,8 +331,8 @@ func (l *Log) writeRecordLocked(parts ...[]byte) error {
 		n += len(p)
 		crc = crc32.Update(crc, crc32.IEEETable, p)
 	}
-	if 4+n > l.opts.MaxRecordBytes {
-		return fmt.Errorf("wal: %d-byte record exceeds limit %d", 4+n, l.opts.MaxRecordBytes)
+	if 4+n > maxRecordBytes {
+		return fmt.Errorf("wal: %d-byte record exceeds limit %d", 4+n, maxRecordBytes)
 	}
 	recp := recBufs.Get().(*[]byte)
 	rec := (*recp)[:0]
@@ -635,7 +620,7 @@ func (l *Log) syncLocked() error {
 // syncLoop is the SyncInterval background fsyncer.
 func (l *Log) syncLoop() {
 	defer l.wg.Done()
-	t := time.NewTicker(l.opts.SyncEvery)
+	t := time.NewTicker(syncEvery)
 	defer t.Stop()
 	for {
 		select {

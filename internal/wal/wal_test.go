@@ -5,10 +5,12 @@ import (
 	"net/netip"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 	"time"
 
 	"decoydb/internal/core"
+	"decoydb/internal/wire"
 )
 
 func testEvent(i int) core.Event {
@@ -403,17 +405,45 @@ func TestClosedLog(t *testing.T) {
 
 func TestSyncIntervalFlushes(t *testing.T) {
 	dir := t.TempDir()
-	l := mustOpen(t, Options{Dir: dir, Sync: SyncInterval, SyncEvery: 5 * time.Millisecond})
+	l := mustOpen(t, Options{Dir: dir, Sync: SyncInterval})
 	defer l.Close()
 	if _, err := l.Append(testEvents(1), nil); err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(2 * time.Second)
+	deadline := time.Now().Add(syncEvery + 2*time.Second)
 	for l.Stats().Syncs == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("background sync never ran")
 		}
 		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestRecoveryAllocatesWhatArrives: recovery reads a record body as its
+// bytes arrive, so a 28-byte segment whose one record declares 4 MiB is
+// cut back to its header within a budget far below the declaration.
+func TestRecoveryAllocatesWhatArrives(t *testing.T) {
+	const budget = 128 << 10
+	dir := t.TempDir()
+	seg := wire.NewWriter(28)
+	seg.Uint32BE(Magic).Uint8(FormatVersion).Zeros(3).Uint64LE(0)
+	seg.Uint32BE(4 << 20).Zeros(8)
+	if err := os.WriteFile(filepath.Join(dir, segName(1)), seg.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	l, err := Open(Options{Dir: dir, Sync: SyncOff})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	if st := l.Stats().Recovered; st.TornBytes != 12 || st.Batches != 0 {
+		t.Fatalf("recovered %d batches and %d torn bytes, want 0 and 12", st.Batches, st.TornBytes)
+	}
+	if n := after.TotalAlloc - before.TotalAlloc; n >= budget {
+		t.Fatalf("Open allocated %d bytes over a %d-byte segment, budget %d", n, seg.Len(), budget)
 	}
 }
 
