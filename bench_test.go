@@ -539,49 +539,51 @@ func BenchmarkStoreIngestWAL(b *testing.B) {
 	})
 }
 
-// BenchmarkStoreSnapshot measures what a fresh /query costs the store:
-// each op commits one small batch to existing sources, so the next
-// snapshot's shared records and hour sets are cloned on write, then takes
-// a snapshot and reads what /query reads from it (the top ten
-// credentials, the login total and a 20-record page). The store is the
-// size of the end-to-end benchmark collector's preload, with one shard
-// as there: ~7k sources, first seen in no particular address order, with
-// hourly connects over 20 days, and ~108k distinct low-tier credentials
-// of which the first hundred are tried most, as in the paper's Table 12.
-func BenchmarkStoreSnapshot(b *testing.B) {
-	const (
-		sources = 7_040
-		creds   = 107_917
-	)
-	store := evstore.NewSharded(core.ExperimentStart, core.ExperimentDays, nil, 1)
-	hp := core.Info{DBMS: core.MSSQL, Level: core.Low, Config: core.ConfigDefault, Group: core.GroupMulti}
-	src := func(i int) netip.AddrPort {
-		a := uint32(i+1) * 2654435761 // a bijection that scatters the addresses
-		return netip.AddrPortFrom(netip.AddrFrom4([4]byte{byte(a >> 24), byte(a >> 16), byte(a >> 8), byte(a)}), 1024)
-	}
-	at := func(day, hour int) time.Time {
-		return core.ExperimentStart.Add(time.Duration(day*24+hour) * time.Hour)
-	}
+// The end-to-end benchmark collector's preload, at its size: ~7k
+// sources, first seen in no particular address order, with hourly
+// connects over 20 days, and ~108k distinct low-tier credentials of which
+// the first hundred are tried most, as in the paper's Table 12.
+const (
+	preloadSources = 7_040
+	preloadCreds   = 107_917
+)
+
+var preloadHoneypot = core.Info{DBMS: core.MSSQL, Level: core.Low, Config: core.ConfigDefault, Group: core.GroupMulti}
+
+// preloadSrc is preload source i's address: a bijection of i that
+// scatters the sources over the address space.
+func preloadSrc(i int) netip.AddrPort {
+	a := uint32(i+1) * 2654435761
+	return netip.AddrPortFrom(netip.AddrFrom4([4]byte{byte(a >> 24), byte(a >> 16), byte(a >> 8), byte(a)}), 1024)
+}
+
+func preloadAt(day, hour int) time.Time {
+	return core.ExperimentStart.Add(time.Duration(day*24+hour) * time.Hour)
+}
+
+// preloadBatches returns the preload as the commit-sized batches a
+// collector's start-up ingests, built once per process. Each source is
+// active on a third of the days, four hours a day; each credential is
+// first seen once, the first hundred tried up to a hundred times more.
+var preloadBatches = sync.OnceValue(func() [][]core.Event {
+	var out [][]core.Event
 	batch := make([]core.Event, 0, 4096)
 	commit := func() {
-		if err := store.RecordBatch(batch); err != nil {
-			b.Fatal(err)
-		}
-		batch = batch[:0]
+		out = append(out, batch)
+		batch = make([]core.Event, 0, 4096)
 	}
-	for i := 0; i < sources; i++ {
-		// Each source is active on a third of the days, four hours a day.
+	for i := 0; i < preloadSources; i++ {
 		for day := i % 3; day < core.ExperimentDays; day += 3 {
 			for h := 0; h < 4; h++ {
-				batch = append(batch, core.Event{Time: at(day, (i+6*h)%24), Src: src(i), Honeypot: hp, Kind: core.EventConnect})
+				batch = append(batch, core.Event{Time: preloadAt(day, (i+6*h)%24), Src: preloadSrc(i), Honeypot: preloadHoneypot, Kind: core.EventConnect})
 			}
 		}
 		if len(batch) > 3500 {
 			commit()
 		}
 	}
-	for c := 0; c < creds; c++ {
-		e := core.Event{Time: at(c%core.ExperimentDays, c%24), Src: src(c % sources), Honeypot: hp, Kind: core.EventLogin}
+	for c := 0; c < preloadCreds; c++ {
+		e := core.Event{Time: preloadAt(c%core.ExperimentDays, c%24), Src: preloadSrc(c % preloadSources), Honeypot: preloadHoneypot, Kind: core.EventLogin}
 		e.User, e.Pass = fmt.Sprintf("user%d", c%5000), fmt.Sprintf("pass%d", c)
 		for tries := 1 + max(0, 100-c); tries > 0; tries-- {
 			batch = append(batch, e)
@@ -591,26 +593,71 @@ func BenchmarkStoreSnapshot(b *testing.B) {
 		}
 	}
 	commit()
+	return out
+})
+
+// preloadStore ingests the preload into a fresh one-shard store, as the
+// end-to-end benchmark collector's store is.
+func preloadStore(b *testing.B) *evstore.Store {
+	store := evstore.NewSharded(core.ExperimentStart, core.ExperimentDays, nil, 1)
+	for _, batch := range preloadBatches() {
+		if err := store.RecordBatch(batch); err != nil {
+			b.Fatal(err)
+		}
+	}
+	return store
+}
+
+// BenchmarkStorePreload measures the store's share of a collector's
+// cold start: one op ingests the whole preload into a fresh store, the
+// path a WAL replay and bench/'s preload take.
+func BenchmarkStorePreload(b *testing.B) {
+	var events int
+	for _, batch := range preloadBatches() {
+		events += len(batch)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if store := preloadStore(b); store.Events() != int64(events) {
+			b.Fatalf("store has %d events, want %d", store.Events(), events)
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(b.N)*float64(events)/b.Elapsed().Seconds(), "events/s")
+}
+
+// BenchmarkStoreSnapshot measures what a fresh /query costs the store:
+// each op commits one small batch to existing sources, so the next
+// snapshot's shared records are cloned on write, then takes a snapshot
+// and reads what /query reads from it (the top ten credentials, the
+// login total and a 20-record page) from a store holding the preload.
+func BenchmarkStoreSnapshot(b *testing.B) {
+	store := preloadStore(b)
 	// The first snapshot numbers every credential the store holds; later
 	// ones number only the credentials added since. Pay it untimed, as a
 	// collector pays it once per process.
 	store.Snapshot()
 
 	q := evstore.Query{}
+	batch := make([]core.Event, 0, 16)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for j := 0; j < 8; j++ {
-			s := src((i*8 + j) % sources)
-			login := core.Event{Time: at(19, 23), Src: s, Honeypot: hp, Kind: core.EventLogin, User: "sa", Pass: "123"}
-			batch = append(batch, core.Event{Time: at(19, 23), Src: s, Honeypot: hp, Kind: core.EventConnect}, login)
+			s := preloadSrc((i*8 + j) % preloadSources)
+			login := core.Event{Time: preloadAt(19, 23), Src: s, Honeypot: preloadHoneypot, Kind: core.EventLogin, User: "sa", Pass: "123"}
+			batch = append(batch, core.Event{Time: preloadAt(19, 23), Src: s, Honeypot: preloadHoneypot, Kind: core.EventConnect}, login)
 		}
-		commit()
+		if err := store.RecordBatch(batch); err != nil {
+			b.Fatal(err)
+		}
+		batch = batch[:0]
 		snap := store.Snapshot()
 		if top := snap.Creds(q, 10); len(top) != 10 {
 			b.Fatalf("top creds = %d rows", len(top))
 		}
-		if snap.Logins(q) < creds {
+		if snap.Logins(q) < preloadCreds {
 			b.Fatal("logins lost")
 		}
 		if page := snap.Select(q)[:20]; page[19].TotalLogins() == 0 {

@@ -127,16 +127,6 @@ func TestRawCaptureBounded(t *testing.T) {
 	}
 }
 
-func TestEventDayHour(t *testing.T) {
-	e := Event{Time: ExperimentStart.Add(49*time.Hour + 30*time.Minute)}
-	if d := e.Day(ExperimentStart); d != 2 {
-		t.Fatalf("Day = %d", d)
-	}
-	if h := e.Hour(ExperimentStart); h != 49 {
-		t.Fatalf("Hour = %d", h)
-	}
-}
-
 func TestServeConnRecoversPanic(t *testing.T) {
 	sink := &MemSink{}
 	s := NewSession(Info{DBMS: MySQL}, DefaultTestSrc(), RealClock{}, sink)

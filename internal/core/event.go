@@ -47,14 +47,3 @@ type Event struct {
 	Command  string
 	Raw      string
 }
-
-// Day returns the zero-based experiment day of the event relative to start.
-func (e Event) Day(start time.Time) int {
-	return int(e.Time.Sub(start) / (24 * time.Hour))
-}
-
-// Hour returns the zero-based experiment hour of the event relative to
-// start.
-func (e Event) Hour(start time.Time) int {
-	return int(e.Time.Sub(start) / time.Hour)
-}

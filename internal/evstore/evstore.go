@@ -21,17 +21,21 @@
 // disjoint address sets, so unique-count merges are plain sums.
 //
 // Snapshots are copy-on-write. Each shard carries a generation that
-// Snapshot bumps; the snapshot takes the shard's records and hourly sets
-// by reference, and the shard clones a record or hour set from an older
-// generation the first time it writes it. Credentials live in
+// Snapshot bumps; the snapshot takes the shard's records by reference,
+// and the shard clones a record from an older generation the first time
+// it writes it. A source's low-tier connect hours are a bitmap in each of
+// its activities, so that clone covers them as well. Credentials live in
 // append-only per-shard rows whose keys a snapshot shares, so a snapshot
 // copies only pointers and the pointer-free credential tallies.
+//
+// Ingest looks a source's record and activity up once per session, not
+// once per event: while a shard run stays on one source and one honeypot
+// grouping, each event reuses the previous event's.
 package evstore
 
 import (
 	"fmt"
 	"hash/maphash"
-	"maps"
 	"net/netip"
 	"runtime"
 	"slices"
@@ -71,7 +75,12 @@ type Activity struct {
 	CommandsRun int64
 	ActiveDays  uint64 // bitmask over experiment days (max MaxDays days)
 	Actions     []Action
+
+	hours hourMask // low tier only: the hours of the window it connected in
 }
+
+// hourMask is a bit per hour of the longest window, MaxDays days.
+type hourMask [MaxDays * 24 / 64]uint64
 
 // DayCount reports the number of distinct active days.
 func (a *Activity) DayCount() int {
@@ -207,38 +216,24 @@ func (t *credRows) add(c Cred, low bool) {
 	}
 }
 
-// hourSets holds one series' unique sources per hour of the window.
-type hourSets []map[netip.Addr]struct{}
-
-// hourSeries is one of a shard's low-tier hourly series. gens[h] is the
-// shard generation sets[h] was made in; see Store.markHour.
-type hourSeries struct {
-	sets hourSets
-	gens []uint64
-}
-
-// storeShard is one independently locked partition of the store. The
-// hourly series map is keyed by DBMS name ("" = all DBMS); the series
-// track the low tier only (Figure 2, Figures 6–9).
+// storeShard is one independently locked partition of the store.
 //
-// gen counts the snapshots taken of the shard. A record or hour set made
-// in an older generation may be shared with a snapshot, so the shard
-// replaces it with a copy before its first write (writable, markHour).
+// gen counts the snapshots taken of the shard. A record made in an older
+// generation may be shared with a snapshot, so the shard replaces it
+// with a copy before its first write (writable).
 type storeShard struct {
 	mu     sync.Mutex
 	gen    uint64
 	index  map[netip.Addr]int // address -> position in recs
 	recs   []*IPRecord        // in order of first sight
 	creds  credRows
-	hourly map[string]*hourSeries
 	events int64
 }
 
 func newShard() *storeShard {
 	return &storeShard{
-		index:  make(map[netip.Addr]int),
-		creds:  credRows{seed: maphash.MakeSeed(), row: make(map[uint64]int32), clash: make(map[Cred]int32)},
-		hourly: make(map[string]*hourSeries),
+		index: make(map[netip.Addr]int),
+		creds: credRows{seed: maphash.MakeSeed(), row: make(map[uint64]int32), clash: make(map[Cred]int32)},
 	}
 }
 
@@ -339,7 +334,7 @@ func (s *Store) Record(e core.Event) {
 	}
 	sh := s.shardFor(e.Src.Addr())
 	sh.mu.Lock()
-	s.record(sh, e)
+	s.record(sh, &e, &cursor{})
 	sh.mu.Unlock()
 }
 
@@ -370,8 +365,9 @@ func (s *Store) applyBatch(events []core.Event) error {
 		}
 		sh := s.shards[si]
 		sh.mu.Lock()
-		for _, e := range events[i:j] {
-			s.record(sh, e)
+		var c cursor
+		for k := i; k < j; k++ {
+			s.record(sh, &events[k], &c)
 		}
 		sh.mu.Unlock()
 		i = j
@@ -379,18 +375,43 @@ func (s *Store) applyBatch(events []core.Event) error {
 	return nil
 }
 
-// record applies one event to its shard. The caller holds sh.mu.
-func (s *Store) record(sh *storeShard, e core.Event) {
+// cursor is the record and activity the previous event of a shard run
+// wrote. The record was made writable under the same hold of the shard
+// lock, so no snapshot can have taken it since, and the next event from
+// the same source to the same grouping writes it again without a lookup.
+type cursor struct {
+	addr netip.Addr
+	key  PerKey
+	rec  *IPRecord
+	act  *Activity
+}
+
+// record applies one event to its shard. The caller holds sh.mu and
+// passes the same cursor for every event of one lock hold.
+func (s *Store) record(sh *storeShard, e *core.Event, c *cursor) {
 	sh.events++
 
 	addr := e.Src.Addr()
-	i, ok := sh.index[addr]
-	if !ok {
-		i = len(sh.recs)
-		sh.index[addr] = i
-		sh.recs = append(sh.recs, s.newRecord(addr, e.Time, sh.gen))
+	key := PerKey{DBMS: e.Honeypot.DBMS, Level: e.Honeypot.Level, Config: e.Honeypot.Config, Group: e.Honeypot.Group}
+	if c.rec == nil || c.addr != addr {
+		i, ok := sh.index[addr]
+		if !ok {
+			i = len(sh.recs)
+			sh.index[addr] = i
+			sh.recs = append(sh.recs, s.newRecord(addr, e.Time, sh.gen))
+		}
+		*c = cursor{addr: addr, rec: sh.writable(i)}
 	}
-	rec := sh.writable(i)
+	rec := c.rec
+	if c.act == nil || c.key != key {
+		c.act = rec.Per[key]
+		if c.act == nil {
+			c.act = &Activity{}
+			rec.Per[key] = c.act
+		}
+		c.key = key
+	}
+	act := c.act
 	if e.Time.Before(rec.FirstSeen) {
 		rec.FirstSeen = e.Time
 	}
@@ -398,23 +419,17 @@ func (s *Store) record(sh *storeShard, e core.Event) {
 		rec.LastSeen = e.Time
 	}
 
-	key := PerKey{DBMS: e.Honeypot.DBMS, Level: e.Honeypot.Level, Config: e.Honeypot.Config, Group: e.Honeypot.Group}
-	act := rec.Per[key]
-	if act == nil {
-		act = &Activity{}
-		rec.Per[key] = act
-	}
-	if day := e.Day(s.start); day >= 0 && day < s.days {
+	// Events before the window start mark no day or hour.
+	off := e.Time.Sub(s.start)
+	if day := int(off / (24 * time.Hour)); off >= 0 && day < s.days {
 		act.ActiveDays |= 1 << uint(day)
 	}
 
 	switch e.Kind {
 	case core.EventConnect:
 		act.Sessions++
-		if e.Honeypot.Level == core.Low {
-			hour := e.Hour(s.start)
-			s.markHour(sh, "", hour, addr)
-			s.markHour(sh, e.Honeypot.DBMS, hour, addr)
+		if hour := int(off / time.Hour); key.Level == core.Low && off >= 0 && hour < s.days*24 {
+			act.hours[hour/64] |= 1 << uint(hour%64)
 		}
 	case core.EventLogin:
 		act.Logins++
@@ -446,33 +461,6 @@ func (s *Store) newRecord(addr netip.Addr, t time.Time, gen uint64) *IPRecord {
 		}
 	}
 	return rec
-}
-
-// markHour adds addr to the hourly unique set of series dbms ("" = all).
-// A set from an older generation may be shared with a snapshot, so it is
-// cloned before its first new address. The caller holds sh.mu.
-func (s *Store) markHour(sh *storeShard, dbms string, hour int, addr netip.Addr) {
-	if hour < 0 || hour >= s.days*24 {
-		return
-	}
-	se := sh.hourly[dbms]
-	if se == nil {
-		se = &hourSeries{sets: make(hourSets, s.days*24), gens: make([]uint64, s.days*24)}
-		sh.hourly[dbms] = se
-	}
-	set := se.sets[hour]
-	switch {
-	case set == nil:
-		set = make(map[netip.Addr]struct{})
-		se.sets[hour], se.gens[hour] = set, sh.gen
-	case se.gens[hour] != sh.gen:
-		if _, ok := set[addr]; ok {
-			return // already counted: no write, so no clone
-		}
-		set = maps.Clone(set)
-		se.sets[hour], se.gens[hour] = set, sh.gen
-	}
-	set[addr] = struct{}{}
 }
 
 // MarkInstitutional overrides the institutional flag for the given

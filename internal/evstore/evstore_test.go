@@ -4,6 +4,7 @@ import (
 	"hash/maphash"
 	"net/netip"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -101,6 +102,33 @@ func TestActiveDaysBitmask(t *testing.T) {
 	s.Record(ev("203.0.113.5", hp, core.EventConnect, 21*24))
 	if s.Snapshot().IP(rec.Addr).Per[key].DayCount() != 3 {
 		t.Fatal("out-of-window day counted")
+	}
+}
+
+// TestBeforeWindowMarksNothing: an event before the window start counts
+// its session but marks no day and no hour. Dividing a negative offset
+// toward zero read 23 hours before the start as day 0 and 30 minutes
+// before it as hour 0.
+func TestBeforeWindowMarksNothing(t *testing.T) {
+	s := New(start, 20, nil)
+	hp := lowInfo(core.Redis)
+	for _, before := range []time.Duration{23 * time.Hour, 30 * time.Minute, time.Nanosecond} {
+		e := ev("203.0.113.6", hp, core.EventConnect, 0)
+		e.Time = start.Add(-before)
+		s.Record(e)
+	}
+	snap := s.Snapshot()
+	act := snap.IP(netip.MustParseAddr("203.0.113.6")).Per[PerKey{DBMS: core.Redis, Level: core.Low, Config: core.ConfigDefault, Group: core.GroupMulti}]
+	if act.Sessions != 3 || act.ActiveDays != 0 {
+		t.Fatalf("sessions = %d, days = %b, want 3 sessions and no day", act.Sessions, act.ActiveDays)
+	}
+	for _, dbms := range []string{"", core.Redis} {
+		if h := snap.HourlyUnique(Query{DBMS: dbms}); slices.Max(h) != 0 {
+			t.Fatalf("%q hourly = %v, want no hour counted", dbms, h[:2])
+		}
+		if c := snap.CumulativeNew(Query{DBMS: dbms}); c[len(c)-1] != 0 {
+			t.Fatalf("%q cumulative ends at %d, want 0", dbms, c[len(c)-1])
+		}
 	}
 }
 

@@ -2,7 +2,6 @@ package evstore
 
 import (
 	"cmp"
-	"net/netip"
 
 	"decoydb/internal/core"
 )
@@ -152,29 +151,4 @@ func CompareCreds(a, b CredCount) int {
 func hourSpan(q Query, days int) (lo, hi int) {
 	dlo, dhi := q.Days.bounds(days)
 	return dlo * 24, dhi * 24
-}
-
-// addCounts adds the unique-source count of each hour from lo on to out.
-func (hs hourSets) addCounts(out []int, lo int) {
-	if hs == nil {
-		return
-	}
-	for h := range out {
-		out[h] += len(hs[lo+h])
-	}
-}
-
-// addCumulative adds to out, for each hour from lo on, the number of
-// distinct sources seen from lo up to that hour.
-func (hs hourSets) addCumulative(out []int, lo int) {
-	if hs == nil {
-		return
-	}
-	seen := make(map[netip.Addr]struct{})
-	for h := range out {
-		for a := range hs[lo+h] {
-			seen[a] = struct{}{}
-		}
-		out[h] += len(seen)
-	}
 }

@@ -255,7 +255,8 @@ func deepCopy(recs []*IPRecord) []IPRecord {
 // TestSnapshotMatchesStore: two snapshots of a quiesced store must agree
 // on every query, and a snapshot must be immune to every kind of later
 // write — its answers and its records stay what they were when it was
-// taken, although it shares records and hourly sets with the store.
+// taken, although it shares records, hour bitmaps included, with the
+// store.
 func TestSnapshotMatchesStore(t *testing.T) {
 	s := seedStore(t, 4)
 	snap := s.Snapshot()
@@ -285,8 +286,8 @@ func TestSnapshotMatchesStore(t *testing.T) {
 	// Addresses for the writes: seed source i is 198.51.0.<i+1>, active on
 	// day i%20 with a low-tier connect at hour (i%20)*24. Sources 1 to 7
 	// are the other writes' targets. peer is a later source in source 0's
-	// shard with no connect in hour 0, so its connect there extends an
-	// hour set the snapshot holds.
+	// shard with no connect in hour 0, so its connect there adds a source
+	// to an hour the snapshot counts.
 	addr := func(i int) string { return fmt.Sprintf("198.51.0.%d", i+1) }
 	peer := ""
 	for i := 8; i < 64 && peer == ""; i++ {
@@ -438,6 +439,103 @@ func TestConcurrentRecordBatchSnapshot(t *testing.T) {
 	}
 	if got := s.Events(); got != want {
 		t.Fatalf("final events = %d, want %d", got, want)
+	}
+}
+
+// TestConcurrentSessionsSnapshot exercises session ingest against
+// snapshots under race detection: one producer per shard commits rounds
+// of whole sessions (connect, login, close, all in one hour) while a
+// reader snapshots. Within a snapshot every source has as many logins as
+// sessions and one hourly count per session, however far the producers
+// have got, and every snapshot keeps its answers once taken. Run with
+// -race, repeatedly, in CI.
+func TestConcurrentSessionsSnapshot(t *testing.T) {
+	const (
+		shards = 4
+		rounds = 24
+	)
+	s := NewSharded(start, 20, nil, shards)
+	perShard := make([][]netip.Addr, shards)
+	for i := 0; i < 256; i++ {
+		addr := netip.AddrFrom4([4]byte{203, 0, 113, byte(i)})
+		si := core.ShardOf(addr, shards)
+		perShard[si] = append(perShard[si], addr)
+	}
+
+	var wg sync.WaitGroup
+	for _, addrs := range perShard {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for round := 0; round < rounds; round++ {
+				var batch []core.Event
+				for i, a := range addrs {
+					hp := lowInfo([]string{core.MSSQL, core.MySQL}[i%2])
+					src := netip.AddrPortFrom(a, uint16(1024+round))
+					at := start.Add(time.Duration(round)*time.Hour + time.Duration(i)*time.Second)
+					batch = append(batch,
+						core.Event{Time: at, Src: src, Honeypot: hp, Kind: core.EventConnect},
+						core.Event{Time: at, Src: src, Honeypot: hp, Kind: core.EventLogin, User: "sa", Pass: fmt.Sprint(round)},
+						core.Event{Time: at, Src: src, Honeypot: hp, Kind: core.EventClose})
+				}
+				if err := s.RecordBatch(batch); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+
+	type taken struct {
+		snap   *Snapshot
+		hourly []int
+		cum    []int
+		logins int64
+	}
+	var snaps []taken
+	check := func(v *Snapshot) taken {
+		tk := taken{v, v.HourlyUnique(Query{}), v.CumulativeNew(Query{}), v.Logins(Query{})}
+		var sessions, hours int
+		for _, r := range v.Recs() {
+			for _, a := range r.Per {
+				if int64(a.Sessions) != a.Logins {
+					t.Errorf("%v: %d sessions, %d logins", r.Addr, a.Sessions, a.Logins)
+				}
+				sessions += a.Sessions
+			}
+		}
+		for _, n := range tk.hourly {
+			hours += n
+		}
+		if hours != sessions || int64(sessions) != tk.logins {
+			t.Errorf("snapshot: %d sessions, %d hourly counts, %d logins", sessions, hours, tk.logins)
+		}
+		if last := tk.cum[len(tk.cum)-1]; last != v.UniqueIPs(Query{}) {
+			t.Errorf("snapshot: cumulative clients %d, sources %d", last, v.UniqueIPs(Query{}))
+		}
+		return tk
+	}
+	done := make(chan struct{})
+	go func() {
+		wg.Wait()
+		close(done)
+	}()
+	for running := true; running; {
+		select {
+		case <-done:
+			running = false
+		default:
+		}
+		snaps = append(snaps, check(s.Snapshot()))
+	}
+	final := check(s.Snapshot())
+	if final.logins != 256*rounds || final.cum[len(final.cum)-1] != 256 {
+		t.Fatalf("final: %d logins, %d clients, want %d and 256", final.logins, final.cum[len(final.cum)-1], 256*rounds)
+	}
+	for i, tk := range snaps {
+		if !slices.Equal(tk.snap.HourlyUnique(Query{}), tk.hourly) || !slices.Equal(tk.snap.CumulativeNew(Query{}), tk.cum) || tk.snap.Logins(Query{}) != tk.logins {
+			t.Fatalf("snapshot %d of %d changed its answers after it was taken", i, len(snaps))
+		}
 	}
 }
 

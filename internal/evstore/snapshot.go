@@ -1,6 +1,8 @@
 package evstore
 
 import (
+	"iter"
+	"math/bits"
 	"net/netip"
 	"slices"
 	"time"
@@ -10,18 +12,19 @@ import (
 
 // Snapshot is an immutable point-in-time view of the whole store, and
 // the only way to query it: one pass over the shards at construction,
-// then every Table 1–12 experiment reads lock-free from the same dataset. A Snapshot stays valid and
-// race-free while ingest continues: it shares records and hourly sets
-// with the store, which copies each one before writing it again.
+// then every Table 1–12 experiment reads lock-free from the same
+// dataset. A Snapshot stays valid and race-free while ingest continues:
+// it shares records, and with them their activities' day and hour
+// bitmaps, with the store, which copies a record before writing it
+// again. The hourly series are folded from those bitmaps when read.
 type Snapshot struct {
 	start  time.Time
 	days   int
 	events int64
-	recs   []*IPRecord           // sorted by address
-	hourly []map[string]hourSets // per shard: dbms -> hour -> unique IPs
-	creds  []Cred                // store-wide credential id -> credential
-	low    []int64               // low-tier logins per credential id
-	mh     []int64               // medium/high-tier logins per credential id
+	recs   []*IPRecord // sorted by address
+	creds  []Cred      // store-wide credential id -> credential
+	low    []int64     // low-tier logins per credential id
+	mh     []int64     // medium/high-tier logins per credential id
 }
 
 // SnapshotStats reports what building snapshots has cost. Build is the
@@ -65,28 +68,22 @@ func (c *credIDs) extend(i int, chunks []*credChunk, n int) []int32 {
 // Snapshot builds an immutable view of the store. Each shard is captured
 // under its own lock, one shard at a time, so the view is consistent
 // within every shard while the others keep ingesting. Under the lock the
-// shard bumps its generation and hands over its record pointers, its
-// hourly set pointers and a copy of its credential tallies; after the
-// first write to any of them the shard works on a clone. Credentials are
-// then merged across shards by id and the records sorted, outside every
-// shard lock.
+// shard bumps its generation and hands over its record pointers and a
+// copy of its credential tallies; after the first write to a record the
+// shard works on a clone. Credentials are then merged across shards by
+// id and the records sorted, outside every shard lock.
 func (s *Store) Snapshot() *Snapshot {
 	s.snapMu.Lock()
 	defer s.snapMu.Unlock()
 	began := time.Now()
 	var held time.Duration
-	v := &Snapshot{start: s.start, days: s.days, hourly: make([]map[string]hourSets, len(s.shards))}
+	v := &Snapshot{start: s.start, days: s.days}
 	for i, sh := range s.shards {
 		sh.mu.Lock()
 		locked := time.Now()
 		sh.gen++
 		v.events += sh.events
 		v.recs = append(v.recs, sh.recs...)
-		hourly := make(map[string]hourSets, len(sh.hourly))
-		for dbms, se := range sh.hourly {
-			hourly[dbms] = slices.Clone(se.sets)
-		}
-		v.hourly[i] = hourly
 		chunks, n := sh.creds.chunks, sh.creds.n
 		low, mh := s.tallyBuf(n)
 		for c := 0; c*credChunkRows < n; c++ {
@@ -222,24 +219,67 @@ func (v *Snapshot) UniqueIPs(q Query) int {
 }
 
 // HourlyUnique returns the per-hour unique-client counts on the low tier
-// for q.DBMS ("" = all), over q.Days (zero = whole window).
+// for q.DBMS ("" = all), over q.Days (zero = whole window). It folds every
+// record's low-tier connect hours: O(records) per call.
 func (v *Snapshot) HourlyUnique(q Query) []int {
 	lo, hi := hourSpan(q, v.days)
 	out := make([]int, hi-lo)
-	for _, hourly := range v.hourly {
-		hourly[q.DBMS].addCounts(out, lo)
+	for _, r := range v.recs {
+		m := r.lowHours(q.DBMS)
+		for h := range m.within(lo, hi) {
+			out[h-lo]++
+		}
 	}
 	return out
 }
 
 // CumulativeNew returns, per hour over q.Days, the cumulative number of
 // distinct clients first seen up to that hour on the low tier for q.DBMS
-// ("" = all).
+// ("" = all): each record counts from the first hour of the span it
+// connected in. O(records) per call, like HourlyUnique.
 func (v *Snapshot) CumulativeNew(q Query) []int {
 	lo, hi := hourSpan(q, v.days)
 	out := make([]int, hi-lo)
-	for _, hourly := range v.hourly {
-		hourly[q.DBMS].addCumulative(out, lo)
+	for _, r := range v.recs {
+		m := r.lowHours(q.DBMS)
+		for h := range m.within(lo, hi) {
+			out[h-lo]++
+			break
+		}
+	}
+	for h := 1; h < len(out); h++ {
+		out[h] += out[h-1]
 	}
 	return out
+}
+
+// lowHours returns the hours the record connected to the low tier in, on
+// dbms ("" = all).
+func (r *IPRecord) lowHours(dbms string) hourMask {
+	var m hourMask
+	for k, a := range r.Per {
+		if k.Level == core.Low && (dbms == "" || k.DBMS == dbms) {
+			for w := range m {
+				m[w] |= a.hours[w]
+			}
+		}
+	}
+	return m
+}
+
+// within yields the hours in [lo, hi) whose bit is set, in order.
+func (m *hourMask) within(lo, hi int) iter.Seq[int] {
+	return func(yield func(int) bool) {
+		for w := lo / 64; w*64 < hi; w++ {
+			for word := m[w]; word != 0; word &= word - 1 {
+				h := w*64 + bits.TrailingZeros64(word)
+				if h >= hi {
+					return
+				}
+				if h >= lo && !yield(h) {
+					return
+				}
+			}
+		}
+	}
 }

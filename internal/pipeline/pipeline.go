@@ -9,12 +9,20 @@
 // command-centric session records. Both are JSON lines, one file per
 // (DBMS, config) pair — the same consolidation the paper's published
 // dataset uses.
+//
+// JSON strings hold UTF-8 only, and attackers send arbitrary bytes (a
+// TLS or RDP probe's payload). An attacker-supplied field that is not
+// valid UTF-8 is written base64-encoded under a sibling key ending in
+// "_b64", its plain key left out, so it reads back byte for byte; every
+// other line is plain JSON.
 package pipeline
 
 import (
 	"bufio"
 	"bytes"
+	"encoding/base64"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/netip"
@@ -24,6 +32,7 @@ import (
 	"sort"
 	"sync"
 	"time"
+	"unicode/utf8"
 
 	"decoydb/internal/core"
 	"decoydb/internal/evstore"
@@ -38,7 +47,9 @@ type qeeqboxRecord struct {
 	SrcPort   uint16 `json:"src_port"`
 	Server    string `json:"server"` // dbms name
 	Username  string `json:"username,omitempty"`
+	UserB64   string `json:"username_b64,omitempty"`
 	Password  string `json:"password,omitempty"`
+	PassB64   string `json:"password_b64,omitempty"`
 	Instance  int    `json:"instance"`
 	Group     string `json:"group"`
 	VM        string `json:"vm"`
@@ -56,10 +67,36 @@ type sessionRecord struct {
 	Region  string `json:"region,omitempty"`
 	Inst    int    `json:"instance"`
 	User    string `json:"user,omitempty"`
+	UserB64 string `json:"user_b64,omitempty"`
 	Pass    string `json:"pass,omitempty"`
+	PassB64 string `json:"pass_b64,omitempty"`
 	OK      bool   `json:"ok,omitempty"`
 	Command string `json:"cmd,omitempty"`
+	CmdB64  string `json:"cmd_b64,omitempty"`
 	Raw     string `json:"raw,omitempty"`
+	RawB64  string `json:"raw_b64,omitempty"`
+}
+
+// encodeText splits an attacker-supplied string into a line's plain
+// field and its base64 sibling: valid UTF-8 goes in the plain field,
+// anything else, which encoding/json would mangle, base64-encoded in the
+// sibling.
+func encodeText(s string) (plain, b64 string) {
+	if utf8.ValidString(s) {
+		return s, ""
+	}
+	return "", base64.StdEncoding.EncodeToString([]byte(s))
+}
+
+// decodeText is encodeText's inverse: it replaces *plain with the bytes
+// of its base64 sibling, when there is one.
+func decodeText(plain *string, b64 string) error {
+	if b64 == "" {
+		return nil
+	}
+	b, err := base64.StdEncoding.DecodeString(b64)
+	*plain = string(b)
+	return err
 }
 
 // LogWriter is a core.Sink that writes honeypot-native log files under a
@@ -272,12 +309,13 @@ func toQeeqbox(e core.Event) qeeqboxRecord {
 		r.Action = "connection"
 	case core.EventLogin:
 		r.Action = "login"
-		r.Username = e.User
-		r.Password = e.Pass
+		r.Username, r.UserB64 = encodeText(e.User)
+		r.Password, r.PassB64 = encodeText(e.Pass)
 	case core.EventCommand:
 		r.Action = "command"
-		r.Username = e.Command // qeeqbox abuses fields; conversion handles it
-		r.Password = e.Raw
+		// qeeqbox abuses fields; conversion handles it
+		r.Username, r.UserB64 = encodeText(e.Command)
+		r.Password, r.PassB64 = encodeText(e.Raw)
 	case core.EventClose:
 		r.Action = "disconnect"
 	}
@@ -285,22 +323,23 @@ func toQeeqbox(e core.Event) qeeqboxRecord {
 }
 
 func toSession(e core.Event) sessionRecord {
-	return sessionRecord{
-		Time:    e.Time.UTC().Format(time.RFC3339Nano),
-		Addr:    e.Src.String(),
-		Event:   e.Kind.String(),
-		DBMS:    e.Honeypot.DBMS,
-		Level:   e.Honeypot.Level.String(),
-		Config:  e.Honeypot.Config,
-		Group:   e.Honeypot.Group,
-		Region:  e.Honeypot.Region,
-		Inst:    e.Honeypot.Instance,
-		User:    e.User,
-		Pass:    e.Pass,
-		OK:      e.OK,
-		Command: e.Command,
-		Raw:     e.Raw,
+	r := sessionRecord{
+		Time:   e.Time.UTC().Format(time.RFC3339Nano),
+		Addr:   e.Src.String(),
+		Event:  e.Kind.String(),
+		DBMS:   e.Honeypot.DBMS,
+		Level:  e.Honeypot.Level.String(),
+		Config: e.Honeypot.Config,
+		Group:  e.Honeypot.Group,
+		Region: e.Honeypot.Region,
+		Inst:   e.Honeypot.Instance,
+		OK:     e.OK,
 	}
+	r.User, r.UserB64 = encodeText(e.User)
+	r.Pass, r.PassB64 = encodeText(e.Pass)
+	r.Command, r.CmdB64 = encodeText(e.Command)
+	r.Raw, r.RawB64 = encodeText(e.Raw)
+	return r
 }
 
 // Load parses every log file in dir, enriches sources against geo, and
@@ -401,6 +440,9 @@ func fromQeeqbox(r qeeqboxRecord) (core.Event, error) {
 	if err != nil {
 		return core.Event{}, err
 	}
+	if err := errors.Join(decodeText(&r.Username, r.UserB64), decodeText(&r.Password, r.PassB64)); err != nil {
+		return core.Event{}, err
+	}
 	e := core.Event{
 		Time: t,
 		Src:  netip.AddrPortFrom(addr, r.SrcPort),
@@ -432,6 +474,11 @@ func fromSession(r sessionRecord) (core.Event, error) {
 		return core.Event{}, err
 	}
 	src, err := netip.ParseAddrPort(r.Addr)
+	if err != nil {
+		return core.Event{}, err
+	}
+	err = errors.Join(decodeText(&r.User, r.UserB64), decodeText(&r.Pass, r.PassB64),
+		decodeText(&r.Command, r.CmdB64), decodeText(&r.Raw, r.RawB64))
 	if err != nil {
 		return core.Event{}, err
 	}

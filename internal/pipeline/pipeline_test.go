@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"bytes"
 	"encoding/json"
 	"net/netip"
 	"os"
@@ -376,5 +377,70 @@ func TestLogWriterCutsTornTail(t *testing.T) {
 	}
 	if store.Events() != 8 {
 		t.Fatalf("loaded %d events, want the 5 whole lines plus 3 appended", store.Events())
+	}
+}
+
+// TestBinaryFieldsRoundTrip: attacker-supplied fields holding any bytes,
+// not only UTF-8, read back as written in both line formats, and a line
+// whose fields are all UTF-8 stays plain JSON, with no base64 key.
+func TestBinaryFieldsRoundTrip(t *testing.T) {
+	every := make([]byte, 256)
+	for i := range every {
+		every[i] = byte(i)
+	}
+	tls := "\x16\x03\x01\x00\xe0\xff\x00\x01"
+	login := medEvent("20.0.77.2", core.EventLogin, "", "")
+	login.User, login.Pass = "\x80", string(every[128:])
+	cmd := lowEvent("203.0.113.9", core.EventCommand, "", "")
+	cmd.Command, cmd.Raw = tls, "\xc3\x28"
+	cases := []struct {
+		e      core.Event
+		binary bool
+	}{
+		{lowEvent("203.0.113.9", core.EventLogin, "sa\xff", string(every)), true},
+		{cmd, true},
+		{lowEvent("203.0.113.9", core.EventLogin, "sa", "pässwörd"), false},
+		{medEvent("20.0.77.2", core.EventCommand, "RAW", tls), true},
+		{medEvent("20.0.77.2", core.EventCommand, string(every), "\xed\xa0\x80"), true},
+		{medEvent("20.0.77.2", core.EventCommand, "KEYS", "KEYS *"), false},
+		{login, true},
+	}
+	dir := t.TempDir()
+	lw, err := NewLogWriter(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range cases {
+		lw.Record(c.e)
+	}
+	if err := lw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var lines [][]byte
+	for _, name := range []string{"mssql_multi_default.json", "redis_medium_fakedata.json"} {
+		b, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines = append(lines, bytes.SplitAfter(bytes.TrimSuffix(b, []byte("\n")), []byte("\n"))...)
+	}
+	if len(lines) != len(cases) {
+		t.Fatalf("%d lines for %d events", len(lines), len(cases))
+	}
+	for i, c := range cases {
+		if b64 := bytes.Contains(lines[i], []byte("_b64")); b64 != c.binary {
+			t.Errorf("line %q: has a base64 key = %v, want %v", lines[i], b64, c.binary)
+		}
+		got, err := parseLine(lines[i])
+		if err != nil {
+			t.Fatalf("line %q: %v", lines[i], err)
+		}
+		if !got.Time.Equal(c.e.Time) {
+			t.Fatalf("line %q: time %v, want %v", lines[i], got.Time, c.e.Time)
+		}
+		got.Time = c.e.Time
+		if got != c.e {
+			t.Fatalf("line %q reads back as\n%#v\nwant\n%#v", lines[i], got, c.e)
+		}
 	}
 }

@@ -104,35 +104,53 @@ type Population struct {
 
 // addrPool hands out unique addresses from the GeoIP allocation plan.
 type addrPool struct {
-	db   *geoip.DB
-	next map[netip.Prefix]uint32
-	r    *rand.Rand
+	db    *geoip.DB
+	next  map[netip.Prefix]uint32
+	slots map[addrSlot][]geoip.Allocation // candidates per slot, found once
+	r     *rand.Rand
+}
+
+// addrSlot is one (ASN, country) cell of the calibration tables.
+type addrSlot struct {
+	asn     uint32
+	country string
 }
 
 func newAddrPool(db *geoip.DB, r *rand.Rand) *addrPool {
-	return &addrPool{db: db, next: make(map[netip.Prefix]uint32), r: r}
+	return &addrPool{db: db, next: make(map[netip.Prefix]uint32), slots: make(map[addrSlot][]geoip.Allocation), r: r}
 }
 
-// take returns a fresh address in the given (asn, country) slot. It
-// prefers exact matches and falls back to country-only (unmapped space
-// included) so calibration slots never fail.
-func (p *addrPool) take(asn uint32, country string) (netip.Addr, error) {
-	var candidates []geoip.Allocation
-	for _, a := range p.db.In(country) {
-		if a.ASN == asn {
-			candidates = append(candidates, a)
-		}
+// candidates returns the allocations a slot draws from: the exact
+// (asn, country) matches, else the country's unmapped space, else the
+// whole country, so calibration slots never fail. Each slot's list is
+// computed on its first use and kept.
+func (p *addrPool) candidates(asn uint32, country string) []geoip.Allocation {
+	slot := addrSlot{asn, country}
+	if c, ok := p.slots[slot]; ok {
+		return c
 	}
-	if len(candidates) == 0 {
-		for _, a := range p.db.In(country) {
-			if a.ASN == 0 {
-				candidates = append(candidates, a)
+	in := p.db.In(country)
+	var c []geoip.Allocation
+	for _, want := range []uint32{asn, 0} {
+		for _, a := range in {
+			if a.ASN == want {
+				c = append(c, a)
 			}
 		}
+		if len(c) > 0 {
+			break
+		}
 	}
-	if len(candidates) == 0 {
-		candidates = p.db.In(country)
+	if len(c) == 0 {
+		c = in
 	}
+	p.slots[slot] = c
+	return c
+}
+
+// take returns a fresh address in the given (asn, country) slot.
+func (p *addrPool) take(asn uint32, country string) (netip.Addr, error) {
+	candidates := p.candidates(asn, country)
 	if len(candidates) == 0 {
 		return netip.Addr{}, fmt.Errorf("simnet: no allocation for AS%d/%s", asn, country)
 	}
