@@ -5,6 +5,7 @@
 package analysis
 
 import (
+	"math/bits"
 	"sort"
 	"strings"
 
@@ -67,9 +68,9 @@ func LowRetentionByDBMS(recs []*evstore.IPRecord) map[string][]int {
 			perDBMS[k.DBMS] |= a.ActiveDays
 		}
 		if overall != 0 {
-			out[""] = append(out[""], popcount(overall))
+			out[""] = append(out[""], bits.OnesCount64(overall))
 			for dbms, m := range perDBMS {
-				out[dbms] = append(out[dbms], popcount(m))
+				out[dbms] = append(out[dbms], bits.OnesCount64(m))
 			}
 		}
 	}
@@ -86,17 +87,9 @@ func MHRetentionByBehavior(recs []*evstore.IPRecord) map[classify.Behavior][]int
 			continue
 		}
 		b := classify.IP(r, classify.MediumHigh)
-		out[b] = append(out[b], popcount(mask))
+		out[b] = append(out[b], bits.OnesCount64(mask))
 	}
 	return out
-}
-
-func popcount(m uint64) int {
-	n := 0
-	for ; m != 0; m &= m - 1 {
-		n++
-	}
-	return n
 }
 
 // --- Upset intersections (Figure 4) ---

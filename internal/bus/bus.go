@@ -386,13 +386,6 @@ func (b *Bus) Close() error {
 	return b.firstErr
 }
 
-// Err returns the first sink delivery error observed so far.
-func (b *Bus) Err() error {
-	b.errMu.Lock()
-	defer b.errMu.Unlock()
-	return b.firstErr
-}
-
 // Stats is a point-in-time snapshot of bus counters.
 type Stats struct {
 	Shards    int

@@ -40,6 +40,17 @@ func (b Behavior) String() string {
 	return "unknown"
 }
 
+// ParseBehavior returns the behaviour String names name, and false for
+// any other name.
+func ParseBehavior(name string) (Behavior, bool) {
+	for b := range Exploiting + 1 {
+		if b.String() == name {
+			return b, true
+		}
+	}
+	return Scanning, false
+}
+
 // exploitActions lists, per DBMS, the normalised actions that constitute
 // manipulation of the DBMS, its data, or the host.
 var exploitActions = map[string]map[string]bool{
@@ -156,11 +167,7 @@ var serviceScanMarkers = []string{
 // Step classifies one normalised action on one DBMS: exploit-grade if
 // the action manipulates the DBMS/data/host, scanning if it is pure
 // protocol housekeeping (unless the raw payload is a deliberate probe
-// for an unrelated service), scouting otherwise. It is the per-action
-// building block shared by the offline Activity fold below and the
-// online incremental classifier in internal/stream — both are folds of
-// Step over an action sequence, so live and post-hoc verdicts cannot
-// drift apart.
+// for an unrelated service), scouting otherwise.
 func Step(dbms, action, raw string) Behavior {
 	if exploitActions[dbms][action] {
 		return Exploiting
@@ -180,6 +187,24 @@ func Step(dbms, action, raw string) Behavior {
 	return Scouting
 }
 
+// Fold raises verdict v by one event of kind on dbms: a login raises it
+// to Scouting, and a command to Step(dbms, action, raw). It is the one
+// verdict rule: Activity folds it over a stored activity, and the
+// streaming analyzer (internal/stream) and the trace ring (internal/obs)
+// over events as they arrive, so live and post-hoc verdicts cannot drift
+// apart.
+func Fold(v Behavior, kind core.EventKind, dbms, action, raw string) Behavior {
+	switch {
+	case v == Exploiting:
+		return v
+	case kind == core.EventLogin:
+		return max(v, Scouting)
+	case kind == core.EventCommand:
+		return max(v, Step(dbms, action, raw))
+	}
+	return v
+}
+
 // ExploitActions returns the exploit-grade action names for one DBMS in
 // sorted order — the table-form contract the emulation drift tests in
 // internal/simnet assert against: every entry must be producible by the
@@ -193,24 +218,18 @@ func ExploitActions(dbms string) []string {
 	return out
 }
 
-// Activity classifies one (source, honeypot) activity record: the most
-// intrusive Step over its actions, with any login attempt counting as
-// scouting.
+// Activity classifies one (source, honeypot) activity record: Fold over
+// a login, if it had any, and over its commands.
 func Activity(dbms string, act *evstore.Activity) Behavior {
 	if act == nil {
 		return Scanning
 	}
 	best := Scanning
 	if act.Logins > 0 {
-		best = Scouting
+		best = Fold(best, core.EventLogin, dbms, "", "")
 	}
 	for _, a := range act.Actions {
-		if best >= Exploiting {
-			break
-		}
-		if b := Step(dbms, a.Name, a.Raw); b > best {
-			best = b
-		}
+		best = Fold(best, core.EventCommand, dbms, a.Name, a.Raw)
 	}
 	return best
 }

@@ -206,26 +206,23 @@ func (f *Forward) WatchSIGHUP(fwd *relay.ForwardSink, base relay.ForwardOptions,
 // addresses of the other collectors in the tier, whose /query results
 // this collector merges so a reader sees one logical capture.
 type Peers struct {
-	Spec *string
+	addrs []string
 }
 
-// RegisterPeers registers the -peers flag on fs.
+// RegisterPeers registers the -peers flag on fs. The list is read with
+// relay.ParseAddrs, so the flag parse refuses a duplicate address: the
+// merged /query would count that peer's capture twice.
 func RegisterPeers(fs *flag.FlagSet) *Peers {
-	return &Peers{
-		Spec: fs.String("peers", "", "admin addresses (host:port) of peer collectors whose /query results are merged into this one's, comma- or |-separated"),
-	}
+	p := &Peers{}
+	fs.Func("peers", "admin addresses (host:port) of peer collectors whose /query results are merged into this one's, comma- or |-separated, no address twice", func(list string) (err error) {
+		p.addrs, err = relay.ParseAddrs(list)
+		return err
+	})
+	return p
 }
 
-// Enabled reports whether the flag was set.
-func (p *Peers) Enabled() bool { return len(p.List()) > 0 }
+// Enabled reports whether the flag named any peer.
+func (p *Peers) Enabled() bool { return len(p.addrs) > 0 }
 
 // List returns the parsed peer addresses.
-func (p *Peers) List() []string {
-	var out []string
-	for _, a := range strings.FieldsFunc(*p.Spec, func(r rune) bool { return r == ',' || r == '|' }) {
-		if a = strings.TrimSpace(a); a != "" {
-			out = append(out, a)
-		}
-	}
-	return out
-}
+func (p *Peers) List() []string { return p.addrs }

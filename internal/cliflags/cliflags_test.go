@@ -3,6 +3,7 @@ package cliflags
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -140,6 +141,20 @@ func TestPeersFlag(t *testing.T) {
 		}
 		if p.Enabled() != (len(c.want) > 0) {
 			t.Errorf("Peers(%q).Enabled() = %v", c.in, p.Enabled())
+		}
+	}
+}
+
+// TestPeersFlagRejectsDuplicates: a peer named twice would have its
+// capture counted twice in the merged /query, so the flag parse refuses
+// it, as -forward refuses a duplicate collector.
+func TestPeersFlagRejectsDuplicates(t *testing.T) {
+	for _, in := range []string{"a:7070,a:7070", "a:7070|b:7070, a:7070"} {
+		fs := flag.NewFlagSet("t", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		RegisterPeers(fs)
+		if err := fs.Parse([]string{"-peers", in}); err == nil || !strings.Contains(err.Error(), "duplicate") {
+			t.Errorf("-peers %q: err = %v, want a duplicate-address error", in, err)
 		}
 	}
 }

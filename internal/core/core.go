@@ -8,10 +8,7 @@
 // clustering and experiments) consumes the Event stream produced here.
 package core
 
-import (
-	"fmt"
-	"net/netip"
-)
+import "fmt"
 
 // Level is the honeypot interaction level.
 type Level int
@@ -248,6 +245,3 @@ func ExtendedDeployment() *Deployment {
 	}
 	return d
 }
-
-// AddrPort is a convenience alias used throughout the event schema.
-type AddrPort = netip.AddrPort

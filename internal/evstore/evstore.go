@@ -36,6 +36,7 @@ package evstore
 import (
 	"fmt"
 	"hash/maphash"
+	"math/bits"
 	"net/netip"
 	"runtime"
 	"slices"
@@ -83,13 +84,7 @@ type Activity struct {
 type hourMask [MaxDays * 24 / 64]uint64
 
 // DayCount reports the number of distinct active days.
-func (a *Activity) DayCount() int {
-	n := 0
-	for d := a.ActiveDays; d != 0; d &= d - 1 {
-		n++
-	}
-	return n
-}
+func (a *Activity) DayCount() int { return bits.OnesCount64(a.ActiveDays) }
 
 // IPRecord is everything known about one source address.
 type IPRecord struct {
@@ -324,38 +319,35 @@ func (s *Store) shardFor(addr netip.Addr) *storeShard {
 	return s.shards[core.ShardOf(addr, len(s.shards))]
 }
 
-// Record implements core.Sink.
-func (s *Store) Record(e core.Event) {
+// Record implements core.Sink: a batch of one.
+func (s *Store) Record(e core.Event) { _ = s.RecordBatch([]core.Event{e}) }
+
+// RecordBatch implements core.BatchSink: RecordBatchTagged with no tag.
+func (s *Store) RecordBatch(events []core.Event) error { return s.RecordBatchTagged(events, nil) }
+
+// RecordBatchTagged implements core.TaggedBatchSink. It is the store's
+// one write path: Record, RecordBatch and WAL replay all end here. With
+// a WAL attached the batch is journaled first, together with an opaque
+// provenance tag that AttachWAL's onReplay surfaces again after a
+// restart; a batch the journal did not accept is not applied, and the
+// error surfaces to the deliverer. Without a WAL the tag has nowhere to
+// live and the batch is simply applied.
+func (s *Store) RecordBatchTagged(events []core.Event, tag []byte) error {
 	if s.wal != nil {
-		// The journal works in batch records; route the single event
-		// through the batch path so it is persisted before it is applied.
-		_ = s.RecordBatch([]core.Event{e})
-		return
+		if _, err := s.wal.Append(events, tag); err != nil {
+			return err
+		}
 	}
-	sh := s.shardFor(e.Src.Addr())
-	sh.mu.Lock()
-	s.record(sh, &e, &cursor{})
-	sh.mu.Unlock()
+	s.applyBatch(events)
+	return nil
 }
 
-// RecordBatch implements core.BatchSink. With a WAL attached the batch
-// is journaled first — a batch the journal did not accept is not
-// applied, and the error surfaces to the deliverer. Events are then
-// committed in shard-aligned runs: consecutive events hashing to the
-// same shard share one lock acquisition. When the batch comes from an
-// event bus with a matching shard count, the whole batch is a single
-// run — one lock per batch, and different bus workers never touch the
-// same shard.
-func (s *Store) RecordBatch(events []core.Event) error {
-	if err := s.journalBatch(events); err != nil {
-		return err
-	}
-	return s.applyBatch(events)
-}
-
-// applyBatch commits events to the shards without journaling — the
-// shared tail of RecordBatch, RecordBatchTagged and WAL replay.
-func (s *Store) applyBatch(events []core.Event) error {
+// applyBatch commits events to the shards in shard-aligned runs:
+// consecutive events hashing to the same shard share one lock
+// acquisition. When the batch comes from an event bus with a matching
+// shard count, the whole batch is a single run — one lock per batch, and
+// different bus workers never touch the same shard.
+func (s *Store) applyBatch(events []core.Event) {
 	n := len(s.shards)
 	for i := 0; i < len(events); {
 		si := core.ShardOf(events[i].Src.Addr(), n)
@@ -372,7 +364,6 @@ func (s *Store) applyBatch(events []core.Event) error {
 		sh.mu.Unlock()
 		i = j
 	}
-	return nil
 }
 
 // cursor is the record and activity the previous event of a shard run

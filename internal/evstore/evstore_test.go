@@ -260,9 +260,6 @@ func TestAccessors(t *testing.T) {
 	}
 }
 
-// TestCredRowsHashClash: two credentials whose index hashes collide keep
-// separate rows and tallies. A 64-bit collision is too rare to meet by
-// chance, so the test plants one: b's hash is pointed at a's row.
 // TestIPsRecordsStayPut: IPs returns a snapshot's records, so events
 // recorded after the call leave them as they were.
 func TestIPsRecordsStayPut(t *testing.T) {
@@ -287,6 +284,9 @@ func TestIPsRecordsStayPut(t *testing.T) {
 	}
 }
 
+// TestCredRowsHashClash: two credentials whose index hashes collide keep
+// separate rows and tallies. A 64-bit collision is too rare to meet by
+// chance, so the test plants one: b's hash is pointed at a's row.
 func TestCredRowsHashClash(t *testing.T) {
 	rows := &newShard().creds
 	a := Cred{DBMS: core.MSSQL, User: "sa", Pass: "a"}
@@ -305,6 +305,25 @@ func TestCredRowsHashClash(t *testing.T) {
 	}
 	if ch.keys[1] != b || ch.low[1] != 1 || ch.mh[1] != 1 {
 		t.Fatalf("row 1 = %+v low=%d mh=%d, want b low=1 mh=1", ch.keys[1], ch.low[1], ch.mh[1])
+	}
+}
+
+// TestRecordAllocatesNothing: Record hands RecordBatch a batch of one
+// that stays on the stack, so an event that adds nothing new to the
+// store (a source, activity or credential it already holds) allocates
+// nothing.
+func TestRecordAllocatesNothing(t *testing.T) {
+	s := New(start, 20, nil)
+	login := ev("192.0.2.1", lowInfo(core.MSSQL), core.EventLogin, 3)
+	login.User, login.Pass = "sa", "123"
+	events := []core.Event{ev("192.0.2.1", lowInfo(core.MSSQL), core.EventConnect, 3), login}
+	for _, e := range events {
+		s.Record(e)
+	}
+	for _, e := range events {
+		if n := testing.AllocsPerRun(100, func() { s.Record(e) }); n != 0 {
+			t.Errorf("Record(%v) allocates %v times, want 0", e.Kind, n)
+		}
 	}
 }
 

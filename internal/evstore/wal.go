@@ -57,29 +57,6 @@ func (s *Store) AttachWAL(l *wal.Log, onReplay func(tag []byte)) (int, error) {
 	return replayed, nil
 }
 
-// RecordBatchTagged implements core.TaggedBatchSink: the batch is
-// journaled together with an opaque provenance tag (surfaced again via
-// AttachWAL's onReplay after a restart), then applied. With no WAL
-// attached the tag has nowhere to live and the batch is simply applied.
-func (s *Store) RecordBatchTagged(events []core.Event, tag []byte) error {
-	if s.wal != nil {
-		if _, err := s.wal.Append(events, tag); err != nil {
-			return err
-		}
-	}
-	return s.applyBatch(events)
-}
-
-// journalBatch appends the batch to the attached WAL, if any. Called by
-// RecordBatch before applying.
-func (s *Store) journalBatch(events []core.Event) error {
-	if s.wal == nil {
-		return nil
-	}
-	_, err := s.wal.Append(events, nil)
-	return err
-}
-
 // Flush implements core.Flusher: with a WAL attached it forces the
 // journal to stable storage, so quiesce points (shutdown, snapshot
 // dumps) leave nothing in the write cache.

@@ -62,16 +62,9 @@ func BruteStats(ds *Dataset) report.Artifact {
 		st.HeaviestIPLogins, st.HeaviestIPCountry)
 	mssql := ds.Snap.Logins(evstore.Query{DBMS: core.MSSQL, Tier: evstore.LowTier})
 	fmt.Fprintf(&b, "MSSQL share:         %.2f%% (paper 18,076,729/18,162,811 = 99.5%%)\n",
-		100*float64(mssql)/float64(max64(st.TotalLogins, 1)))
+		100*float64(mssql)/float64(max(st.TotalLogins, 1)))
 	fmt.Fprintf(&b, "Redis logins:        %d (paper 0)\n", ds.Snap.Logins(evstore.Query{DBMS: core.Redis, Tier: evstore.LowTier}))
 	return report.Artifact{ID: "X1", Title: "Section 5 brute-force statistics", Body: b.String()}
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // ControlGroup reproduces the multi- vs single-service host comparison.
@@ -116,7 +109,7 @@ func IntelCoverage(ds *Dataset) report.Artifact {
 func ConfigEffects(ds *Dataset) report.Artifact {
 	ce := analysis.ConfigEffect(ds.Recs)
 	var b strings.Builder
-	ratio := float64(ce.PGRestrictedLogins) / float64(max64(ce.PGOpenLogins, 1))
+	ratio := float64(ce.PGRestrictedLogins) / float64(max(ce.PGOpenLogins, 1))
 	fmt.Fprintf(&b, "PostgreSQL medium-tier logins: restricted=%d open=%d ratio=%.2f (paper 29,217 vs 14,084 = 2.07)\n",
 		ce.PGRestrictedLogins, ce.PGOpenLogins, ratio)
 	fmt.Fprintf(&b, "Redis TYPE probes: fake-data=%d default=%d (paper: TYPE-walking seen only with fake data)\n",

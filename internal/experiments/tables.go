@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 
 	"decoydb/internal/analysis"
@@ -137,7 +138,7 @@ func Table9(ds *Dataset) report.Artifact {
 				// pressure (multiple attempts per active day) on the
 				// matching DBMS, or repeated AUTH on Redis.
 				if rec := byAddr[seq.ID]; rec != nil {
-					days := int64(popcountMask(rec.ActiveDaysMask(classify.ForDBMS(row.dbms))))
+					days := int64(bits.OnesCount64(rec.ActiveDaysMask(classify.ForDBMS(row.dbms))))
 					if n := mhLogins(rec, row.dbms); days > 0 && n >= 2*days {
 						tag = cluster.TagBruteForce
 					}
@@ -163,14 +164,6 @@ func mhLogins(rec *evstore.IPRecord, dbms string) int64 {
 		if k.Level >= core.Medium && k.DBMS == dbms {
 			n += a.Logins
 		}
-	}
-	return n
-}
-
-func popcountMask(m uint64) int {
-	n := 0
-	for ; m != 0; m &= m - 1 {
-		n++
 	}
 	return n
 }

@@ -16,9 +16,6 @@ import (
 type Honeypot struct {
 	// Version overrides the advertised server version when non-empty.
 	Version string
-	// rng seeds per-connection salts; honeypots never need crypto-grade
-	// randomness for a salt nobody verifies.
-	seed int64
 }
 
 // New returns a MySQL honeypot.

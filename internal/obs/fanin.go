@@ -11,6 +11,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"decoydb/internal/classify"
 	"decoydb/internal/evstore"
 )
 
@@ -79,16 +80,12 @@ func NewFanIn(opts FanInOptions) *FanIn {
 }
 
 // verdictRank orders classify verdicts by severity for merge escalation.
+// An unknown name ranks below scanning.
 func verdictRank(v string) int {
-	switch v {
-	case "exploiting":
-		return 3
-	case "scouting":
-		return 2
-	case "scanning":
-		return 1
+	if b, ok := classify.ParseBehavior(v); ok {
+		return int(b)
 	}
-	return 0
+	return -1
 }
 
 // ServeHTTP implements http.Handler.

@@ -3,6 +3,7 @@ package obs
 import (
 	"encoding/json"
 	"fmt"
+	"math/bits"
 	"net/http"
 	"net/url"
 	"strconv"
@@ -316,9 +317,7 @@ func (h *QueryHandler) Respond(req QueryRequest) (QueryResponse, error) {
 			row.Commands += a.CommandsRun
 			mask |= a.ActiveDays
 		}
-		for m := mask; m != 0; m &= m - 1 {
-			row.ActiveDays++
-		}
+		row.ActiveDays = bits.OnesCount64(mask)
 		records = append(records, row)
 	}
 

@@ -76,9 +76,8 @@ type Span struct {
 	LastCommand string `json:"last_command,omitempty"`
 
 	// Verdict is the classify behaviour of the span's events —
-	// scanning/scouting/exploiting, live-updated for active spans. It is
-	// classify.Activity folded one event at a time: a login makes the
-	// span scouting, a command raises it to its classify.Step.
+	// scanning/scouting/exploiting, live-updated for active spans:
+	// classify.Fold over the span's events.
 	Verdict string `json:"verdict"`
 	// Live is the source's current behaviour as the streaming analyzer
 	// sees it — across all of the source's sessions, not just this span.
@@ -142,7 +141,7 @@ type TraceRing struct {
 	done      [ringSize]spanState
 	completed uint64
 	evicted   uint64
-	verdicts  [3]uint64 // by classify.Behavior
+	verdicts  [classify.Exploiting + 1]uint64 // by classify.Behavior
 }
 
 // NewTraceRing returns an empty ring.
@@ -150,12 +149,8 @@ func NewTraceRing(opts TraceOptions) *TraceRing {
 	return &TraceRing{opts: opts, active: core.NewLRU[spanKey, spanState](maxActive)}
 }
 
-// Record implements core.Sink.
-func (t *TraceRing) Record(e core.Event) {
-	t.mu.Lock()
-	t.record(&e)
-	t.mu.Unlock()
-}
+// Record implements core.Sink: a batch of one.
+func (t *TraceRing) Record(e core.Event) { _ = t.RecordBatch([]core.Event{e}) }
 
 // RecordBatch implements core.BatchSink: one lock per delivery batch.
 func (t *TraceRing) RecordBatch(events []core.Event) error {
@@ -192,6 +187,7 @@ func (t *TraceRing) record(e *core.Event) {
 	}
 	s.last = e.Time
 	s.events++
+	s.verdict = classify.Fold(s.verdict, e.Kind, h.DBMS, e.Command, e.Raw)
 	switch e.Kind {
 	case core.EventLogin:
 		s.logins++
@@ -199,14 +195,10 @@ func (t *TraceRing) record(e *core.Event) {
 			s.loginOK++
 		}
 		s.advance(authPhase, e.Time)
-		s.verdict = max(s.verdict, classify.Scouting)
 	case core.EventCommand:
 		s.commands++
 		s.lastCommand = e.Command
 		s.advance(queryPhase, e.Time)
-		if s.verdict < classify.Exploiting {
-			s.verdict = max(s.verdict, classify.Step(h.DBMS, e.Command, e.Raw))
-		}
 	case core.EventClose:
 		t.complete(s)
 		t.active.Delete(key)
@@ -336,7 +328,8 @@ func (t *TraceRing) Collect(e *Emitter) {
 	e.Gauge("decoydb_traces_active", "In-flight attack-session spans.", float64(st.Active))
 	e.Counter("decoydb_traces_completed_total", "Completed spans.", float64(st.Completed))
 	e.Counter("decoydb_traces_evicted_total", "Spans force-completed at the active cap.", float64(st.Evicted))
-	for _, name := range []string{"scanning", "scouting", "exploiting"} {
+	for b := range classify.Exploiting + 1 {
+		name := b.String()
 		e.Counter("decoydb_traces_verdict_total", "Completed spans by classify verdict.", float64(st.Verdicts[name]), L("verdict", name))
 	}
 }

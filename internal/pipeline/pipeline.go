@@ -50,9 +50,17 @@ type qeeqboxRecord struct {
 	UserB64   string `json:"username_b64,omitempty"`
 	Password  string `json:"password,omitempty"`
 	PassB64   string `json:"password_b64,omitempty"`
-	Instance  int    `json:"instance"`
-	Group     string `json:"group"`
-	VM        string `json:"vm"`
+	placement
+	VM string `json:"vm"`
+}
+
+// placement is a low-interaction line's instance and group. It is a
+// struct of its own for logLine: there sessionRecord's instance and
+// group are one level shallower, so encoding/json decodes both formats'
+// keys into those, where two fields at one depth would both be dropped.
+type placement struct {
+	Instance int    `json:"instance"`
+	Group    string `json:"group"`
 }
 
 // sessionRecord is the medium/high-interaction log line shape.
@@ -75,6 +83,13 @@ type sessionRecord struct {
 	CmdB64  string `json:"cmd_b64,omitempty"`
 	Raw     string `json:"raw,omitempty"`
 	RawB64  string `json:"raw_b64,omitempty"`
+}
+
+// logLine is a line of either format, so that a line is decoded once.
+// The marker fields, server and dbms, say which format it is.
+type logLine struct {
+	qeeqboxRecord
+	sessionRecord
 }
 
 // encodeText splits an attacker-supplied string into a line's plain
@@ -137,16 +152,9 @@ func NewLogWriter(dir string) (*LogWriter, error) {
 	return &LogWriter{dir: dir, files: make(map[fileKey]*logFile)}, nil
 }
 
-// Record implements core.Sink. Errors are counted and retained (see
-// Err); per-event callers on the hot path should prefer the bus, which
-// delivers batches via RecordBatch.
-func (lw *LogWriter) Record(e core.Event) {
-	lw.mu.Lock()
-	defer lw.mu.Unlock()
-	if _, err := lw.record(e); err != nil {
-		lw.note(err)
-	}
-}
+// Record implements core.Sink: a batch of one, written and flushed
+// before it returns. Errors are counted and retained (see Err).
+func (lw *LogWriter) Record(e core.Event) { _ = lw.RecordBatch([]core.Event{e}) }
 
 // RecordBatch implements bus.BatchSink: one lock and one flush per
 // touched file per batch. It returns the first error of the batch.
@@ -300,8 +308,7 @@ func toQeeqbox(e core.Event) qeeqboxRecord {
 		SrcIP:     e.Src.Addr().String(),
 		SrcPort:   e.Src.Port(),
 		Server:    e.Honeypot.DBMS,
-		Instance:  e.Honeypot.Instance,
-		Group:     e.Honeypot.Group,
+		placement: placement{Instance: e.Honeypot.Instance, Group: e.Honeypot.Group},
 		VM:        e.Honeypot.VM,
 	}
 	switch e.Kind {
@@ -365,6 +372,9 @@ func Load(dir string, start time.Time, days int, geo *geoip.DB) (*evstore.Store,
 	return store, nil
 }
 
+// loadBatch is the number of events Load commits to the store at once.
+const loadBatch = 512
+
 func loadFile(path string, store *evstore.Store) error {
 	f, err := os.Open(path)
 	if err != nil {
@@ -372,6 +382,7 @@ func loadFile(path string, store *evstore.Store) error {
 	}
 	defer f.Close()
 	r := bufio.NewReaderSize(f, 256*1024)
+	batch := make([]core.Event, 0, loadBatch)
 	lineNo := 0
 	for {
 		line, err := r.ReadBytes('\n')
@@ -381,13 +392,19 @@ func loadFile(path string, store *evstore.Store) error {
 			if perr != nil {
 				return fmt.Errorf("line %d: %w", lineNo, perr)
 			}
-			store.Record(ev)
+			batch = append(batch, ev)
 		}
 		if err == io.EOF {
-			return nil
+			return store.RecordBatch(batch)
 		}
 		if err != nil {
 			return err
+		}
+		if len(batch) == loadBatch {
+			if err := store.RecordBatch(batch); err != nil {
+				return err
+			}
+			batch = batch[:0]
 		}
 	}
 }
@@ -396,25 +413,15 @@ func loadFile(path string, store *evstore.Store) error {
 // formats are distinguished by their marker fields ("server" vs "dbms"),
 // playing the role of the paper's per-honeypot conversion scripts.
 func parseLine(line []byte) (core.Event, error) {
-	var probe struct {
-		Server string `json:"server"`
-		DBMS   string `json:"dbms"`
-	}
-	if err := json.Unmarshal(line, &probe); err != nil {
+	var l logLine
+	if err := json.Unmarshal(line, &l); err != nil {
 		return core.Event{}, err
 	}
-	if probe.Server != "" {
-		var r qeeqboxRecord
-		if err := json.Unmarshal(line, &r); err != nil {
-			return core.Event{}, err
-		}
-		return fromQeeqbox(r)
+	if l.Server != "" {
+		l.qeeqboxRecord.placement = placement{Instance: l.Inst, Group: l.sessionRecord.Group}
+		return fromQeeqbox(l.qeeqboxRecord)
 	}
-	var r sessionRecord
-	if err := json.Unmarshal(line, &r); err != nil {
-		return core.Event{}, err
-	}
-	return fromSession(r)
+	return fromSession(l.sessionRecord)
 }
 
 // parseTime reads a line's timestamp. LogWriter writes it in UTC, and

@@ -251,6 +251,25 @@ func TestRecordBatchRoundTrip(t *testing.T) {
 	}
 }
 
+// TestRecordOnDiskBeforeClose: Record is a batch of one, so its line is
+// in the file when Record returns, as a batch's lines are.
+func TestRecordOnDiskBeforeClose(t *testing.T) {
+	dir := t.TempDir()
+	lw, err := NewLogWriter(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lw.Close()
+	lw.Record(medEvent("20.0.77.3", core.EventCommand, "KEYS", "KEYS *"))
+	store, err := Load(dir, start, 20, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := store.Events(); n != 1 {
+		t.Fatalf("events on disk after Record = %d, want 1", n)
+	}
+}
+
 // TestRecordBatchAllocatesOnlyLines: once its files exist, a batch
 // allocates what encoding its lines does and nothing more. Finding an
 // event's file formats no name, and the batch keeps no table of the

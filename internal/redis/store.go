@@ -13,14 +13,12 @@ type entryType string
 const (
 	TypeString entryType = "string"
 	TypeHash   entryType = "hash"
-	TypeList   entryType = "list"
 )
 
 type entry struct {
 	typ  entryType
 	str  string
 	hash map[string]string
-	list []string
 }
 
 // Store is the in-memory keyspace behind the honeypot. It is intentionally

@@ -307,11 +307,7 @@ func cleanAddrs(in []string) []string {
 // all.
 func newEpoch() uint64 {
 	var b [8]byte
-	if _, err := crand.Read(b[:]); err != nil {
-		// crypto/rand failing is effectively fatal elsewhere; fall back
-		// to the math/rand source rather than refusing to forward.
-		return uint64(rand.Int63()) | 1
-	}
+	_, _ = crand.Read(b[:]) // never returns an error since Go 1.24
 	e := binary.LittleEndian.Uint64(b[:])
 	if e == 0 {
 		e = 1

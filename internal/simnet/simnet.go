@@ -348,7 +348,7 @@ func (g *jobGen) emitBrute(a *Actor, r *rand.Rand, nextSrc func() netip.AddrPort
 			}
 			for i := int64(0); i < n; i++ {
 				// Spread attempts across the day's hours.
-				hour := int(i * 24 / max64(n, 1))
+				hour := int(i * 24 / max(n, 1))
 				if a.HoursPerDay < 24 {
 					hour = r.Intn(24)
 				}
@@ -375,13 +375,6 @@ func (g *jobGen) emitBrute(a *Actor, r *rand.Rand, nextSrc func() netip.AddrPort
 		}
 	}
 	return nil
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 func (g *jobGen) emitMH(a *Actor, spec MHSpec, r *rand.Rand, nextSrc func() netip.AddrPort, at func(day, hour int) time.Time) error {
@@ -526,13 +519,6 @@ func (g *jobGen) emitMH(a *Actor, spec MHSpec, r *rand.Rand, nextSrc func() neti
 		}
 	}
 	return nil
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // scoutScript builds the information-gathering session for one DBMS.

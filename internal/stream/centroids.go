@@ -34,9 +34,6 @@ type centroid struct {
 	assigns uint64
 }
 
-// at returns the centroid's coordinate at vocabulary index i.
-func (c *centroid) at(i int) float64 { return c.terms[i] * c.scale }
-
 // minEta floors the blend learning rate so a long-lived centroid still
 // tracks behavioural drift instead of freezing at its historical mean.
 const minEta = 1.0 / 256

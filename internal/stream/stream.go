@@ -3,8 +3,8 @@
 // online, on the ingest path. An Analyzer is a core.BatchSink that keeps
 // a bounded LRU of per-source state: a term-frequency vector of the
 // source's normalised actions and its current classify.Behavior. Every
-// delivered batch re-classifies each touched source incrementally (a
-// fold of classify.Step — no snapshot, no store re-scan) and re-assigns
+// delivered batch re-classifies each touched source incrementally
+// (classify.Fold — no snapshot, no store re-scan) and re-assigns
 // its vector to a behaviour cluster by nearest-centroid matching,
 // with the centroid set periodically consolidated by a mini Ward re-fit
 // (see centroids.go). Transitions — a scout escalating to exploitation,
@@ -113,13 +113,8 @@ func New(Options) *Analyzer {
 	}
 }
 
-// Record implements core.Sink: a single-event batch.
-func (a *Analyzer) Record(e core.Event) {
-	a.mu.Lock()
-	a.ingest(e)
-	a.settle()
-	a.mu.Unlock()
-}
+// Record implements core.Sink: a batch of one.
+func (a *Analyzer) Record(e core.Event) { _ = a.RecordBatch([]core.Event{e}) }
 
 // RecordBatch implements core.BatchSink: fold the whole batch under one
 // lock acquisition, then run one assignment pass over the touched
@@ -161,38 +156,29 @@ func (a *Analyzer) ingest(e core.Event) {
 	}
 	s.dbms = e.Honeypot.DBMS
 
-	switch e.Kind {
-	case core.EventLogin:
-		if s.behavior < classify.Scouting {
-			s.behavior = classify.Scouting
+	if b := classify.Fold(s.behavior, e.Kind, e.Honeypot.DBMS, e.Command, e.Raw); b > s.behavior {
+		if b == classify.Exploiting {
+			a.alerts.push(Alert{
+				Kind:   EscalationAlert,
+				Time:   e.Time,
+				Src:    addr.String(),
+				DBMS:   e.Honeypot.DBMS,
+				From:   s.behavior.String(),
+				To:     b.String(),
+				Action: e.Command,
+			})
 		}
-	case core.EventCommand:
-		step := classify.Step(e.Honeypot.DBMS, e.Command, e.Raw)
-		if step > s.behavior {
-			from := s.behavior
-			s.behavior = step
-			if step == classify.Exploiting {
-				a.alerts.push(Alert{
-					Kind:   EscalationAlert,
-					Time:   e.Time,
-					Src:    addr.String(),
-					DBMS:   e.Honeypot.DBMS,
-					From:   from.String(),
-					To:     step.String(),
-					Action: e.Command,
-				})
-			}
+		s.behavior = b
+	}
+	if e.Kind == core.EventCommand && s.total < maxActionsPerSource {
+		if s.counts == nil {
+			s.counts = make(map[int]int, 4)
 		}
-		if s.total < maxActionsPerSource {
-			if s.counts == nil {
-				s.counts = make(map[int]int, 4)
-			}
-			i := a.asn.index(e.Command)
-			s.sumSq += 2*s.counts[i] + 1 // (c+1)² − c²
-			s.counts[i]++
-			s.total++
-			s.dirty = true
-		}
+		i := a.asn.index(e.Command)
+		s.sumSq += 2*s.counts[i] + 1 // (c+1)² − c²
+		s.counts[i]++
+		s.total++
+		s.dirty = true
 	}
 }
 

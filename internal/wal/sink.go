@@ -14,9 +14,6 @@ type Sink struct {
 // NewSink returns a bus-attachable sink journaling into l.
 func NewSink(l *Log) *Sink { return &Sink{l: l} }
 
-// Log returns the underlying log.
-func (s *Sink) Log() *Log { return s.l }
-
 // Record implements core.Sink. Single events pay a whole record each;
 // deliver through the batch path where possible.
 func (s *Sink) Record(e core.Event) {
